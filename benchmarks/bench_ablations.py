@@ -106,9 +106,9 @@ def bench_ablation_direct_vs_keyswitched_pipeline(benchmark):
     from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
     from repro.math.sampling import Sampler
     from repro.switching import (
+        BootstrapPipeline,
         KeySwitchedBootstrapper,
         KeySwitchedKeySet,
-        SchemeSwitchBootstrapper,
         SwitchingKeySet,
         make_keyswitched_toy_params,
     )
@@ -124,13 +124,13 @@ def bench_ablation_direct_vs_keyswitched_pipeline(benchmark):
                                            error_std=0.6)
     kw_keys = KeySwitchedKeySet.generate(ctx, sk, n_t=n_t, sampler=Sampler(94),
                                          base_bits=4, error_std=0.6)
-    direct = SchemeSwitchBootstrapper(ctx, direct_keys)
+    direct = BootstrapPipeline(ctx, direct_keys)
     keysw = KeySwitchedBootstrapper(ctx, kw_keys)
     z = np.random.default_rng(3).uniform(-1, 1, ctx.slots)
 
     def run_both():
         ct = ev.encrypt(z, level=0)
-        out_d = direct.bootstrap(ct)
+        out_d = direct.run(ct)
         out_k = keysw.bootstrap(ev.encrypt(z, level=0))
         return out_d, out_k
 
@@ -159,7 +159,7 @@ def bench_ablation_gadget_base_noise_sweep(benchmark):
     from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
     from repro.math.sampling import Sampler
     from repro.params import make_toy_params
-    from repro.switching import SchemeSwitchBootstrapper, SwitchingKeySet
+    from repro.switching import BootstrapPipeline, SwitchingKeySet
 
     params = make_toy_params(n=16, limbs=3, limb_bits=30, scale_bits=23,
                              special_limbs=2)
@@ -174,8 +174,7 @@ def bench_ablation_gadget_base_noise_sweep(benchmark):
         for base_bits in (4, 8):
             swk = SwitchingKeySet.generate(ctx, sk, Sampler(97),
                                            base_bits=base_bits, error_std=0.8)
-            boot = SchemeSwitchBootstrapper(ctx, swk)
-            out = boot.bootstrap(ev.encrypt(z, level=0))
+            out = BootstrapPipeline(ctx, swk).run(ev.encrypt(z, level=0))
             err = float(np.max(np.abs(ev.decrypt(out, sk).real - z)))
             model = SwitchingNoiseModel(
                 n=ctx.n, n_iter=ctx.n, gadget_base=1 << base_bits,

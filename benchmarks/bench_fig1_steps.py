@@ -17,7 +17,7 @@ from repro.ckks import (
     make_bootstrappable_toy_params,
 )
 from repro.math.sampling import Sampler
-from repro.switching import BootstrapTrace, SchemeSwitchBootstrapper, SwitchingKeySet
+from repro.switching import BootstrapPipeline, BootstrapTrace, SwitchingKeySet
 
 
 def bench_fig1_step_structure(benchmark):
@@ -32,14 +32,14 @@ def bench_fig1_step_structure(benchmark):
     conv_boot = ConventionalBootstrapper(ctx, keys, evaluator=ev)
     swk = SwitchingKeySet.generate(ctx, sk, Sampler(83), base_bits=6,
                                    error_std=0.8)
-    ss_boot = SchemeSwitchBootstrapper(ctx, swk)
+    ss_boot = BootstrapPipeline(ctx, swk)
 
     def run_both():
         ct = ev.encrypt(0.3, level=0)
         conv_trace = ConventionalBootstrapTrace()
         conv_out = conv_boot.bootstrap(ct, conv_trace)
         ss_trace = BootstrapTrace()
-        ss_out = ss_boot.bootstrap(ev.encrypt(0.3, level=0), ss_trace)
+        ss_out = ss_boot.run(ev.encrypt(0.3, level=0), ss_trace)
         return conv_trace, conv_out, ss_trace, ss_out
 
     conv_trace, conv_out, ss_trace, ss_out = benchmark.pedantic(

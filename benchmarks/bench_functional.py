@@ -12,7 +12,7 @@ Two parts, one ``BENCH_functional.json``:
    accumulator must agree limb-for-limb before a timing counts.
 
 2. **Workload table.**  The LUT workload library (sign, ReLU, threshold,
-   k-bit quantisation) run end to end through ``FunctionalEvaluator``
+   k-bit quantisation) run end to end through ``BootstrapPipeline.run_pbs``
    at toy parameters (N = 64): wall seconds per evaluate and max
    absolute error against plaintext ``f``, with inputs on exact
    phase-bucket centers a safe margin from each workload's
@@ -38,11 +38,11 @@ from repro.math.modular import find_ntt_primes
 from repro.math.rns import RnsBasis
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
-from repro.switching import SwitchingKeySet, quantized, threshold
+from repro.switching import BootstrapPipeline, SwitchingKeySet, quantized, threshold
 from repro.switching.functional import (
-    FunctionalEvaluator,
     pbs_extract_reference,
     pbs_extract_vectorized,
+    quantisation_step,
     relu_fn,
     sigmoid_fn,
     sign_fn,
@@ -150,8 +150,8 @@ def _workload_table(quick):
     ev = CkksEvaluator(ctx, gen.keyset(sk), Sampler(902))
     swk = SwitchingKeySet.generate(ctx, sk, Sampler(903), base_bits=4,
                                    error_std=0.6)
-    fe = FunctionalEvaluator(ctx, swk)
-    step = fe.quantisation_step()
+    pipeline = BootstrapPipeline(ctx, swk)
+    step = quantisation_step(ctx)
 
     workloads = [("sign", sign_fn), ("relu", relu_fn)]
     if not quick:
@@ -177,7 +177,7 @@ def _workload_table(quick):
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            out = fe.evaluate(ct, fn)
+            out = pipeline.run_pbs(ct, fn)
             best = min(best, time.perf_counter() - t0)
         decoded = ev.decrypt_coeffs_scaled(out, sk)[:ctx.n // 2]
         raw_fn = fn.fn if hasattr(fn, "fn") else fn  # LutSpec or callable
@@ -210,7 +210,7 @@ def _run(quick=False):
     for r in frontend:
         lines.append(f"{r['n']:>6} {r['batch']:>6} {r['scalar_s']:>12.4f} "
                      f"{r['vectorized_s']:>12.4f} {r['speedup']:>8.1f}x")
-    lines += ["", "LUT workloads end to end (FunctionalEvaluator, toy N=64)",
+    lines += ["", "LUT workloads end to end (BootstrapPipeline.run_pbs, toy N=64)",
               f"{'workload':<24} {'seconds':>9} {'max err':>10} "
               f"{'bucket step':>12}"]
     for r in table:

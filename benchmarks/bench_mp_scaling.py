@@ -113,7 +113,7 @@ def _run(n, batch, worker_counts, gate=True):
     s = Sampler(42)
     cts = [lwe_encrypt(i * 5, lwe_sk, 2 * n, s, error_std=0.5)
            for i in range(batch)]
-    reference = blind_rotate_batch(f, cts, brk, engine="vectorized")
+    reference = blind_rotate_batch(f, cts, brk)
     cpus = len(os.sched_getaffinity(0))
     predicted = ClusterBootstrapModel().scaling_curve(
         batch, max_nodes=max(worker_counts))

@@ -21,7 +21,8 @@ offered load, both ``max_batch=1, max_delay_s=0`` (every request pays a
 solo fan-out, which is exactly what a service without a coalescer does):
 
 * ``no_coalescing_baseline`` — solo dispatch through the *scalar*
-  reference engine: the per-request serving path as it existed before
+  oracle (``blind_rotate_batch_reference`` behind the service's
+  ``executor_factory`` hook): the per-request serving path as it existed before
   the batch engines landed (PRs 1-4 only help callers who arrive in
   batches; a lone request on the pre-batching repo ran the scalar
   oracle).  This is the baseline the acceptance gate compares against:
@@ -75,7 +76,11 @@ from repro.math.rns import RnsBasis
 from repro.math.sampling import Sampler
 from repro.service import BootstrapService, ServiceTrace, UserKeys
 from repro.switching.pipeline import BootstrapTrace, LocalExecutor
-from repro.tfhe.blind_rotate import BlindRotateKey, build_test_vector
+from repro.tfhe.blind_rotate import (
+    BlindRotateKey,
+    blind_rotate_batch_reference,
+    build_test_vector,
+)
 from repro.tfhe.glwe import GlweSecretKey
 from repro.tfhe.lwe import LweSecretKey, lwe_encrypt
 
@@ -92,6 +97,18 @@ class _KeyBox:
 
     def __init__(self, brk):
         self.brk = brk
+
+
+class _ScalarOracleExecutor:
+    """The scalar oracle as a service executor — the baseline's
+    per-request path from before the batched engines."""
+
+    def __init__(self, uk):
+        self.uk = uk
+
+    def fanout(self, lwes, trace, lut=None):
+        return blind_rotate_batch_reference(self.uk.test_vector, lwes,
+                                            self.uk.keys.brk)
 
 
 def _setup(n, seed=1234):
@@ -149,14 +166,14 @@ async def _drive(svc, lwes, users, rate, rng):
 
 
 def _run_point(uk, lwes, users, rate, *, max_batch, max_delay_s,
-               max_queue=1024, engine="vectorized"):
+               max_queue=1024, executor_factory=None):
     trace = ServiceTrace()
 
     async def main():
         svc = BootstrapService(lambda uid: uk, max_batch=max_batch,
                                max_delay_s=max_delay_s,
                                max_queue=max_queue, trace=trace,
-                               blind_rotate_engine=engine)
+                               executor_factory=executor_factory)
         async with svc:
             t0 = time.perf_counter()
             latencies, rejected = await _drive(
@@ -169,7 +186,7 @@ def _run_point(uk, lwes, users, rate, *, max_batch, max_delay_s,
     completed = len(latencies)
     return {
         "offered_rps": round(rate, 2),
-        "engine": engine,
+        "engine": "vectorized" if executor_factory is None else "reference",
         "max_batch": max_batch,
         "requests": len(lwes),
         "completed": completed,
@@ -245,7 +262,7 @@ def _run(n, max_batch, requests, num_users, gate_ratio):
     # Measured capacity of one full coalesced batch: the load sweep is
     # expressed in multiples of this so the saturation point is honest
     # on any host.
-    ex = LocalExecutor(_KeyBox(brk), f, "vectorized")
+    ex = LocalExecutor(_KeyBox(brk), f)
     ex.fanout(lwes[:max_batch], BootstrapTrace())  # warmup (caches)
     t0 = time.perf_counter()
     ex.fanout(lwes[:max_batch], BootstrapTrace())
@@ -263,12 +280,12 @@ def _run(n, max_batch, requests, num_users, gate_ratio):
         results.append(point)
     saturated = results[-1]
 
-    # Primary baseline: per-request dispatch on the scalar reference
-    # engine — the serving path a lone caller had before the batch
-    # engines existed (the gate measures coalescer + batched engine).
+    # Primary baseline: per-request dispatch on the scalar oracle — the
+    # serving path a lone caller had before the batch engines existed
+    # (the gate measures coalescer + batched engine).
     baseline = _run_point(uk, lwes, users, 2.0 * capacity_rps,
                           max_batch=1, max_delay_s=0.0,
-                          engine="reference")
+                          executor_factory=_ScalarOracleExecutor)
     baseline["load"] = 2.0
     # Secondary reference: batch-1 dispatch through the batched engine,
     # isolating coalescing's own amortization (bounded by the engine's

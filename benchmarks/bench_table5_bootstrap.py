@@ -10,7 +10,7 @@ from repro.analysis import format_table, table5_bootstrap
 from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
-from repro.switching import SchemeSwitchBootstrapper, SwitchingKeySet
+from repro.switching import BootstrapPipeline, SwitchingKeySet
 
 
 def bench_table5_model(benchmark, fpga_model, cluster_model):
@@ -53,11 +53,11 @@ def bench_functional_scheme_switch_bootstrap(benchmark):
     ev = CkksEvaluator(ctx, gen.keyset(sk), Sampler(42))
     swk = SwitchingKeySet.generate(ctx, sk, Sampler(43), base_bits=4,
                                    error_std=0.8)
-    boot = SchemeSwitchBootstrapper(ctx, swk)
+    boot = BootstrapPipeline(ctx, swk)
     z = np.random.default_rng(0).uniform(-1, 1, ctx.slots)
     ct = ev.encrypt(z, level=0)
 
-    result = benchmark.pedantic(boot.bootstrap, args=(ct,), rounds=1,
+    result = benchmark.pedantic(boot.run, args=(ct,), rounds=1,
                                 iterations=1, warmup_rounds=0)
     got = ev.decrypt(result, sk)
     assert np.allclose(got.real, z, atol=0.05)

@@ -32,7 +32,7 @@ from repro.ckks import (
 )
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
-from repro.switching import BootstrapTrace, SchemeSwitchBootstrapper, SwitchingKeySet
+from repro.switching import BootstrapPipeline, BootstrapTrace, SwitchingKeySet
 
 RING_N = 16
 
@@ -69,11 +69,11 @@ def _scheme_switching_run():
     ev = CkksEvaluator(ctx, gen.keyset(sk), Sampler(74))
     swk = SwitchingKeySet.generate(ctx, sk, Sampler(75), base_bits=6,
                                    error_std=0.8)
-    boot = SchemeSwitchBootstrapper(ctx, swk)
+    boot = BootstrapPipeline(ctx, swk)
     ct = ev.encrypt(0.25, level=0)
     trace = BootstrapTrace()
     start = time.perf_counter()
-    out = boot.bootstrap(ct, trace)
+    out = boot.run(ct, trace)
     elapsed = time.perf_counter() - start
     err = abs(ev.decrypt(out, sk).real[0] - 0.25)
     assert err < 0.1, err

@@ -10,8 +10,10 @@ but real traffic arrives one ciphertext at a time.  This example runs
    alias one cache entry and coalesce into common batches),
 2. the users submit exhausted ciphertexts concurrently,
 3. the service coalesces the requests, runs one shared fan-out per
-   batch, slices the results back, and every user decrypts a
-   refreshed ciphertext — bit-identical to solo dispatch.
+   batch (``run_batch`` — the same loop a solo
+   ``BootstrapPipeline.run`` goes through), slices the results back,
+   and every user decrypts a refreshed ciphertext — bit-identical to
+   solo dispatch.
 """
 
 import asyncio

@@ -23,7 +23,7 @@ from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.ckks.bootstrap import make_bootstrappable_toy_params
 from repro.hardware import ClusterBootstrapModel, SingleFpgaModel
 from repro.math.sampling import Sampler
-from repro.switching import SchemeSwitchBootstrapper, SwitchingKeySet
+from repro.switching import BootstrapPipeline, SwitchingKeySet
 
 
 def main() -> None:
@@ -57,7 +57,7 @@ def main() -> None:
     print("generating switching keys for the in-loop bootstrap...")
     swk = SwitchingKeySet.generate(ctx, sk, Sampler(33), base_bits=4,
                                    error_std=0.8)
-    boot = SchemeSwitchBootstrapper(ctx, swk)
+    boot = BootstrapPipeline(ctx, swk)  # the trainer calls boot.run(ct)
     trainer = EncryptedLogisticRegression(ctx, ev, f, b, lr=0.5,
                                           bootstrapper=boot)
 

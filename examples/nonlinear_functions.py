@@ -5,7 +5,8 @@ The paper motivates scheme switching with non-linear evaluation before
 specialising it to bootstrapping: "The function f can be set to evaluate
 sigmoid, exponentiation, or ReLU function."  This example runs that
 general path — sign, ReLU and sigmoid through the TFHE LUT on
-(coefficient-packed) CKKS ciphertexts — and contrasts it with the
+(coefficient-packed) CKKS ciphertexts, via ``BootstrapPipeline.run_pbs``,
+the same pipeline Algorithm 2 runs on — and contrasts it with the
 polynomial (Chebyshev) route the CKKS-only world is limited to.
 """
 
@@ -16,12 +17,13 @@ from repro.math.modular import find_ntt_primes
 from repro.math.sampling import Sampler
 from repro.params import CkksParams
 from repro.switching import (
-    FunctionalEvaluator,
+    BootstrapPipeline,
     SwitchingKeySet,
     relu_fn,
     sigmoid_fn,
     sign_fn,
 )
+from repro.switching.functional import max_abs_input, quantisation_step
 
 
 def main() -> None:
@@ -37,9 +39,9 @@ def main() -> None:
     print("generating switching keys...")
     swk = SwitchingKeySet.generate(ctx, sk, Sampler(13), base_bits=4,
                                    error_std=0.6)
-    fev = FunctionalEvaluator(ctx, swk)
-    print(f"LUT domain: |v| < {fev.max_abs_input():.2f}, "
-          f"resolution {fev.quantisation_step():.4f} "
+    pipeline = BootstrapPipeline(ctx, swk)
+    print(f"LUT domain: |v| < {max_abs_input(ctx):.2f}, "
+          f"resolution {quantisation_step(ctx):.4f} "
           f"({2 * n} phase buckets)")
 
     rng = np.random.default_rng(3)
@@ -51,14 +53,14 @@ def main() -> None:
         ("ReLU", relu_fn, lambda x: np.maximum(x, 0)),
         ("sigmoid", sigmoid_fn, lambda x: 1 / (1 + np.exp(-x))),
     ):
-        out = fev.evaluate(ct, f)
+        out = pipeline.run_pbs(ct, f)
         got = ev.decrypt_coeffs_scaled(out, sk)
         err = float(np.max(np.abs(got - ref(z))))
         print(f"{name:8s}: level {out.level} output "
               f"(fresh, no depth spent), max error {err:.3f}")
 
     print("\nfirst few values:")
-    out = ev.decrypt_coeffs_scaled(fev.evaluate(ct, relu_fn), sk)
+    out = ev.decrypt_coeffs_scaled(pipeline.run_pbs(ct, relu_fn), sk)
     for i in range(6):
         print(f"  v = {z[i]:+.3f}  ->  ReLU = {out[i]:+.3f}")
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.ckks.bootstrap import make_bootstrappable_toy_params
 from repro.math.sampling import Sampler
-from repro.switching import BootstrapTrace, SchemeSwitchBootstrapper, SwitchingKeySet
+from repro.switching import BootstrapPipeline, BootstrapTrace, SwitchingKeySet
 
 
 def main() -> None:
@@ -46,13 +46,14 @@ def main() -> None:
         print(f"  mult -> level {ct.level}")
     print("levels exhausted; no further multiplication possible")
 
-    # Scheme-switching bootstrap (paper Algorithm 2).
+    # Scheme-switching bootstrap (paper Algorithm 2): BootstrapPipeline
+    # is the one entry point; pass executor= to fan out over a pool.
     print("generating switching keys (blind-rotate + repack keys)...")
     swk = SwitchingKeySet.generate(ctx, sk, Sampler(3), base_bits=4,
                                    error_std=0.8)
-    boot = SchemeSwitchBootstrapper(ctx, swk)
+    pipeline = BootstrapPipeline(ctx, swk)
     trace = BootstrapTrace()
-    refreshed = boot.bootstrap(ct, trace)
+    refreshed = pipeline.run(ct, trace)
     print(f"bootstrap: {trace.num_lwe} LWE ciphertexts extracted, "
           f"{trace.num_blind_rotates} parallel BlindRotates, "
           f"{trace.repack_keyswitches} repack key switches")

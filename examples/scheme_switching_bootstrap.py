@@ -6,7 +6,9 @@ intermediate quantities the paper's Section III-B derives, then re-runs
 the BlindRotate batch split over simulated compute nodes (the paper's
 eight-FPGA deployment) and verifies the partitioned execution is
 bit-identical to the single-node run — the property that makes the
-approach "agnostic of the hardware".
+approach "agnostic of the hardware".  The stage functions used here
+(``extract_mod_2n``, ``blind_rotate_batch``) are the ones
+``BootstrapPipeline.run`` — the one way to run the whole thing — calls.
 """
 
 import numpy as np
@@ -15,11 +17,12 @@ from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
 from repro.switching import (
-    SchemeSwitchBootstrapper,
+    BootstrapPipeline,
     SwitchingKeySet,
     expected_k_prime_std,
     make_schedule,
 )
+from repro.switching.pipeline import extract_mod_2n
 from repro.tfhe.blind_rotate import blind_rotate_batch
 from repro.tfhe.glwe import glwe_decrypt_coeffs
 
@@ -33,7 +36,7 @@ def main() -> None:
     ev = CkksEvaluator(ctx, gen.keyset(sk), Sampler(5))
     swk = SwitchingKeySet.generate(ctx, sk, Sampler(6), base_bits=4,
                                    error_std=0.8)
-    boot = SchemeSwitchBootstrapper(ctx, swk)
+    pipeline = BootstrapPipeline(ctx, swk)
 
     n = ctx.n
     two_n = 2 * n
@@ -52,16 +55,16 @@ def main() -> None:
           f"(aliasing bound N/2 = {n // 2})")
 
     # -- Step 3a: Extract ------------------------------------------------------------
-    lwes = [boot._extract_mod_2n(c1m, c0m, i, two_n) for i in range(n)]
+    lwes = [extract_mod_2n(c1m, c0m, i, two_n) for i in range(n)]
     print(f"step 3a: extracted {len(lwes)} independent LWE ciphertexts (Eq. 2)")
 
     # -- Step 3b: BlindRotate, single node vs partitioned -----------------------------
-    single = blind_rotate_batch(boot._test_vector, lwes, swk.brk)
+    single = blind_rotate_batch(pipeline.test_vector, lwes, swk.brk)
     for nodes in (2, 4):
         schedule = make_schedule(len(lwes), nodes)
         multi = []
         for part in schedule.slices(lwes):
-            multi.extend(blind_rotate_batch(boot._test_vector, part, swk.brk))
+            multi.extend(blind_rotate_batch(pipeline.test_vector, part, swk.brk))
         same = all(
             a.body.to_coeff().limbs[0].tolist() == b.body.to_coeff().limbs[0].tolist()
             for a, b in zip(single, multi))
@@ -81,7 +84,7 @@ def main() -> None:
     print(f"step 3b: recovered per-coefficient wrap counts J - K': {wraps}")
 
     # -- Full pipeline -----------------------------------------------------------------
-    refreshed = boot.bootstrap(ct)
+    refreshed = pipeline.run(ct)
     got = ev.decrypt(refreshed, sk).real
     print(f"steps 3c-5: repacked, added ct', rescaled by p")
     print(f"refreshed to level {refreshed.level}; "

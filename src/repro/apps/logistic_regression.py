@@ -23,7 +23,7 @@ import numpy as np
 
 from ..ckks import CkksCiphertext, CkksContext, CkksEvaluator
 from ..errors import ParameterError
-from ..switching.bootstrap import SchemeSwitchBootstrapper
+from ..switching.pipeline import BootstrapPipeline
 from .datasets import Dataset
 
 #: HELR's least-squares degree-3 sigmoid approximation on [-8, 8].
@@ -86,7 +86,7 @@ class EncryptedLogisticRegression:
 
     def __init__(self, ctx: CkksContext, ev: CkksEvaluator,
                  num_features: int, batch: int, lr: float = 1.0,
-                 bootstrapper: Optional[SchemeSwitchBootstrapper] = None):
+                 bootstrapper: Optional[BootstrapPipeline] = None):
         if num_features & (num_features - 1) or batch & (batch - 1):
             raise ParameterError("features and batch must be powers of two")
         if num_features * batch > ctx.slots:
@@ -220,7 +220,7 @@ class EncryptedLogisticRegression:
         ct0 = self.ev.drop_to_level(ct, 0)
         # The bootstrapper preserves the scale label; re-anchor to Delta
         # afterwards via a bridging multiply if needed.
-        out = self.boot.bootstrap(ct0)
+        out = self.boot.run(ct0)
         delta = self.ctx.params.scale
         if abs(out.scale / delta - 1.0) > 1e-9:
             bridge = delta * out.basis.moduli[out.level] / out.scale

@@ -11,7 +11,7 @@ toy scale (see ``tests/test_profiling.py``).
 Usage::
 
     with count_ops() as stats:
-        boot.bootstrap(ct)
+        pipeline.run(ct)
     print(stats.ntt_calls, stats.pointwise_mults)
 """
 

@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, Optional, Set
 from ..ckks.context import CkksContext
 from ..math.rns import RnsPoly
 from ..profiling import record_service
-from ..switching.keys import rns_poly_bytes
+from ..switching.keys import brk_bytes, rns_poly_bytes
 
 
 class UserKeys:
@@ -84,11 +84,7 @@ class UserKeys:
         if callable(fn):
             total = int(fn())
         else:
-            brk = self.keys.brk
-            total = sum(rns_poly_bytes(p)
-                        for rgsw in list(brk.plus) + list(brk.minus)
-                        for row in rgsw.rows for ct in row
-                        for p in list(ct.mask) + [ct.body])
+            total = brk_bytes(self.keys.brk)
         return total + rns_poly_bytes(self.test_vector)
 
 

@@ -16,10 +16,10 @@ The moving parts:
   member has waited ``max_delay_s`` — whichever comes first — then
   dispatches the composed batch as ONE ``executor.fanout`` call and
   slices the accumulators back into per-request replies.  Correctness
-  gate: the engines are bit-identical deterministic oracles and every
+  gate: the engines are bit-identical to deterministic oracles and every
   BlindRotate is independent, so a request's result is **byte-equal no
   matter which other requests it was batched with** (tests assert this
-  property across executors and engines).
+  property across executors).
 * **Per-user keys.**  Requests are keyed by ``user_id``; key material is
   resolved through the byte-accounted LRU :class:`~repro.service.
   key_cache.LruKeyCache` (ARK direction: the resident key working set,
@@ -66,7 +66,8 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from ..ckks.ciphertext import CkksCiphertext
 from ..errors import ParameterError, ServiceClosedError, ServiceOverloadError
 from ..profiling import record_service
-from ..switching.pipeline import BootstrapPipeline, BootstrapTrace, LocalExecutor
+from ..switching.pipeline import (BootstrapPipeline, LocalExecutor,
+                                  key_registry, run_batch)
 from ..tfhe.glwe import GlweCiphertext
 from ..tfhe.lwe import LweCiphertext
 from .key_cache import KeyCacheEntry, LruKeyCache, UserKeys
@@ -183,8 +184,6 @@ class BootstrapService:
                  max_queue: int = 256,
                  key_cache_bytes: Optional[int] = None,
                  executor_factory: Optional[Callable[[UserKeys], Any]] = None,
-                 blind_rotate_engine: str = "vectorized",
-                 repack_engine: str = "vectorized",
                  trace: Optional[ServiceTrace] = None):
         if max_batch < 1:
             raise ParameterError("max_batch must be at least 1")
@@ -195,13 +194,10 @@ class BootstrapService:
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
         self.max_queue = max_queue
-        self.repack_engine = repack_engine
-        self.blind_rotate_engine = blind_rotate_engine
         self.trace = trace if trace is not None else ServiceTrace()
         self._executor_factory: Callable[[UserKeys], Any] = \
             executor_factory if executor_factory is not None \
-            else (lambda uk: LocalExecutor(
-                uk.keys, uk.test_vector, blind_rotate_engine))
+            else (lambda uk: LocalExecutor(uk.keys, uk.test_vector))
         self.cache = LruKeyCache(key_provider, self._make_entry,
                                  key_cache_bytes)
         self._pending: List[_Request] = []
@@ -309,11 +305,7 @@ class BootstrapService:
                 # Resolve to a named spec now (cheap — no LUT build);
                 # the N-point NTT build happens once, in the batch's
                 # worker thread, guarded by the registry's lock.
-                luts = getattr(entry.pipeline.keys, "luts", None)
-                if luts is None:
-                    raise ParameterError(
-                        f"user {user_id!r}: key set has no LUT registry")
-                lut = luts.spec_for(f)
+                lut = key_registry(entry.pipeline.keys).spec_for(f)
                 group = (lut.name, float(payload.scale))
                 self.trace.pbs_requests += 1
         else:
@@ -445,48 +437,26 @@ class BootstrapService:
 
     def _execute_batch(self, entry: KeyCacheEntry,
                        batch: List[_Request]) -> Tuple[List[Any], float]:
-        """Compose the batch, run ONE fan-out, slice replies back (runs
-        in a worker thread).  LWE requests map 1:1 onto accumulators;
-        ciphertext requests are prepared here (ModSwitch + Extract) and
-        completed per request (Repack + Finish) on their own slice.  A
+        """Prepare the batch's ciphertext requests (ModSwitch + Extract)
+        and hand everything to the shared
+        :func:`~repro.switching.pipeline.run_batch` loop — ONE fan-out,
+        replies sliced back per request (runs in a worker thread).  A
         PBS batch (all requests share one LUT group, by construction of
-        ``_ready_groups``) resolves its LUT id once and passes it to the
-        single fan-out call."""
+        ``_ready_groups``) resolves its LUT id once."""
         t0 = time.perf_counter()
-        lwes: List[LweCiphertext] = []
-        spans: List[Tuple[int, int]] = []
-        preps: List[Any] = []
+        pipe = entry.pipeline
+        items: List[Any] = []
         lut_id: Optional[str] = None
         for req in batch:
             if req.kind == "lwe":
-                spans.append((len(lwes), len(lwes) + 1))
-                preps.append(None)
-                lwes.append(req.payload)
+                items.append(req.payload)
+            elif req.kind == "pbs":
+                items.append(pipe.prepare_pbs(req.payload))
+                if lut_id is None:
+                    lut_id = pipe.resolve_lut(req.lut, req.payload.scale)
             else:
-                if req.kind == "pbs":
-                    prep = entry.pipeline.prepare_pbs(req.payload)
-                    if lut_id is None:
-                        lut_id = entry.pipeline.resolve_lut(
-                            req.lut, req.payload.scale)
-                else:
-                    prep = entry.pipeline.prepare(req.payload)
-                spans.append((len(lwes), len(lwes) + len(prep.lwes)))
-                preps.append(prep)
-                lwes.extend(prep.lwes)
-        btrace = BootstrapTrace()
-        if lut_id is None:
-            # No lut kwarg on the default path: custom executors that
-            # predate the programmable protocol keep working.
-            accs = entry.executor.fanout(lwes, btrace)
-        else:
-            accs = entry.executor.fanout(lwes, btrace, lut=lut_id)
-        results: List[Any] = []
-        for req, (start, stop), prep in zip(batch, spans, preps):
-            if req.kind == "lwe":
-                results.append(accs[start])
-            else:
-                results.append(entry.pipeline.complete(
-                    prep, accs[start:stop], btrace))
+                items.append(pipe.prepare(req.payload))
+        results = run_batch(entry.executor, items, lut=lut_id, pipeline=pipe)
         return results, time.perf_counter() - t0
 
     # -- wiring ---------------------------------------------------------------
@@ -496,8 +466,8 @@ class BootstrapService:
         pipeline = None
         if user_keys.ctx is not None:
             pipeline = BootstrapPipeline(user_keys.ctx, user_keys.keys,
-                                         executor=executor,
-                                         repack_engine=self.repack_engine)
+                                         executor=executor)
+
         def nbytes_fn() -> int:
             return user_keys.resident_bytes() + \
                 int(getattr(executor, "shared_key_bytes", 0))

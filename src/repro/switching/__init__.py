@@ -1,8 +1,7 @@
 """The paper's core contribution: scheme-switching CKKS bootstrapping."""
 
-from .bootstrap import BootstrapTrace, SchemeSwitchBootstrapper, expected_k_prime_std
 from .fanout import PRIMARY, CommLog, Fault, FaultInjector, FaultTolerantFanout
-from .functional import FunctionalEvaluator, relu_fn, sigmoid_fn, sign_fn
+from .functional import relu_fn, sigmoid_fn, sign_fn
 from .keys import KeySizeAudit, SwitchingKeySet, conventional_bootstrap_key_bytes
 from .luts import (
     ALGORITHM2,
@@ -23,7 +22,14 @@ from .keyswitched import (
     make_keyswitched_toy_params,
 )
 from .mp_executor import ProcessPoolFanoutExecutor
-from .pipeline import BootstrapPipeline, Executor, LocalExecutor
+from .pipeline import (
+    BootstrapPipeline,
+    BootstrapTrace,
+    Executor,
+    LocalExecutor,
+    expected_k_prime_std,
+    run_batch,
+)
 from .scheduler import (
     BootstrapSchedule,
     NodeAssignment,
@@ -42,9 +48,8 @@ __all__ = [
     "LocalExecutor",
     "PRIMARY",
     "ProcessPoolFanoutExecutor",
-    "SchemeSwitchBootstrapper",
     "expected_k_prime_std",
-    "FunctionalEvaluator",
+    "run_batch",
     "relu_fn",
     "sigmoid_fn",
     "sign_fn",

@@ -7,15 +7,13 @@ CRC-framed form (through :mod:`repro.io`), so the simulation exercises a
 real wire format and produces a per-link communication log that the
 hardware model's CMAC accounting can be checked against.
 
-Since the pipeline refactor the cluster is a *thin shell*: it plugs a
-:class:`ClusterExecutor` into the one shared
-:class:`~repro.switching.pipeline.BootstrapPipeline`, so steps 1-2 and
-4-5 of Algorithm 2 execute the exact same code as the single-node
-bootstrapper and every engine flag (``blind_rotate_engine`` /
-``repack_engine``) is honoured on both paths — the output is
-bit-identical for every combination (tests assert it), the basis of the
-paper's claim that the approach "can be mapped to any system with
-multiple compute nodes".
+The cluster plugs a :class:`ClusterExecutor` into the one shared
+:class:`~repro.switching.pipeline.BootstrapPipeline`
+(``cluster.pipeline.run`` / ``.run_pbs``), so steps 1-2 and 4-5 of
+Algorithm 2 execute the exact same code as a single-node run and the
+output is bit-identical (tests assert it), the basis of the paper's
+claim that the approach "can be mapped to any system with multiple
+compute nodes".
 
 The primary follows the paper's send policy exactly — it "sends all the
 ciphertexts intended for one of the secondary FPGAs before sending the
@@ -37,7 +35,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from ..ckks.ciphertext import CkksCiphertext
 from ..ckks.context import CkksContext
 from ..errors import ParameterError, WireFormatError
 from ..io import (
@@ -55,7 +52,7 @@ from ..tfhe.glwe import GlweCiphertext
 from ..tfhe.lwe import LweCiphertext
 from .fanout import CommLog, Fault, FaultInjector, FaultTolerantFanout
 from .keys import SwitchingKeySet
-from .pipeline import BootstrapPipeline, BootstrapTrace, _registry_vector
+from .pipeline import BootstrapPipeline, BootstrapTrace, key_registry
 
 __all__ = [
     "CommLog",
@@ -90,11 +87,10 @@ class SimulatedNode:
         self._luts[lut_id] = deserialize_rns_poly(unframe_blob(blob))
 
     def process(self, wire_lwes: List[bytes],
-                engine: str = "vectorized",
                 fail_after: Optional[int] = None,
                 lut: Optional[str] = None) -> List[bytes]:
-        """Unframe and deserialize the assigned batch, BlindRotate it on
-        the selected engine (the batched §IV-E schedule), and return
+        """Unframe and deserialize the assigned batch, BlindRotate it
+        (the batched §IV-E schedule), and return
         CRC-framed serialized accumulators.  ``fail_after`` simulates a
         crash after that many BlindRotates (the work is spent — it counts
         toward :attr:`processed` — but no reply is produced).  ``lut``
@@ -110,12 +106,10 @@ class SimulatedNode:
         lwes = [deserialize_lwe(unframe_blob(b)) for b in wire_lwes]
         if fail_after is not None and fail_after < len(lwes):
             if fail_after:
-                blind_rotate_batch(tv, lwes[:fail_after],
-                                   self.keys.brk, engine=engine)
+                blind_rotate_batch(tv, lwes[:fail_after], self.keys.brk)
                 self.processed += fail_after
             raise _NodeCrash(self.node_id)
-        accs = blind_rotate_batch(tv, lwes, self.keys.brk,
-                                  engine=engine)
+        accs = blind_rotate_batch(tv, lwes, self.keys.brk)
         self.processed += len(accs)
         return [frame_blob(serialize_glwe(a)) for a in accs]
 
@@ -135,7 +129,6 @@ class ClusterExecutor(FaultTolerantFanout):
 
     def __init__(self, nodes: Sequence[SimulatedNode], comm: CommLog,
                  fault_injector: Optional[FaultInjector] = None,
-                 blind_rotate_engine: str = "vectorized",
                  straggler_timeout: float = 30.0,
                  max_retries: Optional[int] = None,
                  keys: Optional[SwitchingKeySet] = None):
@@ -143,7 +136,6 @@ class ClusterExecutor(FaultTolerantFanout):
         self.comm = comm
         self.injector = fault_injector if fault_injector is not None \
             else FaultInjector()
-        self.blind_rotate_engine = blind_rotate_engine
         #: Simulated seconds after which a delayed node is presumed dead.
         self.straggler_timeout = straggler_timeout
         self.max_retries = max_retries
@@ -177,7 +169,7 @@ class ClusterExecutor(FaultTolerantFanout):
             # First use of this LUT on this node: ship the test vector
             # CRC-framed, exactly like key material would travel.
             lut_blob = frame_blob(serialize_rns_poly(
-                _registry_vector(self.keys, lut)))
+                key_registry(self.keys).vector(lut)))
             if nid != 0:
                 self.comm.record(0, nid, lut_blob, retry=retry)
             handle.install_lut(lut, lut_blob)
@@ -194,7 +186,6 @@ class ClusterExecutor(FaultTolerantFanout):
         t0 = time.perf_counter()
         try:
             wire_out = handle.process(wire_in,
-                                      engine=self.blind_rotate_engine,
                                       fail_after=crash.after if crash else None,
                                       lut=lut)
         except _NodeCrash:
@@ -246,14 +237,17 @@ class ClusterExecutor(FaultTolerantFanout):
 
 
 class SimulatedCluster:
-    """Primary + secondaries executing the distributed bootstrap — a thin
-    shell over the shared pipeline with a :class:`ClusterExecutor` in the
-    fan-out stage."""
+    """Primary + secondaries for the distributed bootstrap: the nodes,
+    their :class:`CommLog`, and the shared pipeline with a
+    :class:`ClusterExecutor` in the fan-out stage.  Run it through
+    ``cluster.pipeline.run(ct)`` / ``.run_pbs(ct, f)`` — output
+    bit-identical to a single-node run, including runs with injected
+    faults (recovery re-dispatches, the result is unchanged); a
+    programmable LUT ships to each node once, CRC-framed and logged on
+    :attr:`comm`."""
 
     def __init__(self, ctx: CkksContext, keys: SwitchingKeySet,
                  num_nodes: int = 8,
-                 blind_rotate_engine: str = "vectorized",
-                 repack_engine: str = "vectorized",
                  fault_injector: Optional[FaultInjector] = None,
                  straggler_timeout: float = 30.0,
                  max_retries: Optional[int] = None):
@@ -267,30 +261,9 @@ class SimulatedCluster:
         self.comm = CommLog()
         self.executor = ClusterExecutor(
             self.nodes, self.comm, fault_injector=fault_injector,
-            blind_rotate_engine=blind_rotate_engine,
             straggler_timeout=straggler_timeout, max_retries=max_retries,
             keys=keys)
-        self.pipeline = BootstrapPipeline(ctx, keys, executor=self.executor,
-                                          repack_engine=repack_engine)
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    def bootstrap(self, ct: CkksCiphertext,
-                  trace: Optional[BootstrapTrace] = None) -> CkksCiphertext:
-        """Distributed Algorithm 2; output bit-identical to the
-        single-node bootstrapper's, including runs with injected faults
-        (recovery re-dispatches, the result is unchanged)."""
-        return self.pipeline.run(ct, trace)
-
-    def pbs(self, ct: CkksCiphertext, f,
-            trace: Optional[BootstrapTrace] = None) -> CkksCiphertext:
-        """Distributed programmable bootstrap: ``f``'s LUT ships to each
-        node once (CRC-framed, logged on :attr:`comm`) and the fan-out
-        runs the same recovery loop as :meth:`bootstrap` — output
-        bit-identical to the local executor's."""
-        return self.pipeline.run_pbs(ct, f, trace)
+        self.pipeline = BootstrapPipeline(ctx, keys, executor=self.executor)
 
     def utilisation(self) -> Dict[int, int]:
         """BlindRotates executed per node (includes work a node spent on

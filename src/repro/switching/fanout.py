@@ -258,7 +258,6 @@ class FaultTolerantFanout:
       parallel in wall-clock time.
     """
 
-    blind_rotate_engine: str
     #: Re-dispatch budget per fan-out (``None`` = 4x the worker count);
     #: exhausting it — only possible with persistent faults on healthy
     #: workers — raises ClusterExecutionError instead of looping forever.

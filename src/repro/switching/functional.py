@@ -33,19 +33,17 @@ SlotToCoeff linear transform (see :mod:`repro.ckks.bootstrap`'s
 matrices) and back afterwards, exactly as Pegasus [41] does; the tests
 and example here use coefficient packing directly.
 
-This module used to be a fork of the bootstrap: its own extract loop, its
-own LUT builder, its own repack call — bypassing the engine flags, the
-executors and the trace accounting.  It is now a thin shell over
-:class:`~repro.switching.pipeline.BootstrapPipeline` (stage kernels here,
-orchestration there): the LUT math lives in
-:mod:`~repro.switching.luts`, cached on the key set's registry, and the
-fan-out runs through any executor — local, simulated cluster, or the
-multiprocessing pool — with bit-identical results.
+This module holds the stage kernels — the PBS ModSwitch+Extract and the
+LUT domain helpers; orchestration is
+:meth:`~repro.switching.pipeline.BootstrapPipeline.run_pbs`.  The LUT
+math lives in :mod:`~repro.switching.luts`, cached on the key set's
+registry, and the fan-out runs through any executor — local, simulated
+cluster, or the multiprocessing pool — with bit-identical results.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -53,9 +51,7 @@ from ..ckks.ciphertext import CkksCiphertext
 from ..ckks.context import CkksContext
 from ..errors import ParameterError
 from ..tfhe.lwe import LweCiphertext
-from .keys import SwitchingKeySet
 from .luts import relu_fn, sigmoid_fn, sign_fn  # noqa: F401  (public API)
-from .pipeline import BootstrapPipeline, BootstrapTrace, Executor
 
 _U64_MAX = (1 << 64) - 1
 
@@ -111,90 +107,34 @@ def pbs_extract_vectorized(c0, c1, n: int, two_n: int,
             for i in range(n)]
 
 
-def pbs_extract(ct: CkksCiphertext,
-                engine: str = "vectorized") -> List[LweCiphertext]:
+def pbs_extract(ct: CkksCiphertext) -> List[LweCiphertext]:
     """The programmable path's ModSwitch + Extract for a level-0,
     coefficient-packed ciphertext: the ``N`` dimension-``N`` LWEs with
     phases ``round(2N * m_i / q) mod 2N``.
 
-    ``engine="vectorized"`` runs the uint64 gather kernel (falling back
-    to the reference loop when ``q`` exceeds its overflow guard);
-    ``engine="reference"`` forces the exact big-int loop.  Both are
-    bit-identical (tests assert it)."""
-    if engine not in ("vectorized", "reference"):
-        raise ParameterError(f"unknown pbs extract engine {engine!r}")
+    Runs the uint64 gather kernel, falling back to the
+    :func:`pbs_extract_reference` loop when ``q`` exceeds its overflow
+    guard.  Both are bit-identical (tests assert it)."""
     n = len(ct.c0.limbs[0])
     two_n = 2 * n
     q = ct.basis.moduli[0]
     c0 = ct.c0.to_coeff().limbs[0]
     c1 = ct.c1.to_coeff().limbs[0]
-    if engine == "vectorized" and (q - 1) * two_n + q // 2 <= _U64_MAX:
+    if (q - 1) * two_n + q // 2 <= _U64_MAX:
         return pbs_extract_vectorized(c0, c1, n, two_n, q)
     return pbs_extract_reference(c0, c1, n, two_n, q)
 
 
-# -- the evaluator ----------------------------------------------------------------
+# -- the LUT input domain ---------------------------------------------------------
 
 
-class FunctionalEvaluator:
-    """Evaluate arbitrary real functions through the TFHE LUT path.
+def max_abs_input(ctx: CkksContext) -> float:
+    """Largest |v| the quantised phase can represent faithfully."""
+    q = float(ctx.full_basis.moduli[0])
+    return q / (4.0 * ctx.params.scale)
 
-    A thin shell over :class:`~repro.switching.pipeline.BootstrapPipeline`:
-    construction picks the executor and engines exactly like the
-    scheme-switching bootstrap does (``executor=None`` builds the local
-    in-process fan-out on ``blind_rotate_engine``; pass a cluster or
-    process-pool executor for distributed PBS), and :meth:`evaluate` is
-    ``pipeline.run_pbs``.  LUTs are built once per
-    ``(function, N, q, Delta)`` and cached on the key set's
-    :class:`~repro.switching.luts.LutRegistry`.
-    """
 
-    def __init__(self, ctx: CkksContext, keys: SwitchingKeySet,
-                 executor: Optional[Executor] = None,
-                 blind_rotate_engine: str = "vectorized",
-                 repack_engine: str = "vectorized",
-                 extract_engine: str = "vectorized"):
-        self.ctx = ctx
-        self.keys = keys
-        self.raised_basis = keys.raised_basis
-        self.extract_engine = extract_engine
-        self.pipeline = BootstrapPipeline(
-            ctx, keys, executor=executor,
-            blind_rotate_engine=blind_rotate_engine,
-            repack_engine=repack_engine)
-
-    @property
-    def repack_engine(self) -> str:
-        return self.pipeline.repack_engine
-
-    @property
-    def blind_rotate_engine(self) -> str:
-        return self.pipeline.blind_rotate_engine
-
-    def max_abs_input(self) -> float:
-        """Largest |v| the quantised phase can represent faithfully."""
-        q = float(self.ctx.full_basis.moduli[0])
-        return q / (4.0 * self.ctx.params.scale)
-
-    def quantisation_step(self) -> float:
-        """Input resolution: one phase bucket in value units."""
-        q = float(self.ctx.full_basis.moduli[0])
-        return q / (2.0 * self.ctx.n * self.ctx.params.scale)
-
-    def evaluate(self, ct: CkksCiphertext, f: Callable[[float], float],
-                 trace: Optional[BootstrapTrace] = None) -> CkksCiphertext:
-        """Apply ``f`` element-wise to a *level-0*, coefficient-packed
-        CKKS ciphertext.
-
-        Returns a fresh top-level coefficient-packed ciphertext of
-        ``f(values)`` — the LUT evaluation refreshes noise as a side
-        effect (it *is* a programmable bootstrap).  ``f`` may be a plain
-        callable, a :class:`~repro.switching.luts.LutSpec`, or a
-        registered workload name (``"sign"``, ``"relu"``, ...).
-        """
-        if ct.level != 0:
-            raise ParameterError(
-                "functional evaluation consumes a level-0 ciphertext "
-                "(drop_to_level first)")
-        return self.pipeline.run_pbs(ct, f, trace=trace,
-                                     extract_engine=self.extract_engine)
+def quantisation_step(ctx: CkksContext) -> float:
+    """Input resolution: one phase bucket in value units."""
+    q = float(ctx.full_basis.moduli[0])
+    return q / (2.0 * ctx.n * ctx.params.scale)

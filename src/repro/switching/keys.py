@@ -16,20 +16,22 @@ brk entry, 1.76 GB total, ~18x less key traffic than conventional
 bootstrapping).
 
 Note on dimensions: the paper key-switches extracted LWE ciphertexts down
-to ``n_t = 500`` before blind rotation, so its brk has 500 entries.  Our
-functional pipeline blind-rotates at dimension ``N`` directly (exactly as
-Algorithm 2 is written — its Extract produces dimension-``N`` LWE
-ciphertexts and there is no key-switch step in the algorithm listing);
-the ``n_t`` distinction is honoured by the performance model and by
-:meth:`SwitchingKeySet.paper_sizes`, and DESIGN.md records the
-substitution.
+to ``n_t = 500`` before blind rotation, so its brk has 500 entries.  The
+pipeline over *this* key set blind-rotates at dimension ``N`` directly
+(exactly as Algorithm 2 is written — its Extract produces dimension-``N``
+LWE ciphertexts and there is no key-switch step in the algorithm
+listing).  The n_t pipeline is implemented functionally in
+:mod:`repro.switching.keyswitched` (its own
+:class:`~repro.switching.keyswitched.KeySwitchedKeySet`), priced by the
+performance model, and sized by :class:`KeySizeAudit`; DESIGN.md records
+the substitution.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from ..math.rns import RnsBasis, RnsPoly, concat_bases
 from ..math.sampling import Sampler, mask_stream
 from ..params import TfheParams
 from ..tfhe.blind_rotate import BlindRotateKey
-from ..tfhe.glwe import GlweSecretKey
+from ..tfhe.glwe import GlweCiphertext, GlweSecretKey
 from ..tfhe.keyswitch import (AutomorphismKeySet, GlweKeySwitchKey,
                               expand_glwe_keyswitch_key)
 from ..tfhe.lwe import LweSecretKey
@@ -65,6 +67,58 @@ def rns_poly_bytes(poly: RnsPoly) -> int:
     return total
 
 
+def glwe_rows_bytes(rows: Iterable[GlweCiphertext]) -> int:
+    """Resident bytes of every polynomial in a run of GLWE rows (one
+    key-switch key, or one component of an RGSW matrix)."""
+    return sum(rns_poly_bytes(p) for ct in rows
+               for p in list(ct.mask) + [ct.body])
+
+
+def brk_bytes(brk: BlindRotateKey) -> int:
+    """Resident bytes of a blind-rotate key's RGSW entries."""
+    return sum(glwe_rows_bytes(comp)
+               for rgsw in list(brk.plus) + list(brk.minus)
+               for comp in rgsw.rows)
+
+
+def stack_brk_bodies(brk: BlindRotateKey, basis: RnsBasis) -> List[np.ndarray]:
+    """The seed+``b`` form's stored half of a seeded blind-rotate key:
+    one fixed-width evaluation-domain array per limb, shape
+    ``(n_t, 2, (h+1)d, N)`` (axis 1 = brk+ / brk−, row ``r = c*d + k``)."""
+    n = brk.plus[0].n
+    rows = (brk.h + 1) * brk.gadget.digits
+    bodies = [np.empty((brk.n_t, 2, rows, n), dtype=np.int64)
+              for _ in basis.moduli]
+    for i in range(brk.n_t):
+        for pm, rgsw in ((0, brk.plus[i]), (1, brk.minus[i])):
+            for r, body in enumerate(rgsw_bodies(rgsw)):
+                for li, limb in enumerate(body.to_eval().limbs):
+                    arr = np.asarray(limb)
+                    if arr.dtype == object:
+                        raise ParameterError(
+                            "wide-modulus limbs cannot compress to "
+                            "fixed-width seeded material")
+                    bodies[li][i, pm, r] = arr
+    return bodies
+
+
+def _keygen_setup(ctx: CkksContext, sk: SecretKey, base_bits: int
+                  ) -> Tuple[RnsBasis, GadgetVector, GlweSecretKey,
+                             LweSecretKey]:
+    """What eager and seeded generation share: the raised basis
+    ``Q * p``, the gadget over it, and the CKKS secret viewed as the
+    GLWE accumulator key and as the LWE key whose digits brk encrypts."""
+    raised = concat_bases(ctx.full_basis, RnsBasis([ctx.special_basis.moduli[0]]))
+    total_bits = raised.product.bit_length()
+    # Floor division: the couple of uncovered low-order bits only add
+    # +-2^(bits mod base) of rounding noise, far below the error term.
+    digits = max(1, total_bits // base_bits)
+    gadget = GadgetVector(q=raised.product, base_bits=base_bits, digits=digits)
+    glwe_sk = GlweSecretKey(coeffs=[np.asarray(sk.coeffs, dtype=object)], n=ctx.n)
+    lwe_view = LweSecretKey(coeffs=np.asarray(sk.coeffs, dtype=object))
+    return raised, gadget, glwe_sk, lwe_view
+
+
 @dataclass
 class SwitchingKeySet:
     """Blind-rotate + repacking keys over the raised basis ``Q * p``."""
@@ -79,10 +133,10 @@ class SwitchingKeySet:
     #: Master key seed when generated seeded; ``None`` for eager keys.
     key_seed: Optional[int] = field(default=None, repr=False, compare=False)
     #: The per-key-set LUT registry: caches the Algorithm-2 test vector
-    #: (as the old ``(n, q)`` dict did) *and* every programmable LUT
-    #: built against this key set, shared by every execution path —
-    #: local pipeline, simulated cluster nodes, and the process pool's
-    #: shared-memory publisher.  Built in ``__post_init__``.
+    #: *and* every programmable LUT built against this key set, shared
+    #: by every execution path — local pipeline, simulated cluster
+    #: nodes, and the process pool's shared-memory publisher.  Built in
+    #: ``__post_init__``.
     luts: Optional[LutRegistry] = field(default=None, repr=False,
                                         compare=False)
 
@@ -103,22 +157,14 @@ class SwitchingKeySet:
         ``ceil(log2 q / 8)`` bytes per slot, since a Python-int pointer
         array has no meaningful ``nbytes``.
         """
-        total = sum(rns_poly_bytes(p) for rgsw in
-                    list(self.brk.plus) + list(self.brk.minus)
-                    for row in rgsw.rows for ct in row
-                    for p in list(ct.mask) + [ct.body])
-        for ksk in self.auto_keys.keys.values():
-            total += sum(rns_poly_bytes(p) for ct in ksk.rows
-                         for p in list(ct.mask) + [ct.body])
-        return total
+        return brk_bytes(self.brk) + sum(
+            glwe_rows_bytes(ksk.rows) for ksk in self.auto_keys.keys.values())
 
     def test_vector(self, n: int, q: int) -> RnsPoly:
         """The Algorithm-2 blind-rotate LUT over this key set's raised
         basis (``g(t) = q*t`` folded with ``N^{-1}``), built once per
-        ``(n, q)`` and reused.  Delegates to the :class:`LutRegistry` —
-        one thread-safe implementation for both key-set classes, where
-        each used to carry its own unlocked check-then-act dict (racy
-        under the service's batch threads)."""
+        ``(n, q)`` and reused.  Served by the thread-safe
+        :class:`LutRegistry` (the service's batch threads race here)."""
         return self.luts.switching_vector(n, q)
 
     @classmethod
@@ -135,14 +181,7 @@ class SwitchingKeySet:
         raised modulus).
         """
         sampler = sampler or Sampler()
-        raised = concat_bases(ctx.full_basis, RnsBasis([ctx.special_basis.moduli[0]]))
-        total_bits = raised.product.bit_length()
-        # Floor division: the couple of uncovered low-order bits only add
-        # +-2^(bits mod base) of rounding noise, far below the error term.
-        digits = max(1, total_bits // base_bits)
-        gadget = GadgetVector(q=raised.product, base_bits=base_bits, digits=digits)
-        glwe_sk = GlweSecretKey(coeffs=[np.asarray(sk.coeffs, dtype=object)], n=ctx.n)
-        lwe_view = LweSecretKey(coeffs=np.asarray(sk.coeffs, dtype=object))
+        raised, gadget, glwe_sk, lwe_view = _keygen_setup(ctx, sk, base_bits)
         brk = BlindRotateKey.generate(lwe_view, glwe_sk, raised, gadget, sampler,
                                       error_std=error_std)
         auto_keys = AutomorphismKeySet.generate(
@@ -168,12 +207,7 @@ class SwitchingKeySet:
         drawn from ``noise`` (fresh entropy; never stored or replayed).
         """
         noise = noise or Sampler()
-        raised = concat_bases(ctx.full_basis, RnsBasis([ctx.special_basis.moduli[0]]))
-        total_bits = raised.product.bit_length()
-        digits = max(1, total_bits // base_bits)
-        gadget = GadgetVector(q=raised.product, base_bits=base_bits, digits=digits)
-        glwe_sk = GlweSecretKey(coeffs=[np.asarray(sk.coeffs, dtype=object)], n=ctx.n)
-        lwe_view = LweSecretKey(coeffs=np.asarray(sk.coeffs, dtype=object))
+        raised, gadget, glwe_sk, lwe_view = _keygen_setup(ctx, sk, base_bits)
         brk = BlindRotateKey.generate_seeded(lwe_view, glwe_sk, raised, gadget,
                                              key_seed, noise, error_std=error_std)
         auto_keys = AutomorphismKeySet.generate_seeded(
@@ -200,21 +234,10 @@ class SwitchingKeySet:
         n = self.brk.plus[0].n
         h = self.brk.h
         d = self.gadget.digits
-        rows = (h + 1) * d
         n_t = self.brk.n_t
         exps = sorted(self.auto_keys.keys)
         num_limbs = len(basis.moduli)
-        brk_b = [np.empty((n_t, 2, rows, n), dtype=np.int64) for _ in range(num_limbs)]
-        for i in range(n_t):
-            for pm, rgsw in ((0, self.brk.plus[i]), (1, self.brk.minus[i])):
-                for r, body in enumerate(rgsw_bodies(rgsw)):
-                    for li, limb in enumerate(body.to_eval().limbs):
-                        arr = np.asarray(limb)
-                        if arr.dtype == object:
-                            raise ParameterError(
-                                "wide-modulus limbs cannot compress to "
-                                "fixed-width seeded material")
-                        brk_b[li][i, pm, r] = arr
+        brk_b = stack_brk_bodies(self.brk, basis)
         auto_b = [np.empty((len(exps), d, n), dtype=np.int64) for _ in range(num_limbs)]
         for ti, t in enumerate(exps):
             for k, body in enumerate(self.auto_keys.keys[t].bodies()):
@@ -283,22 +306,26 @@ def _expand_auto_key(material: SeededKeyMaterial, basis: RnsBasis,
     return expand_glwe_keyswitch_key(mask_stream(seed), bodies, h, basis, gadget)
 
 
+def _expand_brk(material: SeededKeyMaterial, basis: RnsBasis,
+                gadget: GadgetVector) -> BlindRotateKey:
+    """Expand every blind-rotate entry; the per-entry mask seeds stay
+    attached, so the pool publisher still ships only seeds + bodies."""
+    meta = material.meta
+    pairs = [_expand_brk_entry(material, basis, gadget, i)
+             for i in range(int(meta["n_t"]))]  # type: ignore[arg-type]
+    seeds = [(int(p), int(m)) for p, m in meta["brk_mask_seeds"]]  # type: ignore[union-attr]
+    return BlindRotateKey(plus=[p for p, _ in pairs],
+                          minus=[m for _, m in pairs], gadget=gadget,
+                          h=int(meta["h"]), mask_seeds=seeds)  # type: ignore[arg-type]
+
+
 def expand_switching_keys(material: SeededKeyMaterial) -> SwitchingKeySet:
     """Eagerly expand a compressed key set — bit-identical to the
     :meth:`SwitchingKeySet.generate_seeded` output it was compressed
     from (``glwe_sk_ref`` excepted: the secret is not in the material)."""
     basis, gadget = _material_params(material)
     meta = material.meta
-    n_t = int(meta["n_t"])  # type: ignore[arg-type]
-    plus, minus = [], []
-    for i in range(n_t):
-        p, m = _expand_brk_entry(material, basis, gadget, i)
-        plus.append(p)
-        minus.append(m)
-    h = int(meta["h"])  # type: ignore[arg-type]
-    seeds = [(int(p), int(m)) for p, m in meta["brk_mask_seeds"]]  # type: ignore[union-attr]
-    brk = BlindRotateKey(plus=plus, minus=minus, gadget=gadget, h=h,
-                         mask_seeds=seeds)
+    brk = _expand_brk(material, basis, gadget)
     exps = [int(t) for t in meta["auto_exponents"]]  # type: ignore[union-attr]
     auto = AutomorphismKeySet(
         keys={t: _expand_auto_key(material, basis, gadget, t) for t in exps},
@@ -390,23 +417,10 @@ class StreamingSwitchingKeys:
     def brk(self) -> BlindRotateKey:
         with self._lock:
             if self._brk is None:
-                basis, gadget = self.raised_basis, self.gadget
-                meta = self.material.meta
-                n_t = int(meta["n_t"])  # type: ignore[arg-type]
-                plus, minus = [], []
-                for i in range(n_t):
-                    p, m = _expand_brk_entry(self.material, basis, gadget, i)
-                    plus.append(p)
-                    minus.append(m)
-                seeds = [(int(p), int(m)) for p, m in meta["brk_mask_seeds"]]  # type: ignore[union-attr]
-                self._brk = BlindRotateKey(
-                    plus=plus, minus=minus, gadget=gadget,
-                    h=int(meta["h"]), mask_seeds=seeds)  # type: ignore[arg-type]
-                self.expansions += n_t
-                self._brk_bytes = sum(
-                    rns_poly_bytes(poly) for rgsw in plus + minus
-                    for comp in rgsw.rows for row in comp
-                    for poly in list(row.mask) + [row.body])
+                self._brk = _expand_brk(self.material, self.raised_basis,
+                                        self.gadget)
+                self.expansions += self._brk.n_t
+                self._brk_bytes = brk_bytes(self._brk)
             return self._brk
 
     def test_vector(self, n: int, q: int) -> RnsPoly:
@@ -433,9 +447,7 @@ class StreamingSwitchingKeys:
             key = _expand_auto_key(self.material, self.raised_basis,
                                    self.gadget, t)
             self.expansions += 1
-            self._auto_bytes[t] = sum(
-                rns_poly_bytes(poly) for row in key.rows
-                for poly in list(row.mask) + [row.body])
+            self._auto_bytes[t] = glwe_rows_bytes(key.rows)
             return key
 
     def drop_expanded(self) -> int:

@@ -1,6 +1,6 @@
 """The n_t-dimension (LWE-keyswitched) scheme-switching bootstrap.
 
-:mod:`repro.switching.bootstrap` follows Algorithm 2 *as printed*: it
+:mod:`repro.switching.pipeline` follows Algorithm 2 *as printed*: it
 extracts dimension-``N`` LWE ciphertexts and blind-rotates with ``N``
 iterations.  The paper's key-size story, however, is built on
 ``n_t = 500``: extracted ciphertexts are key-switched down to an
@@ -47,16 +47,18 @@ from ..ckks.keys import SecretKey
 from ..errors import ParameterError
 from ..math.gadget import GadgetVector
 from ..math.modular import find_ntt_primes
-from ..math.rns import RnsBasis, RnsPoly, concat_bases
+from ..math.rns import RnsBasis, concat_bases
 from ..math.sampling import Sampler
 from ..params import CkksParams
-from ..tfhe.blind_rotate import BlindRotateKey, blind_rotate_batch, build_test_vector
-from ..tfhe.extract import RnsLweCiphertext, embed_lwe, rlwe_secret_as_lwe_key
+from ..tfhe import repack_with_counters
+from ..tfhe.blind_rotate import BlindRotateKey, blind_rotate_batch
+from ..tfhe.extract import (RnsLweCiphertext, embed_lwe, extraction_vector,
+                            rlwe_secret_as_lwe_key)
 from ..tfhe.glwe import GlweCiphertext, GlweSecretKey
 from ..tfhe.keyswitch import AutomorphismKeySet, GlweKeySwitchKey, glwe_keyswitch
 from ..tfhe.lwe import LweCiphertext, LweKeySwitchKey, LweSecretKey, lwe_keyswitch
-from ..tfhe.repack import repack_exponents, repack_with_counters
-from .bootstrap import BootstrapTrace
+from ..tfhe.repack import repack_exponents
+from .pipeline import BootstrapTrace, build_switching_test_vector
 
 
 def make_keyswitched_toy_params(n: int = 16, limbs: int = 3,
@@ -152,13 +154,15 @@ class KeySwitchedKeySet:
 class KeySwitchedBootstrapper:
     """Algorithm 2 with the paper's n_t-dimension blind rotation."""
 
-    def __init__(self, ctx: CkksContext, keys: KeySwitchedKeySet,
-                 repack_engine: str = "vectorized"):
+    def __init__(self, ctx: CkksContext, keys: KeySwitchedKeySet):
         self.ctx = ctx
         self.keys = keys
         self.raised_basis = keys.raised_basis
-        self.repack_engine = repack_engine
-        self._test_vector = self._build_test_vector()
+        # The Algorithm-2 LUT *without* the ``N^{-1}`` fold — the repack
+        # factor is divided out exactly at the end.
+        self._test_vector = build_switching_test_vector(
+            ctx.n, ctx.full_basis.moduli[0], self.raised_basis,
+            fold_n_inv=False)
 
     def bootstrap(self, ct: CkksCiphertext,
                   trace: Optional[BootstrapTrace] = None) -> CkksCiphertext:
@@ -195,12 +199,11 @@ class KeySwitchedBootstrapper:
         accs = blind_rotate_batch(self._test_vector, switched, self.keys.brk)
         trace.num_blind_rotates = len(accs)
         t2 = time.perf_counter()
-        packed_kq, ctr_s = repack_with_counters(accs, self.keys.auto_keys_s,
-                                                engine=self.repack_engine)
+        packed_kq, ctr_s = repack_with_counters(accs, self.keys.auto_keys_s)
 
         # Companion: pack under s_t(X), then one ring key switch to s.
         packed_comp_st, ctr_st = repack_with_counters(
-            companions, self.keys.auto_keys_st, engine=self.repack_engine)
+            companions, self.keys.auto_keys_st)
         packed_comp = glwe_keyswitch(packed_comp_st.mask[0], packed_comp_st.body,
                                      self.keys.ring_ksk)
         trace.repack_merge_keyswitches = (ctr_s.merge_keyswitches
@@ -226,16 +229,10 @@ class KeySwitchedBootstrapper:
     # -- helpers --------------------------------------------------------------------
 
     def _extract_all(self, ct: CkksCiphertext, q: int) -> List[LweCiphertext]:
-        n = self.ctx.n
-        c0 = np.asarray(ct.c0.to_coeff().limbs[0], dtype=object)
-        c1 = np.asarray(ct.c1.to_coeff().limbs[0], dtype=object)
-        out = []
-        for i in range(n):
-            head = c1[: i + 1][::-1]
-            tail = c1[i + 1:][::-1]
-            a = np.concatenate([head, (q - tail) % q]) % q
-            out.append(LweCiphertext(a=a, b=int(c0[i]), q=q))
-        return out
+        c0 = ct.c0.to_coeff().limbs[0]
+        c1 = ct.c1.to_coeff().limbs[0]
+        return [LweCiphertext(a=extraction_vector(c1, i, q), b=int(c0[i]), q=q)
+                for i in range(self.ctx.n)]
 
     def _embed_companion(self, a_p: np.ndarray, b_p: int) -> GlweCiphertext:
         """Embed the mod-q LWE ``ct'_i`` (dim n_t, key s_t) as an RLWE over
@@ -251,24 +248,3 @@ class KeySwitchedBootstrapper:
             basis=self.raised_basis,
         )
         return embed_lwe(rns)
-
-    def _build_test_vector(self) -> RnsPoly:
-        """Same LUT as the base pipeline but *without* the ``N^{-1}``
-        fold — the repack factor is divided out exactly at the end."""
-        n = self.ctx.n
-        q = self.ctx.full_basis.moduli[0]
-        big_qp = self.raised_basis.product
-
-        def g(t: int) -> int:
-            t = t % (2 * n)
-            if t < n // 2:
-                val = q * t
-            elif t < n:
-                val = q * (n - t)
-            elif t < 3 * n // 2:
-                val = -q * (t - n)
-            else:
-                val = -q * (n - (t - n))
-            return val % big_qp
-
-        return build_test_vector(g, n, self.raised_basis)

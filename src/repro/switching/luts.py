@@ -218,10 +218,9 @@ class LutRegistry:
         return lut_id
 
     def switching_vector(self, n: int, q: int) -> RnsPoly:
-        """The Algorithm-2 LUT (``g(t) = q*t`` folded with ``N^{-1}``) —
-        the same build-once-per-``(n, q)`` contract
-        ``SwitchingKeySet.test_vector`` always had, now served from the
-        one registry both key-set classes delegate to."""
+        """The Algorithm-2 LUT (``g(t) = q*t`` folded with ``N^{-1}``),
+        built once per ``(n, q)``; both key-set classes' ``test_vector``
+        delegate here."""
         lut_id = f"{ALGORITHM2}@n{n}:q{q}"
         poly = self._built.get(lut_id)             # lock-free hit path
         if poly is None:

@@ -20,13 +20,12 @@ Design points, in the order they matter:
   zero-copy numpy views.  What is shared is the
   :class:`~repro.tfhe.batch_engine.BatchBlindRotateEngine`'s lifted
   evaluation-domain tensor form (one ``(n_t, N, (h+1)d, 2(h+1))`` stack
-  per limb) plus the Algorithm-2 test vector: the vectorized engine
-  consumes the tensors directly (``key_pm=`` constructor injection), and
-  the reference engine's :class:`~repro.tfhe.blind_rotate.BlindRotateKey`
-  is rebuilt from *strided views* of the same block — no copy either
-  way.  Wide-modulus (``object``-dtype) keys cannot be memory-mapped;
-  publishing raises :class:`~repro.errors.SharedBufferError` and callers
-  fall back to the in-process executors.
+  per limb) plus the Algorithm-2 test vector: the worker's engine
+  consumes the tensors directly (``key_pm=`` constructor injection) —
+  no copy, and no RGSW-form key is ever rebuilt.  Wide-modulus
+  (``object``-dtype) keys cannot be memory-mapped; publishing raises
+  :class:`~repro.errors.SharedBufferError` and callers fall back to
+  the in-process executors.
 * **Ciphertexts travel framed.**  Task slices and replies are the PR-5
   CRC wire format (:func:`~repro.io.frame_blob`), so the primary detects
   corruption exactly as the simulated cluster does.
@@ -52,10 +51,9 @@ Design points, in the order they matter:
   pickled schedule drives the simulated cluster and this pool.
 
 Output is bit-identical to :class:`~repro.switching.pipeline.
-LocalExecutor` for every engine combination — BlindRotate is exact
-modular arithmetic, and partitioning an embarrassingly parallel batch
-changes no operand — including runs where a worker is killed mid-batch
-(tests assert both).
+LocalExecutor` — BlindRotate is exact modular arithmetic, and
+partitioning an embarrassingly parallel batch changes no operand —
+including runs where a worker is killed mid-batch (tests assert both).
 """
 
 from __future__ import annotations
@@ -86,12 +84,12 @@ from ..math.gadget import GadgetVector
 from ..math.rns import RnsBasis, RnsPoly
 from ..profiling import record_fanout
 from ..tfhe.batch_engine import BatchBlindRotateEngine
-from ..tfhe.blind_rotate import BlindRotateKey, blind_rotate_batch
+from ..tfhe.blind_rotate import BlindRotateKey
 from ..tfhe.glwe import GlweCiphertext
 from ..tfhe.lwe import LweCiphertext
-from ..tfhe.rgsw import RgswCiphertext
 from .fanout import PRIMARY, CommLog, Fault, FaultInjector, FaultTolerantFanout
-from .pipeline import BootstrapTrace, _registry_vector
+from .keys import stack_brk_bodies
+from .pipeline import BootstrapTrace, key_registry
 
 
 # -- key material <-> shared memory -----------------------------------------------
@@ -130,25 +128,14 @@ def _pack_key_material(brk: BlindRotateKey,
         "tv_domain": "coeff",
     }
     if brk.mask_seeds is not None:
-        from ..tfhe.rgsw import rgsw_bodies
-
-        d = brk.gadget.digits
-        rows_dim = (brk.h + 1) * d
-        nlimbs = len(basis)
-        bodies = [np.empty((brk.n_t, 2, rows_dim, n), dtype=np.int64)
-                  for _ in range(nlimbs)]
-        for i in range(brk.n_t):
-            for pm, rgsw in ((0, brk.plus[i]), (1, brk.minus[i])):
-                for r, body in enumerate(rgsw_bodies(rgsw)):
-                    for li, limb in enumerate(body.to_eval().limbs):
-                        arr = np.asarray(limb)
-                        if arr.dtype == object:
-                            raise SharedBufferError(
-                                "wide-modulus seeded keys cannot be "
-                                "shared as fixed-width bodies")
-                        bodies[li][i, pm, r] = arr
-        for li in range(nlimbs):
-            arrays[f"brk_b_{li}"] = bodies[li]
+        try:
+            bodies = stack_brk_bodies(brk, basis)
+        except ParameterError as exc:
+            raise SharedBufferError(
+                "wide-modulus seeded keys cannot be shared as "
+                "fixed-width bodies") from exc
+        for li, stacked in enumerate(bodies):
+            arrays[f"brk_b_{li}"] = stacked
         meta["seeded"] = True
         meta["brk_mask_seeds"] = [[int(p), int(m)] for p, m in brk.mask_seeds]
         return arrays, meta
@@ -199,14 +186,13 @@ def _expand_seeded_key_pm(views: Dict[str, np.ndarray], meta: Dict[str, object],
 
 def _rebuild_key_material(manifest: SharedBufferManifest):
     """Worker-side inverse of :func:`_pack_key_material`: attach the block
-    and rebuild ``(block, brk, test_vector)`` as zero-copy views.
+    and rebuild ``(block, engine, test_vector)`` as zero-copy views.
 
-    The reference engine's :class:`~repro.tfhe.rgsw.RgswCiphertext` rows
-    are strided views into the lifted tensor (row ``r = c*d + k``,
-    columns ``[0, h+1)`` = brk+, ``[h+1, 2(h+1))`` = brk−), and the
-    vectorized :class:`~repro.tfhe.batch_engine.BatchBlindRotateEngine`
-    is pre-registered on the key with the tensors injected directly, so
-    neither engine ever copies the key.
+    The :class:`~repro.tfhe.batch_engine.BatchBlindRotateEngine` gets
+    the lifted tensors injected directly (columns ``[0, h+1)`` = brk+,
+    ``[h+1, 2(h+1))`` = brk−), so an eager key is never copied; the
+    key object handed to it is a header carrying only ``gadget`` and
+    ``h``.
     """
     block, views = attach_shared_arrays(manifest)
     meta = manifest.meta
@@ -217,43 +203,18 @@ def _rebuild_key_material(manifest: SharedBufferManifest):
     gadget = GadgetVector(q=int(meta["gadget_q"]),
                           base_bits=int(meta["gadget_base_bits"]),
                           digits=int(meta["gadget_digits"]))
-    d = gadget.digits
-    cols = h + 1
     nlimbs = len(basis)
     if meta.get("seeded"):
-        key_pm = _expand_seeded_key_pm(views, meta, n, n_t, h, d, basis)
+        key_pm = _expand_seeded_key_pm(views, meta, n, n_t, h, gadget.digits,
+                                       basis)
     else:
         key_pm = [views[f"key_pm_{li}"] for li in range(nlimbs)]
-
-    def rgsw_view(i: int, col_off: int) -> RgswCiphertext:
-        rows: List[List[GlweCiphertext]] = []
-        for c in range(cols):
-            comp = []
-            for k in range(d):
-                r = c * d + k
-                polys = [RnsPoly(n, basis,
-                                 [key_pm[li][i, :, r, col_off + col]
-                                  for li in range(nlimbs)],
-                                 "eval")
-                         for col in range(cols)]
-                comp.append(GlweCiphertext(mask=polys[:h], body=polys[h]))
-            rows.append(comp)
-        return RgswCiphertext(rows=rows, gadget=gadget)
-
-    seeds = meta.get("brk_mask_seeds")
-    brk = BlindRotateKey(plus=[rgsw_view(i, 0) for i in range(n_t)],
-                         minus=[rgsw_view(i, cols) for i in range(n_t)],
-                         gadget=gadget, h=h,
-                         mask_seeds=[(int(p), int(m)) for p, m in seeds]
-                         if seeds is not None else None)
+    header = BlindRotateKey(plus=[], minus=[], gadget=gadget, h=h)
+    engine = BatchBlindRotateEngine(header, n, basis, key_pm=key_pm)
     tv_stack = views["test_vector"]
     test_vector = RnsPoly(n, basis, [tv_stack[li] for li in range(nlimbs)],
                           str(meta["tv_domain"]))
-    # Pre-register the vectorized engine with the shared tensors so
-    # `for_key` never re-lifts (which would copy the key per worker).
-    engine = BatchBlindRotateEngine(brk, n, basis, key_pm=key_pm)
-    brk._batch_engines = {(n, tuple(basis.moduli)): engine}
-    return block, brk, test_vector
+    return block, engine, test_vector
 
 
 # -- the worker process ------------------------------------------------------------
@@ -266,7 +227,7 @@ def _worker_main(conn, wid: int, manifest: SharedBufferManifest) -> None:
     Must stay a module-level function: under the ``spawn`` start method
     it is located by import, not inherited by fork.
     """
-    block, brk, test_vector = _rebuild_key_material(manifest)
+    block, engine, test_vector = _rebuild_key_material(manifest)
     #: Programmable LUTs attached from shared memory, keyed by registry
     #: id: ``lut_id -> (shm_block, RnsPoly view)``.  A respawned worker
     #: starts empty and re-attaches on first use — the manifest rides in
@@ -313,13 +274,11 @@ def _worker_main(conn, wid: int, manifest: SharedBufferManifest) -> None:
             if kill is not None and kill.after < len(lwes):
                 if kill.after:
                     # Burn the partial work like a real mid-batch death.
-                    blind_rotate_batch(tv, lwes[:kill.after], brk,
-                                       engine=msg["engine"])
+                    engine.rotate_batch(tv, lwes[:kill.after])
                 if kill.exit_code is not None:
                     os._exit(int(kill.exit_code))
                 os.kill(os.getpid(), signal.SIGKILL)
-            accs = blind_rotate_batch(tv, lwes, brk,
-                                      engine=msg["engine"])
+            accs = engine.rotate_batch(tv, lwes)
             if straggle is not None:
                 time.sleep(straggle.delay_seconds)
             seconds = time.perf_counter() - t0
@@ -384,7 +343,6 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
     """
 
     def __init__(self, keys, test_vector: RnsPoly, num_workers: int = 2,
-                 blind_rotate_engine: str = "vectorized",
                  fault_injector: Optional[FaultInjector] = None,
                  comm: Optional[CommLog] = None,
                  reply_timeout: float = 30.0,
@@ -397,7 +355,6 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
         self.keys = keys
         self.test_vector = test_vector
         self.num_workers = num_workers
-        self.blind_rotate_engine = blind_rotate_engine
         self.injector = fault_injector if fault_injector is not None \
             else FaultInjector()
         self.comm = comm if comm is not None else CommLog()
@@ -542,7 +499,7 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
         zero-copy views from the manifest shipped with their tasks."""
         if lut_id in self._lut_blocks:
             return self._lut_blocks[lut_id][1]
-        poly = _registry_vector(self.keys, lut_id).to_coeff()
+        poly = key_registry(self.keys).vector(lut_id).to_coeff()
         arrays = {"lut": np.stack([np.asarray(limb) for limb in poly.limbs])}
         meta = {"n": poly.n, "moduli": list(poly.basis.moduli),
                 "domain": "coeff", "lut_id": lut_id}
@@ -595,7 +552,6 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
         try:
             handle.conn.send({"op": "task", "slice_id": (start, stop),
                               "lwes": wire_in,
-                              "engine": self.blind_rotate_engine,
                               "faults": faults,
                               "lut": lut,
                               "lut_manifest": self._lut_manifest(lut)

@@ -1,13 +1,14 @@
 """Algorithm 2 as ONE staged pipeline shared by every execution path.
 
-The scheme-switching bootstrap used to exist twice: once in
-:class:`~repro.switching.bootstrap.SchemeSwitchBootstrapper` and once —
-copy-pasted — in the multi-node simulation, which silently drifted (it
-bypassed the engine flags and the counter-reporting repack).  This module
-is now the *only* place the algorithm's arithmetic lives; the local
-bootstrapper and the cluster simulation are thin shells over
-:class:`BootstrapPipeline`, differing solely in the ``Executor`` plugged
-into the fan-out stage::
+This module is the only place the scheme-switching bootstrap's
+arithmetic lives.  Given a level-0 CKKS ciphertext ``ct = (c0, c1)``
+modulo the base limb ``q`` with message ``m`` (``|m| << q``), it
+produces a ciphertext modulo the full ``Q`` encrypting the same ``m`` —
+*without* the linear transforms and sine approximation of conventional
+bootstrapping.  Every caller — a solo :meth:`BootstrapPipeline.run`, the
+simulated cluster, the process pool, the coalescing service — runs the
+same stages and differs solely in the ``Executor`` plugged into the
+fan-out::
 
     ModSwitch -> Extract -> BlindRotateFanout -> Repack -> Finish
     (steps 1-2)  (step 3a)  (step 3b, Executor)  (step 3c)  (steps 4-5)
@@ -38,18 +39,23 @@ The BlindRotates in step 3 are mutually independent — the parallelism the
 whole paper is built on.  :class:`LocalExecutor` runs them as one
 in-process batch; the cluster executor
 (:class:`repro.switching.cluster_sim.ClusterExecutor`) partitions them
-over simulated message-passing nodes with fault detection and recovery.
-Both honour the ``blind_rotate_engine`` flag, and the repack stage always
-goes through :func:`repro.tfhe.repack.repack_with_counters` with the
-pipeline's ``repack_engine`` — every engine combination is bit-identical
-across executors (tests assert it).
+over simulated message-passing nodes with fault detection and recovery;
+the process pool (:mod:`repro.switching.mp_executor`) over real cores.
+There is one datapath: the batched engines of
+:func:`~repro.tfhe.blind_rotate.blind_rotate_batch` and
+:func:`~repro.tfhe.repack_with_counters`.  The scalar oracles
+(``blind_rotate_batch_reference``, ``repack_reference``,
+``pbs_extract_reference``) are plain functions that tests and ratio
+benchmarks compose directly; every executor is bit-identical to that
+composition (``tests/test_conformance.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+import math
 import time
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,10 +64,13 @@ from ..ckks.context import CkksContext
 from ..errors import ParameterError
 from ..math.rns import RnsBasis, RnsPoly
 from ..profiling import record_fanout
+from ..tfhe import repack_with_counters
 from ..tfhe.blind_rotate import blind_rotate_batch, build_test_vector
+from ..tfhe.extract import extraction_vector
 from ..tfhe.glwe import GlweCiphertext
 from ..tfhe.lwe import LweCiphertext
-from ..tfhe.repack import repack_with_counters
+from .functional import pbs_extract
+from .luts import LutRegistry
 
 
 @dataclass
@@ -71,19 +80,16 @@ class BootstrapTrace:
 
     ``repack_keyswitches`` is the *true* keyswitch count sourced from the
     repack engine's counters: ``n - 1`` merge-tree nodes plus one per
-    trace level (earlier revisions reported only the ``log2 n`` level
-    count).  ``step_seconds`` holds wall-clock per pipeline stage
+    trace level.  ``step_seconds`` holds wall-clock per pipeline stage
     (``extract`` / ``blind_rotate`` / ``repack`` / ``finish``) — the
     Figure-1-style share breakdown — and ``node_seconds`` the fan-out
     stage's per-node share (simulated seconds: measured wall-clock plus
     any injected straggler delay; a local run reports ``{0: t}``).
 
-    Reuse semantics: a trace describes exactly one run.  Passing the same
-    instance into another ``bootstrap()`` call **resets every field
-    first** — scalars, ``step_seconds``, ``node_seconds`` and ``notes``
-    alike — so counters never mix two runs and ``notes`` cannot grow
-    unboundedly (an earlier revision overwrote the timings but appended
-    the notes forever).
+    Reuse semantics: a trace describes exactly one run — solo or
+    coalesced.  :func:`run_batch` **resets every field first** —
+    scalars, ``step_seconds``, ``node_seconds`` and ``notes`` alike — so
+    counters never mix two runs and ``notes`` cannot grow unboundedly.
     """
 
     num_lwe: int = 0
@@ -113,8 +119,8 @@ class BootstrapTrace:
     notes: List[str] = field(default_factory=list)
 
     def reset(self) -> None:
-        """Return every field to its default (called on entry by every
-        bootstrap so a reused trace records only the latest run)."""
+        """Return every field to its default (called on entry by
+        :func:`run_batch` so a reused trace records only the latest run)."""
         blank = BootstrapTrace()
         for f in fields(self):
             setattr(self, f.name, getattr(blank, f.name))
@@ -157,10 +163,7 @@ def mod_switch(ct: CkksCiphertext, two_n: int, q: int) -> ModSwitched:
 def extract_mod_2n(c1_ms: np.ndarray, c0_ms: np.ndarray, index: int,
                    two_n: int) -> LweCiphertext:
     """Eq. 2 extraction directly over ``Z_2N`` components."""
-    head = c1_ms[: index + 1][::-1]
-    tail = c1_ms[index + 1:][::-1]
-    neg_tail = (-tail) % two_n
-    a = np.concatenate([head, neg_tail]) % two_n
+    a = extraction_vector(c1_ms, index, two_n) % two_n
     return LweCiphertext(a=a.astype(np.int64), b=int(c0_ms[index]) % two_n,
                          q=two_n)
 
@@ -178,9 +181,8 @@ class Executor(Protocol):
     """The fan-out stage's execution backend.
 
     Implementations run the batch of mutually-independent BlindRotates
-    and return one accumulator per input LWE, in input order.  They must
-    honour ``blind_rotate_engine`` and report per-node timing (plus any
-    retry activity) on the trace.
+    and return one accumulator per input LWE, in input order, reporting
+    per-node timing (plus any retry activity) on the trace.
 
     ``lut`` selects the test vector for the whole batch: ``None`` is the
     Algorithm-2 switching vector every executor is constructed with; a
@@ -189,44 +191,39 @@ class Executor(Protocol):
     vector, which is why the service batches PBS requests per LUT).
     """
 
-    blind_rotate_engine: str
-
     def fanout(self, lwes: Sequence[LweCiphertext],
                trace: BootstrapTrace,
                lut: Optional[str] = None) -> List[GlweCiphertext]:
         ...
 
 
-def _registry_vector(keys, lut_id: str) -> RnsPoly:
-    """Resolve a LUT id against a key set's registry (shared by every
-    executor's programmable path)."""
+def key_registry(keys) -> LutRegistry:
+    """The LUT registry of a key set (shared by every programmable
+    path: the executors' lookups, ``resolve_lut`` and the service)."""
     luts = getattr(keys, "luts", None)
     if luts is None:
         raise ParameterError(
             "programmable bootstrapping needs a key set with a LUT "
             "registry (SwitchingKeySet / StreamingSwitchingKeys)")
-    return luts.vector(lut_id)
+    return luts
 
 
 class LocalExecutor:
     """The in-process fan-out: the whole batch as one
     :func:`~repro.tfhe.blind_rotate.blind_rotate_batch` call (the paper's
-    §IV-E schedule), on the selected engine."""
+    §IV-E schedule)."""
 
-    def __init__(self, keys, test_vector: RnsPoly,
-                 blind_rotate_engine: str = "vectorized"):
+    def __init__(self, keys, test_vector: RnsPoly):
         self.keys = keys
         self.test_vector = test_vector
-        self.blind_rotate_engine = blind_rotate_engine
 
     def fanout(self, lwes: Sequence[LweCiphertext],
                trace: BootstrapTrace,
                lut: Optional[str] = None) -> List[GlweCiphertext]:
         tv = self.test_vector if lut is None \
-            else _registry_vector(self.keys, lut)
+            else key_registry(self.keys).vector(lut)
         t0 = time.perf_counter()
-        accs = blind_rotate_batch(tv, lwes, self.keys.brk,
-                                  engine=self.blind_rotate_engine)
+        accs = blind_rotate_batch(tv, lwes, self.keys.brk)
         trace.node_seconds[0] = time.perf_counter() - t0
         record_fanout(dispatches=1)
         return accs
@@ -290,37 +287,27 @@ class PreparedRequest:
 class BootstrapPipeline:
     """Executes Algorithm 2 end to end with a pluggable fan-out executor.
 
-    With ``executor=None`` a :class:`LocalExecutor` on
-    ``blind_rotate_engine`` is built (the single-node path); the cluster
-    simulation passes its message-passing executor instead.  The repack
-    stage runs on the primary either way, through the counter-reporting
-    dispatcher with this pipeline's ``repack_engine``.
+    With ``executor=None`` a :class:`LocalExecutor` is built (the
+    single-node path); the cluster simulation and the process pool pass
+    their own.  The repack stage runs on the primary either way.
 
     The per-ciphertext stages are also exposed separately —
     :meth:`prepare` (ModSwitch + Extract) and :meth:`complete`
-    (Repack + Finish) — so a caller can run the fan-out stage *across*
-    requests: every BlindRotate is independent, so the LWEs of many
-    prepared ciphertexts can travel through one ``executor.fanout`` batch
-    and be sliced back per request with bit-identical results
-    (:meth:`run_many`, and the coalescing bootstrap service built on it).
+    (Repack + Finish) — so :func:`run_batch` can run the fan-out stage
+    *across* requests: every BlindRotate is independent, so the LWEs of
+    many prepared ciphertexts travel through one ``executor.fanout``
+    batch and are sliced back per request with bit-identical results
+    (the coalescing bootstrap service is built on it).
     """
 
     def __init__(self, ctx: CkksContext, keys,
-                 executor: Optional[Executor] = None,
-                 blind_rotate_engine: str = "vectorized",
-                 repack_engine: str = "vectorized"):
+                 executor: Optional[Executor] = None):
         self.ctx = ctx
         self.keys = keys
         self.raised_basis = keys.raised_basis
-        self.repack_engine = repack_engine
         self.test_vector = keys.test_vector(ctx.n, ctx.full_basis.moduli[0])
         self.executor: Executor = executor if executor is not None else \
-            LocalExecutor(keys, self.test_vector, blind_rotate_engine)
-
-    @property
-    def blind_rotate_engine(self) -> str:
-        """The fan-out stage's engine (owned by the executor)."""
-        return self.executor.blind_rotate_engine
+            LocalExecutor(keys, self.test_vector)
 
     def prepare(self, ct: CkksCiphertext) -> PreparedRequest:
         """Stages ModSwitch + Extract (steps 1-3a) for one ciphertext."""
@@ -336,8 +323,7 @@ class BootstrapPipeline:
         return PreparedRequest(ms=ms, lwes=lwes, scale=ct.scale,
                                seconds=time.perf_counter() - t0)
 
-    def prepare_pbs(self, ct: CkksCiphertext,
-                    extract_engine: str = "vectorized") -> PreparedRequest:
+    def prepare_pbs(self, ct: CkksCiphertext) -> PreparedRequest:
         """The programmable path's ModSwitch + Extract: the ``N``
         coefficient-wise LWEs of ``ct`` under the *rounding* modswitch to
         ``Z_2N`` (``(a*2N + q/2) // q``), which keeps no mod-``q``
@@ -346,9 +332,8 @@ class BootstrapPipeline:
             raise ParameterError(
                 f"programmable bootstrap consumes a level-0 ciphertext, "
                 f"got level {ct.level}")
-        from .functional import pbs_extract
         t0 = time.perf_counter()
-        lwes = pbs_extract(ct, engine=extract_engine)
+        lwes = pbs_extract(ct)
         return PreparedRequest(ms=None, lwes=lwes, scale=ct.scale,
                                seconds=time.perf_counter() - t0, kind="pbs")
 
@@ -356,13 +341,8 @@ class BootstrapPipeline:
         """Resolve a function / :class:`~repro.switching.luts.LutSpec` /
         workload name into a built-and-cached LUT id on this pipeline's
         key registry (ready for ``executor.fanout(..., lut=id)``)."""
-        luts = getattr(self.keys, "luts", None)
-        if luts is None:
-            raise ParameterError(
-                "programmable bootstrapping needs a key set with a LUT "
-                "registry (SwitchingKeySet / StreamingSwitchingKeys)")
-        return luts.resolve(f, self.ctx.n, self.ctx.full_basis.moduli[0],
-                            scale)
+        return key_registry(self.keys).resolve(
+            f, self.ctx.n, self.ctx.full_basis.moduli[0], scale)
 
     def complete(self, prep: PreparedRequest, accs: Sequence[GlweCiphertext],
                  trace: BootstrapTrace) -> CkksCiphertext:
@@ -375,8 +355,7 @@ class BootstrapPipeline:
         n = self.ctx.n
         t2 = time.perf_counter()
         packed, repack_ctr = repack_with_counters(list(accs),
-                                                  self.keys.auto_keys,
-                                                  engine=self.repack_engine)
+                                                  self.keys.auto_keys)
         trace.repack_merge_keyswitches += repack_ctr.merge_keyswitches
         trace.repack_trace_keyswitches += repack_ctr.trace_keyswitches
         trace.repack_keyswitches += repack_ctr.total_keyswitches
@@ -395,95 +374,90 @@ class BootstrapPipeline:
     def run(self, ct: CkksCiphertext,
             trace: Optional[BootstrapTrace] = None) -> CkksCiphertext:
         """Refresh a level-0 ciphertext to the top level (minus one)."""
-        if ct.level != 0:
-            raise ParameterError(
-                f"scheme-switching bootstrap consumes a level-0 ciphertext, "
-                f"got level {ct.level}")
-        trace = trace if trace is not None else BootstrapTrace()
-        trace.reset()
-
-        # Stages ModSwitch + Extract (steps 1-3a).
-        prep = self.prepare(ct)
-        trace.modswitch_ops = 2 * self.ctx.n
-        trace.num_lwe = len(prep.lwes)
-        trace.step_seconds["extract"] = prep.seconds
-
-        # Stage BlindRotateFanout (step 3b) — the pluggable part.
-        t1 = time.perf_counter()
-        accs = self.executor.fanout(prep.lwes, trace)
-        trace.num_blind_rotates = len(accs)
-        trace.step_seconds["blind_rotate"] = time.perf_counter() - t1
-
-        # Stages Repack + Finish (steps 3c-5).
-        return self.complete(prep, accs, trace)
+        return run_batch(self.executor, [self.prepare(ct)], trace,
+                         pipeline=self)[0]
 
     def run_pbs(self, ct: CkksCiphertext, f,
-                trace: Optional[BootstrapTrace] = None,
-                extract_engine: str = "vectorized") -> CkksCiphertext:
+                trace: Optional[BootstrapTrace] = None) -> CkksCiphertext:
         """Programmable bootstrap: evaluate ``f`` coefficient-wise on a
-        level-0 ciphertext through the SAME staged pipeline as Algorithm 2
-        — only the ModSwitch/Extract kernel, the fan-out's test vector
-        (``f``'s LUT, resolved on the key registry) and the Finish stage
-        differ.  ``f`` may be a plain callable, a
-        :class:`~repro.switching.luts.LutSpec`, or a workload name."""
-        trace = trace if trace is not None else BootstrapTrace()
-        trace.reset()
+        level-0, coefficient-packed ciphertext through the SAME staged
+        pipeline as Algorithm 2 — only the ModSwitch/Extract kernel, the
+        fan-out's test vector (``f``'s LUT, resolved on the key registry)
+        and the Finish stage differ.  ``f`` may be a plain callable, a
+        :class:`~repro.switching.luts.LutSpec`, or a workload name
+        (``"sign"``, ``"relu"``, ...).  The output is a fresh top-level
+        coefficient-packed ciphertext of ``f(values)`` — the LUT
+        evaluation refreshes noise as a side effect."""
         lut_id = self.resolve_lut(f, ct.scale)
-
-        prep = self.prepare_pbs(ct, extract_engine=extract_engine)
-        trace.modswitch_ops = 2 * self.ctx.n
-        trace.num_lwe = len(prep.lwes)
-        trace.step_seconds["extract"] = prep.seconds
-
-        t1 = time.perf_counter()
-        accs = self.executor.fanout(prep.lwes, trace, lut=lut_id)
-        trace.num_blind_rotates = len(accs)
-        trace.step_seconds["blind_rotate"] = time.perf_counter() - t1
-
-        return self.complete(prep, accs, trace)
-
-    def run_many(self, cts: Sequence[CkksCiphertext],
-                 trace: Optional[BootstrapTrace] = None
-                 ) -> List[CkksCiphertext]:
-        """Bootstrap several ciphertexts with ONE coalesced fan-out.
-
-        All requests' extracted LWEs travel through a single
-        ``executor.fanout`` batch — the engines' batched tensors fill up
-        across requests — and the accumulators are sliced back per
-        request for individual Repack + Finish.  Because every
-        BlindRotate is an independent exact computation, each output is
-        bit-identical to a solo :meth:`run` of the same ciphertext
-        (tests assert it); ``trace`` holds the whole coalesced run.
-        """
-        trace = trace if trace is not None else BootstrapTrace()
-        trace.reset()
-        preps = [self.prepare(ct) for ct in cts]
-        trace.modswitch_ops = 2 * self.ctx.n * len(preps)
-        trace.step_seconds["extract"] = sum(p.seconds for p in preps)
-        all_lwes: List[LweCiphertext] = []
-        spans: List[Tuple[int, int]] = []
-        for prep in preps:
-            spans.append((len(all_lwes), len(all_lwes) + len(prep.lwes)))
-            all_lwes.extend(prep.lwes)
-        trace.num_lwe = len(all_lwes)
-
-        t1 = time.perf_counter()
-        accs = self.executor.fanout(all_lwes, trace)
-        trace.num_blind_rotates = len(accs)
-        trace.step_seconds["blind_rotate"] = time.perf_counter() - t1
-
-        return [self.complete(prep, accs[start:stop], trace)
-                for prep, (start, stop) in zip(preps, spans)]
+        return run_batch(self.executor, [self.prepare_pbs(ct)], trace,
+                         lut=lut_id, pipeline=self)[0]
 
 
-def build_switching_test_vector(n: int, q: int, raised: RnsBasis) -> RnsPoly:
+def run_batch(executor: Executor,
+              items: Sequence[Union[LweCiphertext, PreparedRequest]],
+              trace: Optional[BootstrapTrace] = None,
+              lut: Optional[str] = None,
+              pipeline: Optional[BootstrapPipeline] = None) -> List[Any]:
+    """Compose -> ONE ``executor.fanout`` -> slice back: the loop every
+    bootstrap runs, solo or coalesced.
+
+    ``items`` are raw LWE ciphertexts (one blind rotation each; the
+    reply is the accumulator) and/or :class:`PreparedRequest` items (their
+    extracted LWEs ride the same batch; the reply is ``pipeline``'s
+    Repack + Finish of their own slice).  The whole batch shares one
+    test vector, selected by ``lut``.  Because every BlindRotate is an
+    independent exact computation, each reply is bit-identical to a solo
+    run of the same item; ``trace`` is reset, then holds the whole run.
+    """
+    preps = [it for it in items if isinstance(it, PreparedRequest)]
+    if preps and pipeline is None:
+        raise ParameterError(
+            "prepared ciphertext requests need the pipeline that "
+            "prepared them to complete")
+    trace = trace if trace is not None else BootstrapTrace()
+    trace.reset()
+    lwes: List[LweCiphertext] = []
+    spans: List[Tuple[int, int]] = []
+    for item in items:
+        part = item.lwes if isinstance(item, PreparedRequest) else [item]
+        spans.append((len(lwes), len(lwes) + len(part)))
+        lwes.extend(part)
+    # ModSwitch touches both components of every extracted coefficient.
+    trace.modswitch_ops = sum(2 * len(p.lwes) for p in preps)
+    trace.step_seconds["extract"] = sum(p.seconds for p in preps)
+    trace.num_lwe = len(lwes)
+
+    t1 = time.perf_counter()
+    accs = executor.fanout(lwes, trace, lut=lut)
+    trace.num_blind_rotates = len(accs)
+    trace.step_seconds["blind_rotate"] = time.perf_counter() - t1
+
+    return [pipeline.complete(item, accs[start:stop], trace)
+            if isinstance(item, PreparedRequest) else accs[start]
+            for item, (start, stop) in zip(items, spans)]
+
+
+def expected_k_prime_std(n: int) -> float:
+    """Predicted std of the wrap count ``K'`` for a ternary secret.
+
+    Each nonzero secret digit contributes ``+-U(0,1)`` wraps (uniform mask
+    residue over ``q``); with density 2/3 the per-term variance is
+    ``(2/3) * E[U^2] = 2/9``, so ``std(K') ~ sqrt(2n/9)`` — far below the
+    ``N/2`` aliasing bound of the test function for all practical ``n``.
+    """
+    return math.sqrt(n * 2.0 / 9.0)
+
+
+def build_switching_test_vector(n: int, q: int, raised: RnsBasis,
+                                fold_n_inv: bool = True) -> RnsPoly:
     """The Algorithm-2 LUT: ``g(t) = q * t`` on ``[0, N/2)``,
-    anti-periodically extended, pre-multiplied by ``N^{-1} mod Qp`` to
-    cancel the repack factor.  Built once per key set
-    (:meth:`~repro.switching.keys.SwitchingKeySet.test_vector`) and shared
-    by the local executor and every simulated cluster node."""
+    anti-periodically extended.  With ``fold_n_inv`` it is pre-multiplied
+    by ``N^{-1} mod Qp`` to cancel the repack factor (the n_t pipeline
+    divides the factor out exactly at the end instead).  Built once per
+    key set (:meth:`~repro.switching.keys.SwitchingKeySet.test_vector`)
+    and shared by the local executor and every simulated cluster node."""
     big_qp = raised.product
-    n_inv = pow(n, -1, big_qp)
+    n_inv = pow(n, -1, big_qp) if fold_n_inv else 1
 
     def g(t: int) -> int:
         t = t % (2 * n)

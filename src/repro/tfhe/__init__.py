@@ -1,6 +1,6 @@
 """The TFHE scheme: LWE/GLWE/RGSW, BlindRotate, Extract, repack, gates."""
 
-from .batch_engine import BatchBlindRotateEngine, blind_rotate_batch_vectorized
+from .batch_engine import BatchBlindRotateEngine
 from .blind_rotate import (
     BlindRotateKey,
     MonomialCache,
@@ -31,7 +31,8 @@ from .lwe import (
     lwe_phase,
     modulus_switch,
 )
-from .repack import repack, repack_exponents
+from .repack import repack_exponents, repack_reference
+from .repack_engine import repack, repack_with_counters
 from .rgsw import (
     RgswCiphertext,
     cmux,
@@ -48,7 +49,6 @@ __all__ = [
     "blind_rotate",
     "blind_rotate_batch",
     "blind_rotate_batch_reference",
-    "blind_rotate_batch_vectorized",
     "build_test_vector",
     "get_monomial_cache",
     "get_rgsw_one",
@@ -78,6 +78,8 @@ __all__ = [
     "modulus_switch",
     "repack",
     "repack_exponents",
+    "repack_reference",
+    "repack_with_counters",
     "RgswCiphertext",
     "cmux",
     "external_product",

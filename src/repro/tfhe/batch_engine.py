@@ -72,10 +72,6 @@ class BatchBlindRotateEngine:
 
     def __init__(self, brk: BlindRotateKey, n: int, basis: RnsBasis,
                  key_pm: Optional[List[np.ndarray]] = None):
-        sample = brk.plus[0]
-        if sample.n != n or tuple(sample.basis.moduli) != tuple(basis.moduli):
-            raise ParameterError("blind-rotate key does not match the requested ring")
-        self.brk = brk
         self.n = n
         self.basis = basis
         self.h = brk.h
@@ -89,9 +85,11 @@ class BatchBlindRotateEngine:
         # One (n_t, N, rows, 2*cols) eval-domain stack per limb: columns
         # [0, cols) hold brk+, [cols, 2*cols) hold brk-.  A caller that
         # already holds the lifted tensors — a pool worker viewing them
-        # zero-copy in shared memory — passes them in and skips the lift.
+        # zero-copy in shared memory — passes them in and skips the lift;
+        # ``brk`` then only supplies ``gadget`` and ``h`` and needs no
+        # RGSW entries.
         if key_pm is not None:
-            expected = (brk.n_t, n, self.rows, 2 * self.cols)
+            expected = (key_pm[0].shape[0], n, self.rows, 2 * self.cols)
             for li, tensor in enumerate(key_pm):
                 if tuple(tensor.shape) != expected:
                     raise ParameterError(
@@ -99,7 +97,11 @@ class BatchBlindRotateEngine:
                         f"{tuple(tensor.shape)}, expected {expected}")
             self.key_pm = list(key_pm)
         else:
+            sample = brk.plus[0]
+            if sample.n != n or tuple(sample.basis.moduli) != tuple(basis.moduli):
+                raise ParameterError("blind-rotate key does not match the requested ring")
             self.key_pm = self._lift(brk.plus, brk.minus)
+        self.n_t = self.key_pm[0].shape[0]
         # RGSW(1) never needs a tensor: its rows are the gadget factors as
         # constants, so its MAC term is the digit recomposition below.
         self.g_mod = [e.asarray(self.gadget.factors()) for e in self.engines]
@@ -189,7 +191,7 @@ class BatchBlindRotateEngine:
         if test_vector.n != n or tuple(test_vector.basis.moduli) != tuple(self.basis.moduli):
             raise ParameterError("test vector does not match the engine's ring")
         for ct in cts:
-            if ct.q != two_n or ct.dim != self.brk.n_t:
+            if ct.q != two_n or ct.dim != self.n_t:
                 raise ParameterError("batch contains an incompatible LWE ciphertext")
         batch = len(cts)
         if batch == 0:
@@ -199,10 +201,10 @@ class BatchBlindRotateEngine:
 
         acc = self._initial_accumulators(test_vector, cts)
         # (batch, n_t) rotation amounts, already folded into [0, 2N).
-        a_mat = np.array([[int(ct.a[i]) % two_n for i in range(self.brk.n_t)]
+        a_mat = np.array([[int(ct.a[i]) % two_n for i in range(self.n_t)]
                           for ct in cts], dtype=np.int64)
 
-        for i in range(self.brk.n_t):
+        for i in range(self.n_t):
             sel = np.flatnonzero(a_mat[:, i])
             if sel.size == 0:
                 continue
@@ -337,13 +339,3 @@ class BatchBlindRotateEngine:
                      for c in range(self.cols)]
             results.append(GlweCiphertext(mask=polys[:self.h], body=polys[self.h]))
         return results
-
-
-def blind_rotate_batch_vectorized(test_vector: RnsPoly,
-                                  cts: Sequence[LweCiphertext],
-                                  brk: BlindRotateKey) -> List[GlweCiphertext]:
-    """Module-level entry point used by the dispatcher in ``blind_rotate``."""
-    if not cts:
-        return []
-    engine = BatchBlindRotateEngine.for_key(brk, test_vector.n, test_vector.basis)
-    return engine.rotate_batch(test_vector, cts)

@@ -280,32 +280,28 @@ def blind_rotate(test_vector: RnsPoly, ct: LweCiphertext, brk: BlindRotateKey,
 
 
 def blind_rotate_batch(test_vector: RnsPoly, cts: Sequence[LweCiphertext],
-                       brk: BlindRotateKey,
-                       engine: str = "vectorized") -> List[GlweCiphertext]:
+                       brk: BlindRotateKey) -> List[GlweCiphertext]:
     """BlindRotate a batch, iterating keys in the outer loop.
 
     This is the paper's optimised schedule (Section IV-E): all
     accumulators advance together through iteration ``i`` so ``brk_i`` is
     fetched once per batch instead of once per ciphertext — the source of
-    the claimed memory-traffic reduction.  Functionally identical to
-    mapping :func:`blind_rotate` over the batch (tests assert this).
+    the claimed memory-traffic reduction.  It runs on
+    :mod:`repro.tfhe.batch_engine`'s structure-of-arrays tensor engine:
+    the whole batch advances through each iteration as dense numpy
+    tensors, with the batch dimension inside every NTT butterfly and
+    external-product MAC.
 
-    ``engine`` selects the execution backend:
-
-    * ``"vectorized"`` (default) — :mod:`repro.tfhe.batch_engine`'s
-      structure-of-arrays tensor engine: the whole batch advances through
-      each iteration as dense numpy tensors, bit-identical to the
-      reference path but with the batch dimension inside every NTT
-      butterfly and external-product MAC.
-    * ``"reference"`` — the scalar per-ciphertext loop (the test oracle).
+    Bit-identical to mapping :func:`blind_rotate` over the batch and to
+    :func:`blind_rotate_batch_reference` — the scalar oracles tests and
+    ratio benchmarks call directly.
     """
-    if engine == "vectorized":
-        from .batch_engine import blind_rotate_batch_vectorized
+    from .batch_engine import BatchBlindRotateEngine
 
-        return blind_rotate_batch_vectorized(test_vector, cts, brk)
-    if engine != "reference":
-        raise ParameterError(f"unknown blind-rotate engine {engine!r}")
-    return blind_rotate_batch_reference(test_vector, cts, brk)
+    if not cts:
+        return []
+    engine = BatchBlindRotateEngine.for_key(brk, test_vector.n, test_vector.basis)
+    return engine.rotate_batch(test_vector, cts)
 
 
 def blind_rotate_batch_reference(test_vector: RnsPoly, cts: Sequence[LweCiphertext],

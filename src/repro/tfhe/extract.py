@@ -34,7 +34,7 @@ def extract_lwe(ct: GlweCiphertext, index: int = 0) -> LweCiphertext:
         raise ParameterError("use extract_rns_lwe for multi-limb ciphertexts")
     q = ct.basis.moduli[0]
     src = ct.to_coeff()
-    a_vec = _extraction_vector(src.mask[0].limbs[0], index, q)
+    a_vec = extraction_vector(src.mask[0].limbs[0], index, q)
     b = int(src.body.limbs[0][index])
     return LweCiphertext(a=src.mask[0].basis.engines[0].asarray(a_vec), b=b, q=q)
 
@@ -72,7 +72,7 @@ def extract_rns_lwe(ct: GlweCiphertext, index: int = 0) -> RnsLweCiphertext:
     src = ct.to_coeff()
     a_rows, b_vals = [], []
     for limb_a, limb_b, q in zip(src.mask[0].limbs, src.body.limbs, src.basis.moduli):
-        a_rows.append(_extraction_vector(limb_a, index, q))
+        a_rows.append(extraction_vector(limb_a, index, q))
         b_vals.append(int(limb_b[index]))
     return RnsLweCiphertext(a=a_rows, b=b_vals, basis=src.basis)
 
@@ -103,7 +103,7 @@ def rlwe_secret_as_lwe_key(sk_coeffs: np.ndarray) -> LweSecretKey:
     return LweSecretKey(coeffs=np.asarray(sk_coeffs, dtype=object))
 
 
-def _extraction_vector(a_limb: np.ndarray, index: int, q: int) -> np.ndarray:
+def extraction_vector(a_limb: np.ndarray, index: int, q: int) -> np.ndarray:
     """Build ``a^(i)`` of Eq. 2 from one limb of the mask polynomial."""
     n = len(a_limb)
     if not 0 <= index < n:

@@ -1,6 +1,6 @@
 """Vectorized LWE -> RLWE repacking: level-batched keyswitches on tensors.
 
-The reference :func:`repro.tfhe.repack.repack` walks Chen et al.'s
+The reference :func:`repro.tfhe.repack.repack_reference` walks Chen et al.'s
 merge+trace recursion one keyswitch at a time: ``n - 1`` merge nodes plus
 ``log2(N/n)`` trace folds, each doing an object-dtype big-int gadget
 decompose, ``d`` one-row NTTs, a body lift, and two alignment transforms
@@ -51,7 +51,7 @@ assert equality limb by limb).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from ..math.ntt import get_ntt_engine
 from .blind_rotate import get_monomial_cache
 from .glwe import GlweCiphertext
 from .keyswitch import AutomorphismKeySet
-from .repack import RepackCounters
+from .repack import RepackCounters, _validate
 
 _U64_MAX = (1 << 64) - 1
 
@@ -346,7 +346,29 @@ class RepackEngine:
         return GlweCiphertext(mask=[mask], body=body)
 
 
-def repack_vectorized(cts: Sequence[GlweCiphertext], keys: AutomorphismKeySet,
-                      digit_path: str = "auto") -> GlweCiphertext:
-    """Module-level entry point used by the dispatcher in ``repack``."""
-    return RepackEngine.for_keys(keys).pack(cts, digit_path=digit_path)
+def repack_with_counters(
+        cts: Sequence[GlweCiphertext], keys: AutomorphismKeySet,
+        digit_path: str = "auto") -> Tuple[GlweCiphertext, RepackCounters]:
+    """:func:`repack` plus the executed-work counters (the bootstrap trace
+    reads its true keyswitch counts from here)."""
+    _validate(cts)
+    eng = RepackEngine.for_keys(keys)
+    out = eng.pack(cts, digit_path=digit_path)
+    return out, eng.last_counters
+
+
+def repack(cts: Sequence[GlweCiphertext], keys: AutomorphismKeySet,
+           digit_path: str = "auto") -> GlweCiphertext:
+    """Pack ``n`` RLWE ciphertexts (constant-coefficient payloads) into one.
+
+    Output phase coefficient ``i * (N / n)`` equals ``N * v_i`` where
+    ``v_i`` is input ``i``'s constant phase coefficient; every other
+    coefficient is exactly cancelled (up to key-switch noise).
+
+    All keyswitches of one recursion level run as a single SoA pass,
+    automorphisms are eval-domain slot gathers, and ``digit_path``
+    selects fresh vs hoisted (decomposed-domain) digit permutation.
+    Bit-identical to :func:`~repro.tfhe.repack.repack_reference`, the
+    scalar oracle tests and ratio benchmarks call directly.
+    """
+    return repack_with_counters(cts, keys, digit_path=digit_path)[0]

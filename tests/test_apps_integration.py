@@ -16,7 +16,7 @@ from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.ckks.bootstrap import make_bootstrappable_toy_params
 from repro.hardware import ClusterBootstrapModel, SingleFpgaModel
 from repro.math.sampling import Sampler
-from repro.switching import SchemeSwitchBootstrapper, SwitchingKeySet
+from repro.switching import BootstrapPipeline, SwitchingKeySet
 
 # Small ring keeps the in-loop bootstraps (N blind rotates each) tractable;
 # fixed-point layout (rescale primes ~ Delta, wider q0) keeps the scale
@@ -44,7 +44,7 @@ def lr_with_bootstrap():
     ev = CkksEvaluator(ctx, keys, Sampler(12), scale_rtol=5e-2)
     swk = SwitchingKeySet.generate(ctx, sk, Sampler(13), base_bits=4,
                                    error_std=0.8)
-    boot = SchemeSwitchBootstrapper(ctx, swk)
+    boot = BootstrapPipeline(ctx, swk)
     return ctx, sk, ev, boot, f, b
 
 

@@ -13,7 +13,7 @@ from repro.math.gadget import GadgetVector
 from repro.math.modular import find_ntt_primes
 from repro.math.rns import RnsBasis
 from repro.math.sampling import Sampler
-from repro.tfhe.batch_engine import BatchBlindRotateEngine, blind_rotate_batch_vectorized
+from repro.tfhe.batch_engine import BatchBlindRotateEngine
 from repro.tfhe.blind_rotate import (
     BlindRotateKey,
     blind_rotate,
@@ -68,7 +68,7 @@ class TestBitIdentity:
         # duplicate of an existing ciphertext (shared monomials).
         cts.append(LweCiphertext(a=np.zeros(N_T, dtype=np.int64), b=5, q=2 * N))
         cts.append(cts[0])
-        vec = blind_rotate_batch(f, cts, brk, engine="vectorized")
+        vec = blind_rotate_batch(f, cts, brk)
         for j, (ct, out) in enumerate(zip(cts, vec)):
             oracle = blind_rotate(f, ct, brk)
             _assert_ciphertexts_identical(out, oracle, f"ciphertext {j}")
@@ -78,8 +78,8 @@ class TestBitIdentity:
         s = Sampler(2)
         f = build_test_vector(_sign_lut(Q, N), N, BASIS)
         cts = [lwe_encrypt(i, lwe_sk, 2 * N, s, error_std=0.5) for i in range(4)]
-        vec = blind_rotate_batch(f, cts, brk, engine="vectorized")
-        ref = blind_rotate_batch(f, cts, brk, engine="reference")
+        vec = blind_rotate_batch(f, cts, brk)
+        ref = blind_rotate_batch_reference(f, cts, brk)
         for v, r in zip(vec, ref):
             _assert_ciphertexts_identical(v, r)
 
@@ -97,7 +97,7 @@ class TestBitIdentity:
         brk = BlindRotateKey.generate(lwe_sk, glwe_sk, basis, gadget, s)
         f = build_test_vector(_sign_lut(big_q, n), n, basis)
         cts = [lwe_encrypt(i * 3, lwe_sk, 2 * n, s, error_std=0.5) for i in range(4)]
-        vec = blind_rotate_batch_vectorized(f, cts, brk)
+        vec = blind_rotate_batch(f, cts, brk)
         ref = blind_rotate_batch_reference(f, cts, brk)
         for v, r in zip(vec, ref):
             _assert_ciphertexts_identical(v, r)
@@ -113,7 +113,7 @@ class TestBitIdentity:
         brk = BlindRotateKey.generate(lwe_sk, glwe_sk, basis, gadget, s)
         f = build_test_vector(_sign_lut(basis.product, n), n, basis)
         cts = [lwe_encrypt(i, lwe_sk, 2 * n, s, error_std=0.5) for i in range(3)]
-        vec = blind_rotate_batch_vectorized(f, cts, brk)
+        vec = blind_rotate_batch(f, cts, brk)
         ref = blind_rotate_batch_reference(f, cts, brk)
         for v, r in zip(vec, ref):
             _assert_ciphertexts_identical(v, r)
@@ -124,13 +124,7 @@ class TestDispatchAndValidation:
         _, __, brk = keys
         f = build_test_vector(_sign_lut(Q, N), N, BASIS)
         assert blind_rotate_batch(f, [], brk) == []
-        assert blind_rotate_batch(f, [], brk, engine="reference") == []
-
-    def test_unknown_engine_rejected(self, keys):
-        _, __, brk = keys
-        f = build_test_vector(_sign_lut(Q, N), N, BASIS)
-        with pytest.raises(ParameterError):
-            blind_rotate_batch(f, [], brk, engine="quantum")
+        assert blind_rotate_batch_reference(f, [], brk) == []
 
     def test_incompatible_ciphertext_rejected(self, keys):
         lwe_sk, _, brk = keys
@@ -138,7 +132,7 @@ class TestDispatchAndValidation:
         f = build_test_vector(_sign_lut(Q, N), N, BASIS)
         bad = lwe_encrypt(0, lwe_sk, 4 * N, s)  # wrong modulus
         with pytest.raises(ParameterError):
-            blind_rotate_batch(f, [bad], brk, engine="vectorized")
+            blind_rotate_batch(f, [bad], brk)
 
     def test_engine_cached_per_key(self, keys):
         _, __, brk = keys
@@ -207,27 +201,3 @@ class TestGadgetTensorDecompose:
         scalar = GADGET.decompose(vals.astype(object))
         for t, s in zip(tensor, scalar):
             assert np.array_equal(t.astype(object), s)
-
-
-class TestBootstrapRouting:
-    def test_bootstrap_engines_bit_identical(self):
-        """Algorithm 2's N-way fan-out through both backends, end to end."""
-        from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
-        from repro.params import make_toy_params
-        from repro.switching import SchemeSwitchBootstrapper, SwitchingKeySet
-
-        params = make_toy_params(n=16, limbs=3, limb_bits=30, scale_bits=23,
-                                 special_limbs=2)
-        ctx = CkksContext(params.ckks, dnum=2)
-        gen = CkksKeyGenerator(ctx, Sampler(41))
-        sk = gen.secret_key()
-        ev = CkksEvaluator(ctx, gen.keyset(sk), Sampler(42))
-        swk = SwitchingKeySet.generate(ctx, sk, Sampler(43), base_bits=8,
-                                       error_std=0.8)
-        ct = ev.encrypt(0.25, level=0)
-        fast = SchemeSwitchBootstrapper(ctx, swk).bootstrap(ct)
-        slow = SchemeSwitchBootstrapper(
-            ctx, swk, blind_rotate_engine="reference").bootstrap(ct)
-        for pa, pb in zip((fast.c0, fast.c1), (slow.c0, slow.c1)):
-            for la, lb in zip(pa.to_coeff().limbs, pb.to_coeff().limbs):
-                assert np.array_equal(la, lb)

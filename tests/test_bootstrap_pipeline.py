@@ -8,12 +8,8 @@ from repro.errors import ParameterError
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
 from repro.profiling import count_ops
-from repro.switching import (
-    BootstrapPipeline,
-    LocalExecutor,
-    SchemeSwitchBootstrapper,
-    SwitchingKeySet,
-)
+from repro.service import BootstrapService, UserKeys
+from repro.switching import BootstrapPipeline, LocalExecutor, SwitchingKeySet
 from repro.switching.cluster_sim import Fault, FaultInjector, SimulatedCluster
 from repro.switching.pipeline import BootstrapTrace, mod_switch
 
@@ -56,27 +52,27 @@ class TestStages:
 
     def test_default_executor_is_local(self, stack):
         ctx, sk, ev, swk = stack
-        pipeline = BootstrapPipeline(ctx, swk, blind_rotate_engine="reference")
+        pipeline = BootstrapPipeline(ctx, swk)
         assert isinstance(pipeline.executor, LocalExecutor)
-        assert pipeline.blind_rotate_engine == "reference"
+        assert pipeline.executor.test_vector is pipeline.test_vector
 
     def test_shells_share_the_pipeline_class(self, stack):
-        """The de-fork: both entry points are thin shells over the same
-        BootstrapPipeline — the algorithm's arithmetic lives once."""
+        """The cluster and the service's key-cache entries hold the one
+        BootstrapPipeline class — the algorithm's arithmetic lives once."""
         ctx, sk, ev, swk = stack
-        boot = SchemeSwitchBootstrapper(ctx, swk)
         cluster = SimulatedCluster(ctx, swk, num_nodes=2)
-        assert type(boot.pipeline) is BootstrapPipeline
+        service = BootstrapService(
+            lambda uid: UserKeys.from_switching(ctx, swk))
         assert type(cluster.pipeline) is BootstrapPipeline
-        assert type(boot.pipeline) is type(cluster.pipeline)
+        assert type(service.cache.get("user").pipeline) is BootstrapPipeline
 
 
 class TestTraceSemantics:
     def test_local_run_reports_single_node_timing(self, stack):
         ctx, sk, ev, swk = stack
-        boot = SchemeSwitchBootstrapper(ctx, swk)
+        boot = BootstrapPipeline(ctx, swk)
         trace = BootstrapTrace()
-        boot.bootstrap(ev.encrypt(0.3, level=0), trace)
+        boot.run(ev.encrypt(0.3, level=0), trace)
         assert list(trace.node_seconds) == [0]
         assert trace.node_seconds[0] > 0.0
         assert trace.fanout_retries == 0
@@ -86,16 +82,15 @@ class TestTraceSemantics:
 
     def test_reused_trace_records_only_the_latest_run(self, stack):
         """One trace = one run: reuse resets *everything*, so notes do not
-        accumulate across calls (they used to grow unboundedly while the
-        timings were silently overwritten)."""
+        accumulate across calls."""
         ctx, sk, ev, swk = stack
-        boot = SchemeSwitchBootstrapper(ctx, swk)
+        boot = BootstrapPipeline(ctx, swk)
         ct = ev.encrypt(0.3, level=0)
         trace = BootstrapTrace()
-        boot.bootstrap(ct, trace)
+        boot.run(ct, trace)
         first_notes = list(trace.notes)
         first_lwe = trace.num_lwe
-        boot.bootstrap(ct, trace)
+        boot.run(ct, trace)
         assert len(trace.notes) == len(first_notes)
         assert trace.num_lwe == first_lwe
         assert trace.num_blind_rotates == ctx.n
@@ -127,9 +122,9 @@ class TestTraceSemantics:
 class TestFanoutCounters:
     def test_local_fanout_counted_in_opstats(self, stack):
         ctx, sk, ev, swk = stack
-        boot = SchemeSwitchBootstrapper(ctx, swk)
+        boot = BootstrapPipeline(ctx, swk)
         with count_ops() as stats:
-            boot.bootstrap(ev.encrypt(0.3, level=0))
+            boot.run(ev.encrypt(0.3, level=0))
         assert stats.fanout_dispatches == 1
         assert stats.fanout_retries == 0
         assert stats.fanout_redispatched_lwes == 0
@@ -138,7 +133,7 @@ class TestFanoutCounters:
         ctx, sk, ev, swk = stack
         cluster = SimulatedCluster(ctx, swk, num_nodes=4)
         with count_ops() as stats:
-            cluster.bootstrap(ev.encrypt(0.3, level=0))
+            cluster.pipeline.run(ev.encrypt(0.3, level=0))
         assert stats.fanout_dispatches == 4  # one per node slice
 
     def test_recovery_counted_in_opstats(self, stack):
@@ -149,7 +144,7 @@ class TestFanoutCounters:
         cluster = SimulatedCluster(ctx, swk, num_nodes=3,
                                    fault_injector=injector)
         with count_ops() as stats:
-            cluster.bootstrap(ev.encrypt(0.3, level=0))
+            cluster.pipeline.run(ev.encrypt(0.3, level=0))
         assert stats.fanout_dispatches == 3
         assert stats.fanout_retries == 1
         assert stats.fanout_redispatched_lwes == 5  # node 2's slice of 16

@@ -8,7 +8,7 @@ from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.errors import ClusterExecutionError, ParameterError
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
-from repro.switching import SchemeSwitchBootstrapper, SwitchingKeySet
+from repro.switching import BootstrapPipeline, SwitchingKeySet
 from repro.switching.cluster_sim import (
     Fault,
     FaultInjector,
@@ -16,11 +16,10 @@ from repro.switching.cluster_sim import (
 )
 from repro.switching.pipeline import BootstrapTrace
 
+from .oracle import assert_ct_equal as assert_bit_identical
+
 PARAMS = make_toy_params(n=16, limbs=3, limb_bits=30, scale_bits=23,
                          special_limbs=2)
-
-ENGINE_COMBOS = [("vectorized", "vectorized"), ("vectorized", "reference"),
-                 ("reference", "vectorized"), ("reference", "reference")]
 
 
 @pytest.fixture(scope="module")
@@ -34,15 +33,6 @@ def stack():
     return ctx, sk, ev, swk
 
 
-def assert_bit_identical(reference, distributed):
-    for ref_l, got_l in zip(reference.c0.to_coeff().limbs,
-                            distributed.c0.to_coeff().limbs):
-        assert ref_l.tolist() == got_l.tolist()
-    for ref_l, got_l in zip(reference.c1.to_coeff().limbs,
-                            distributed.c1.to_coeff().limbs):
-        assert ref_l.tolist() == got_l.tolist()
-
-
 class TestDistributedBootstrap:
     def test_bit_identical_to_single_node(self, stack):
         """The hardware-agnostic claim: the distributed execution is the
@@ -50,52 +40,22 @@ class TestDistributedBootstrap:
         ctx, sk, ev, swk = stack
         z = np.random.default_rng(0).uniform(-1, 1, ctx.slots)
         ct = ev.encrypt(z, level=0)
-        reference = SchemeSwitchBootstrapper(ctx, swk).bootstrap(ct)
+        reference = BootstrapPipeline(ctx, swk).run(ct)
         cluster = SimulatedCluster(ctx, swk, num_nodes=4)
-        distributed = cluster.bootstrap(ct)
+        distributed = cluster.pipeline.run(ct)
         assert_bit_identical(reference, distributed)
-
-    @pytest.mark.parametrize("br_engine,rp_engine", ENGINE_COMBOS)
-    def test_bit_identical_all_engine_combos(self, stack, br_engine,
-                                             rp_engine):
-        """Every blind-rotate x repack engine combination flows through
-        the one shared pipeline — cluster output must match the
-        single-node bootstrapper on the same engines bit for bit, on a
-        node count that does not divide N."""
-        ctx, sk, ev, swk = stack
-        z = np.random.default_rng(3).uniform(-1, 1, ctx.slots)
-        ct = ev.encrypt(z, level=0)
-        reference = SchemeSwitchBootstrapper(
-            ctx, swk, blind_rotate_engine=br_engine,
-            repack_engine=rp_engine).bootstrap(ct)
-        cluster = SimulatedCluster(ctx, swk, num_nodes=3,
-                                   blind_rotate_engine=br_engine,
-                                   repack_engine=rp_engine)
-        assert_bit_identical(reference, cluster.bootstrap(ct))
-
-    def test_engines_bit_identical_to_each_other(self, stack):
-        """Cross-engine: all four cluster combinations agree with each
-        other (so one reference run pins them all)."""
-        ctx, sk, ev, swk = stack
-        ct = ev.encrypt(0.4, level=0)
-        outputs = [SimulatedCluster(ctx, swk, num_nodes=2,
-                                    blind_rotate_engine=br,
-                                    repack_engine=rp).bootstrap(ct)
-                   for br, rp in ENGINE_COMBOS]
-        for other in outputs[1:]:
-            assert_bit_identical(outputs[0], other)
 
     def test_decrypts_correctly(self, stack):
         ctx, sk, ev, swk = stack
         z = np.random.default_rng(1).uniform(-1, 1, ctx.slots)
         cluster = SimulatedCluster(ctx, swk, num_nodes=2)
-        out = cluster.bootstrap(ev.encrypt(z, level=0))
+        out = cluster.pipeline.run(ev.encrypt(z, level=0))
         assert np.allclose(ev.decrypt(out, sk).real, z, atol=0.05)
 
     def test_work_distribution(self, stack):
         ctx, sk, ev, swk = stack
         cluster = SimulatedCluster(ctx, swk, num_nodes=4)
-        cluster.bootstrap(ev.encrypt(0.2, level=0))
+        cluster.pipeline.run(ev.encrypt(0.2, level=0))
         util = cluster.utilisation()
         assert sum(util.values()) == ctx.n
         assert max(util.values()) - min(util.values()) <= 1  # balanced
@@ -106,9 +66,9 @@ class TestDistributedBootstrap:
         stay bit-identical to the single-node run."""
         ctx, sk, ev, swk = stack
         ct = ev.encrypt(0.3, level=0)
-        reference = SchemeSwitchBootstrapper(ctx, swk).bootstrap(ct)
+        reference = BootstrapPipeline(ctx, swk).run(ct)
         cluster = SimulatedCluster(ctx, swk, num_nodes=num_nodes)
-        assert_bit_identical(reference, cluster.bootstrap(ct))
+        assert_bit_identical(reference, cluster.pipeline.run(ct))
         util = cluster.utilisation()
         assert sum(util.values()) == ctx.n
         assert max(util.values()) - min(util.values()) <= 1
@@ -116,7 +76,7 @@ class TestDistributedBootstrap:
     def test_single_node_has_no_traffic(self, stack):
         ctx, sk, ev, swk = stack
         cluster = SimulatedCluster(ctx, swk, num_nodes=1)
-        cluster.bootstrap(ev.encrypt(0.2, level=0))
+        cluster.pipeline.run(ev.encrypt(0.2, level=0))
         assert cluster.comm.total_bytes() == 0
 
     def test_comm_log_structure(self, stack):
@@ -124,7 +84,7 @@ class TestDistributedBootstrap:
         returns one accumulator per BlindRotate."""
         ctx, sk, ev, swk = stack
         cluster = SimulatedCluster(ctx, swk, num_nodes=4)
-        cluster.bootstrap(ev.encrypt(0.2, level=0))
+        cluster.pipeline.run(ev.encrypt(0.2, level=0))
         per_node = ctx.n // 4
         for node_id in (1, 2, 3):
             assert cluster.comm.messages[(0, node_id)] == per_node
@@ -140,7 +100,7 @@ class TestDistributedBootstrap:
         ctx, sk, ev, swk = stack
         cluster = SimulatedCluster(ctx, swk, num_nodes=4)
         trace = BootstrapTrace()
-        cluster.bootstrap(ev.encrypt(0.2, level=0), trace)
+        cluster.pipeline.run(ev.encrypt(0.2, level=0), trace)
         assert sorted(trace.node_seconds) == [0, 1, 2, 3]
         assert all(t >= 0.0 for t in trace.node_seconds.values())
         assert trace.fanout_retries == 0
@@ -153,7 +113,7 @@ class TestDistributedBootstrap:
             SimulatedCluster(ctx, swk, num_nodes=0)
         cluster = SimulatedCluster(ctx, swk, num_nodes=2)
         with pytest.raises(ParameterError):
-            cluster.bootstrap(ev.encrypt(0.1))  # not level 0
+            cluster.pipeline.run(ev.encrypt(0.1))  # not level 0
 
 
 class TestFaultRecovery:
@@ -164,7 +124,7 @@ class TestFaultRecovery:
         ctx, sk, ev, swk = stack
         z = np.random.default_rng(seed).uniform(-1, 1, ctx.slots)
         ct = ev.encrypt(z, level=0)
-        return ct, SchemeSwitchBootstrapper(ctx, swk).bootstrap(ct)
+        return ct, BootstrapPipeline(ctx, swk).run(ct)
 
     def test_crash_mid_batch_recovers(self, stack):
         """Node 2 dies after one BlindRotate; its whole 5-LWE slice is
@@ -176,7 +136,7 @@ class TestFaultRecovery:
         cluster = SimulatedCluster(ctx, swk, num_nodes=3,
                                    fault_injector=injector)
         trace = BootstrapTrace()
-        out = cluster.bootstrap(ct, trace)
+        out = cluster.pipeline.run(ct, trace)
         assert_bit_identical(reference, out)
         assert trace.fanout_retries == 1
         assert trace.fanout_redispatched_lwes == 5  # node 2's slice of 16
@@ -194,7 +154,7 @@ class TestFaultRecovery:
         cluster = SimulatedCluster(ctx, swk, num_nodes=4,
                                    fault_injector=injector)
         trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.bootstrap(ct, trace))
+        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
         assert trace.failed_nodes == [0]
         assert trace.fanout_retries == 1
         # The slice that used to stay on the primary now crosses a wire.
@@ -207,7 +167,7 @@ class TestFaultRecovery:
         cluster = SimulatedCluster(ctx, swk, num_nodes=4,
                                    fault_injector=injector)
         trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.bootstrap(ct, trace))
+        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
         assert trace.fanout_retries == 1
         # A corrupt link is transient: the node is not declared dead.
         assert trace.failed_nodes == []
@@ -220,7 +180,7 @@ class TestFaultRecovery:
         cluster = SimulatedCluster(ctx, swk, num_nodes=4,
                                    fault_injector=injector)
         trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.bootstrap(ct, trace))
+        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
         assert trace.fanout_retries == 1
         assert trace.failed_nodes == []
         assert any("short reply" in note for note in trace.notes)
@@ -233,7 +193,7 @@ class TestFaultRecovery:
                                    fault_injector=injector,
                                    straggler_timeout=30.0)
         trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.bootstrap(ct, trace))
+        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
         assert trace.fanout_retries == 0
         # The injected delay is visible in the per-node fan-out timing.
         assert trace.node_seconds[1] >= 0.5
@@ -247,7 +207,7 @@ class TestFaultRecovery:
                                    fault_injector=injector,
                                    straggler_timeout=1.0)
         trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.bootstrap(ct, trace))
+        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
         assert trace.fanout_retries == 1
         assert trace.failed_nodes == [1]
         assert any("timed out" in note for note in trace.notes)
@@ -260,7 +220,7 @@ class TestFaultRecovery:
         cluster = SimulatedCluster(ctx, swk, num_nodes=4,
                                    fault_injector=injector)
         trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.bootstrap(ct, trace))
+        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
         assert trace.fanout_retries == 2
         assert sorted(trace.failed_nodes) == [1, 2]
         assert trace.fanout_redispatched_lwes == 2 * (ctx.n // 4)
@@ -277,7 +237,7 @@ class TestFaultRecovery:
         cluster = SimulatedCluster(ctx, swk, num_nodes=4,
                                    fault_injector=injector)
         trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.bootstrap(ct, trace))
+        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
         assert trace.fanout_retries == 2
         assert trace.failed_nodes == [2]  # drops are transient, not deaths
 
@@ -288,7 +248,7 @@ class TestFaultRecovery:
         cluster = SimulatedCluster(ctx, swk, num_nodes=3,
                                    fault_injector=injector)
         with pytest.raises(ClusterExecutionError) as excinfo:
-            cluster.bootstrap(ev.encrypt(0.2, level=0))
+            cluster.pipeline.run(ev.encrypt(0.2, level=0))
         assert sorted(excinfo.value.failed_nodes) == [0, 1, 2]
         assert excinfo.value.pending_slices  # at least one slice unplaced
 
@@ -302,27 +262,7 @@ class TestFaultRecovery:
         cluster = SimulatedCluster(ctx, swk, num_nodes=2,
                                    fault_injector=injector, max_retries=4)
         with pytest.raises(ClusterExecutionError, match="retry budget"):
-            cluster.bootstrap(stack[2].encrypt(0.2, level=0))
-
-    @pytest.mark.parametrize("br_engine,rp_engine", ENGINE_COMBOS)
-    def test_crash_recovery_bit_identical_all_engines(self, stack, br_engine,
-                                                      rp_engine):
-        """The acceptance bar: a node killed mid-fan-out must not change
-        a single bit of the output, for every engine combination."""
-        ctx, sk, ev, swk = stack
-        z = np.random.default_rng(15).uniform(-1, 1, ctx.slots)
-        ct = ev.encrypt(z, level=0)
-        reference = SchemeSwitchBootstrapper(
-            ctx, swk, blind_rotate_engine=br_engine,
-            repack_engine=rp_engine).bootstrap(ct)
-        injector = FaultInjector([Fault.crash(1, after=1)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=3,
-                                   blind_rotate_engine=br_engine,
-                                   repack_engine=rp_engine,
-                                   fault_injector=injector)
-        trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.bootstrap(ct, trace))
-        assert trace.fanout_retries == 1
+            cluster.pipeline.run(stack[2].encrypt(0.2, level=0))
 
     def test_retry_traffic_accounted_separately(self, stack):
         ctx, sk, ev, swk = stack
@@ -330,7 +270,7 @@ class TestFaultRecovery:
         injector = FaultInjector([Fault.crash(1)])
         cluster = SimulatedCluster(ctx, swk, num_nodes=3,
                                    fault_injector=injector)
-        cluster.bootstrap(ct)
+        cluster.pipeline.run(ct)
         comm = cluster.comm
         # Node 1's slice lands on node 2 (load 5 < the primary's 6): the
         # retry traffic is a strict subset of the totals and sits on the

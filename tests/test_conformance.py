@@ -1,0 +1,165 @@
+"""One conformance suite for the bootstrap stack.
+
+Every executor — in-process, fault-injected simulated cluster, process
+pool with a SIGKILLed worker, the coalescing service — must return, for
+every request kind, exactly the bytes of the scalar-oracle composition
+in ``tests/oracle.py``.  Plus the guard that keeps implementation-choice
+knobs from growing back.
+"""
+
+import asyncio
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+import pytest
+
+import repro.service
+import repro.switching
+from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
+from repro.math.sampling import Sampler
+from repro.params import make_toy_params
+from repro.profiling import count_ops
+from repro.service import BootstrapService, UserKeys
+from repro.switching import SIGN, BootstrapPipeline, SwitchingKeySet, run_batch
+from repro.switching.cluster_sim import Fault, FaultInjector, SimulatedCluster
+from repro.switching.mp_executor import ProcessPoolFanoutExecutor
+from repro.switching.pipeline import BootstrapTrace
+from repro.tfhe.blind_rotate import blind_rotate
+
+from .oracle import assert_ct_equal, assert_glwe_equal, oracle_bootstrap, oracle_pbs
+
+PARAMS = make_toy_params(n=16, limbs=3, limb_bits=30, scale_bits=23,
+                         special_limbs=2)
+KINDS = ["alg2", "pbs", "lwe"]
+
+
+@pytest.fixture(scope="module")
+def stack():
+    ctx = CkksContext(PARAMS.ckks, dnum=2)
+    gen = CkksKeyGenerator(ctx, Sampler(1101))
+    sk = gen.secret_key()
+    ev = CkksEvaluator(ctx, gen.keyset(sk), Sampler(1102))
+    swk = SwitchingKeySet.generate(ctx, sk, Sampler(1103), base_bits=4,
+                                   error_std=0.8)
+    rng = np.random.default_rng(5)
+    ct = ev.encrypt(rng.uniform(-1, 1, ctx.slots), level=0)
+    inputs = {"alg2": ct,
+              "pbs": ev.encrypt_coeffs(rng.uniform(-0.9, 0.9, ctx.n), level=0),
+              # Five raw LWEs: uneven slices on 2 workers and on 3 nodes.
+              "lwe": BootstrapPipeline(ctx, swk).prepare(ct).lwes[:5]}
+    return ctx, swk, inputs
+
+
+@pytest.fixture(scope="module")
+def expected(stack):
+    ctx, swk, inputs = stack
+    tv = swk.test_vector(ctx.n, ctx.full_basis.moduli[0])
+    with count_ops() as stats:
+        outputs = {
+            "alg2": oracle_bootstrap(ctx, swk, inputs["alg2"]),
+            "pbs": oracle_pbs(ctx, swk, inputs["pbs"], SIGN),
+            "lwe": [blind_rotate(tv, lwe, swk.brk) for lwe in inputs["lwe"]]}
+    # The oracle must be independent of the engines under test: one
+    # accumulator per external product, no level-batched repack pass.
+    assert set(stats.ep_batch_hist) == {1} and stats.repack_levels == 0
+    return outputs
+
+
+def run_on(pipeline, kind, payload, trace):
+    if kind == "alg2":
+        return pipeline.run(payload, trace)
+    if kind == "pbs":
+        return pipeline.run_pbs(payload, SIGN, trace)
+    return run_batch(pipeline.executor, payload, trace)
+
+
+def local(ctx, swk, kind, payload):
+    return run_on(BootstrapPipeline(ctx, swk), kind, payload, BootstrapTrace())
+
+
+def faulty_cluster(ctx, swk, kind, payload):
+    """Node 1 crashes mid-slice and node 2's reply is corrupted."""
+    cluster = SimulatedCluster(
+        ctx, swk, num_nodes=3,
+        fault_injector=FaultInjector([Fault.crash(1, after=1),
+                                      Fault.corrupt_reply(2)]))
+    trace = BootstrapTrace()
+    out = run_on(cluster.pipeline, kind, payload, trace)
+    assert trace.fanout_retries == 2 and trace.failed_nodes == [1]
+    return out
+
+
+def sigkilled_pool(ctx, swk, kind, payload):
+    """Worker 0 SIGKILLs itself after one BlindRotate of its slice."""
+    with ProcessPoolFanoutExecutor.for_keys(
+            ctx, swk, num_workers=2,
+            fault_injector=FaultInjector(
+                [Fault.kill_worker(0, after=1)])) as pool:
+        trace = BootstrapTrace()
+        out = run_on(BootstrapPipeline(ctx, swk, executor=pool), kind,
+                     payload, trace)
+    assert trace.worker_respawns == 1 and trace.fanout_retries == 1
+    return out
+
+
+def coalescing_service(ctx, swk, kind, payload):
+    """Two identical ciphertext requests (or all five LWEs) ride one
+    coalesced fan-out; every reply must equal the solo oracle."""
+    uk = UserKeys.from_switching(ctx, swk)
+
+    async def main():
+        async with BootstrapService(lambda uid: uk, max_batch=2 * ctx.n,
+                                    max_delay_s=0.05) as svc:
+            if kind == "alg2":
+                jobs = [svc.submit_ciphertext(u, payload) for u in "ab"]
+            elif kind == "pbs":
+                jobs = [svc.submit_pbs(u, payload, SIGN) for u in "ab"]
+            else:
+                jobs = [svc.submit("a", lwe) for lwe in payload]
+            results = await asyncio.gather(*jobs)
+        assert svc.trace.batches == 1
+        return results
+
+    results = asyncio.run(main())
+    if kind == "lwe":
+        return results
+    assert_ct_equal(results[0], results[1])
+    return results[0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("executor", [local, faulty_cluster, sigkilled_pool,
+                                      coalescing_service],
+                         ids=lambda fn: fn.__name__)
+def test_matches_oracle(stack, expected, executor, kind):
+    ctx, swk, inputs = stack
+    got = executor(ctx, swk, kind, inputs[kind])
+    if kind == "lwe":
+        assert len(got) == len(expected[kind])
+        for want, acc in zip(expected[kind], got):
+            assert_glwe_equal(want, acc)
+    else:
+        assert_ct_equal(expected[kind], got)
+
+
+def test_no_engine_name_parameters():
+    """Which implementation runs is not a parameter: no public callable
+    of the bootstrap stack may take an ``*engine`` argument."""
+    names = [info.name for pkg in (repro.switching, repro.service)
+             for info in pkgutil.iter_modules(pkg.__path__, pkg.__name__ + ".")]
+    names += ["repro.tfhe.blind_rotate", "repro.tfhe.repack",
+              "repro.tfhe.repack_engine"]
+    offenders = []
+    for mod in map(importlib.import_module, names):
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", "") != mod.__name__:
+                continue
+            fns = [fn for _, fn in inspect.getmembers(obj, inspect.isfunction)] \
+                if inspect.isclass(obj) else [obj]
+            offenders += [f"{mod.__name__}.{name}.{fn.__name__}({param})"
+                          for fn in fns if inspect.isfunction(fn)
+                          for param in inspect.signature(fn).parameters
+                          if param.endswith("engine")]
+    assert not offenders, offenders

@@ -11,7 +11,7 @@ from repro.errors import NoiseBudgetExceeded
 from repro.io import deserialize_ciphertext, serialize_ciphertext
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
-from repro.switching import SchemeSwitchBootstrapper, SwitchingKeySet
+from repro.switching import BootstrapPipeline, SwitchingKeySet
 
 PARAMS = make_toy_params(n=16, limbs=3, limb_bits=30, scale_bits=23,
                          special_limbs=2)
@@ -67,9 +67,9 @@ class TestCorruptedSwitchingKeys:
         nonzero = [i for i in range(ctx.n) if int(sk.coeffs[i]) != 0][:4]
         for i in nonzero:
             swk.brk.plus[i], swk.brk.minus[i] = swk.brk.minus[i], swk.brk.plus[i]
-        boot = SchemeSwitchBootstrapper(ctx, swk)
+        boot = BootstrapPipeline(ctx, swk)
         z = np.random.default_rng(1).uniform(0.3, 0.9, ctx.slots)
-        out = boot.bootstrap(ev.encrypt(z, level=0))
+        out = boot.run(ev.encrypt(z, level=0))
         with pytest.raises(NoiseBudgetExceeded):
             ev.check_noise_budget(out, sk, z, max_error=0.2)
 
@@ -77,7 +77,7 @@ class TestCorruptedSwitchingKeys:
         ctx, sk, ev = stack
         swk = SwitchingKeySet.generate(ctx, sk, Sampler(704), base_bits=4,
                                        error_std=0.8)
-        boot = SchemeSwitchBootstrapper(ctx, swk)
+        boot = BootstrapPipeline(ctx, swk)
         z = np.random.default_rng(2).uniform(0.3, 0.9, ctx.slots)
-        out = boot.bootstrap(ev.encrypt(z, level=0))
+        out = boot.run(ev.encrypt(z, level=0))
         ev.check_noise_budget(out, sk, z, max_error=0.2)

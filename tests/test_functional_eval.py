@@ -8,9 +8,10 @@ from repro.errors import ParameterError
 from repro.math.modular import find_ntt_primes
 from repro.math.sampling import Sampler
 from repro.params import CkksParams
-from repro.switching import SwitchingKeySet
+from repro.switching import BootstrapPipeline, SwitchingKeySet
 from repro.switching.functional import (
-    FunctionalEvaluator,
+    max_abs_input,
+    quantisation_step,
     relu_fn,
     sigmoid_fn,
     sign_fn,
@@ -35,7 +36,7 @@ def stack():
     ev = CkksEvaluator(ctx, gen.keyset(sk), Sampler(802))
     swk = SwitchingKeySet.generate(ctx, sk, Sampler(803), base_bits=4,
                                    error_std=0.6)
-    fev = FunctionalEvaluator(ctx, swk)
+    fev = BootstrapPipeline(ctx, swk)
     return ctx, sk, ev, fev
 
 
@@ -43,16 +44,16 @@ class TestDomain:
     def test_max_input_and_step(self, stack):
         ctx, sk, ev, fev = stack
         q = ctx.full_basis.moduli[0]
-        assert fev.max_abs_input() == pytest.approx(q / (4 * ctx.params.scale))
-        assert fev.quantisation_step() == pytest.approx(
+        assert max_abs_input(ctx) == pytest.approx(q / (4 * ctx.params.scale))
+        assert quantisation_step(ctx) == pytest.approx(
             q / (2 * ctx.n * ctx.params.scale))
         # The chosen parameters give sub-0.1 resolution.
-        assert fev.quantisation_step() < 0.1
+        assert quantisation_step(ctx) < 0.1
 
     def test_requires_level0(self, stack):
         ctx, sk, ev, fev = stack
         with pytest.raises(ParameterError):
-            fev.evaluate(ev.encrypt_coeffs([0.1]), sign_fn)
+            fev.run_pbs(ev.encrypt_coeffs([0.1]), sign_fn)
 
 
 class TestNonLinearFunctions:
@@ -64,7 +65,7 @@ class TestNonLinearFunctions:
         z = rng.uniform(-0.9, 0.9, ctx.n)
         z[np.abs(z) < 0.2] += 0.3 * np.sign(z[np.abs(z) < 0.2] + 0.01)
         ct = ev.encrypt_coeffs(z, level=0)
-        out = fev.evaluate(ct, sign_fn)
+        out = fev.run_pbs(ct, sign_fn)
         got = ev.decrypt_coeffs_scaled(out, sk)
         assert np.allclose(got, np.sign(z), atol=0.3), (got, np.sign(z))
 
@@ -72,14 +73,14 @@ class TestNonLinearFunctions:
         ctx, sk, ev, fev = stack
         z = np.random.default_rng(1).uniform(-0.9, 0.9, ctx.n)
         ct = ev.encrypt_coeffs(z, level=0)
-        got = ev.decrypt_coeffs_scaled(fev.evaluate(ct, relu_fn), sk)
+        got = ev.decrypt_coeffs_scaled(fev.run_pbs(ct, relu_fn), sk)
         assert np.allclose(got, np.maximum(z, 0), atol=0.3)
 
     def test_sigmoid(self, stack):
         ctx, sk, ev, fev = stack
         z = np.random.default_rng(2).uniform(-0.9, 0.9, ctx.n)
         ct = ev.encrypt_coeffs(z, level=0)
-        got = ev.decrypt_coeffs_scaled(fev.evaluate(ct, sigmoid_fn), sk)
+        got = ev.decrypt_coeffs_scaled(fev.run_pbs(ct, sigmoid_fn), sk)
         want = 1.0 / (1.0 + np.exp(-z))
         assert np.allclose(got, want, atol=0.3)
 
@@ -88,7 +89,7 @@ class TestNonLinearFunctions:
         no multiplicative depth consumed."""
         ctx, sk, ev, fev = stack
         ct = ev.encrypt_coeffs([0.5], level=0)
-        out = fev.evaluate(ct, relu_fn)
+        out = fev.run_pbs(ct, relu_fn)
         assert out.level == ctx.max_level
 
     def test_coefficient_packing_roundtrip(self, stack):

@@ -1,12 +1,11 @@
-"""De-forked programmable bootstrapping: the LUT path through the
-unified pipeline, executors, and registry.
+"""Programmable bootstrapping: the LUT path through the unified
+pipeline, executors, and registry.
 
-The anchor is ``legacy_evaluate`` — a verbatim copy of the pre-refactor
-``FunctionalEvaluator.evaluate`` direct path (object-loop extract,
-default-engine blind rotate, counter-reporting repack, rescale).  Every
-engine combination and every executor must reproduce its output byte
-for byte; on top of that, Hypothesis checks the LUT bucket math on
-plain integers.
+Byte-equality of every executor against the scalar-oracle composition
+lives in ``tests/test_conformance.py``; this file covers what is
+specific to LUTs — how each executor ships one, the registry cache, the
+extract kernels — and Hypothesis checks the LUT bucket math on plain
+integers.
 """
 
 import threading
@@ -22,11 +21,9 @@ from repro.math.modular import find_ntt_primes
 from repro.math.sampling import Sampler
 from repro.params import CkksParams
 from repro.profiling import count_ops
-from repro.switching import SwitchingKeySet
-from repro.switching.cluster_sim import Fault, FaultInjector, SimulatedCluster
+from repro.switching import BootstrapPipeline, SwitchingKeySet
+from repro.switching.cluster_sim import SimulatedCluster
 from repro.switching.functional import (
-    FunctionalEvaluator,
-    pbs_extract,
     pbs_extract_reference,
     pbs_extract_vectorized,
     relu_fn,
@@ -37,16 +34,13 @@ from repro.switching.luts import (
     SIGN,
     LutRegistry,
     LutSpec,
-    build_functional_lut,
     functional_lut_g,
     quantized,
     threshold,
 )
 from repro.switching.mp_executor import ProcessPoolFanoutExecutor
-from repro.switching.pipeline import BootstrapTrace
-from repro.tfhe.blind_rotate import blind_rotate_batch
-from repro.tfhe.lwe import LweCiphertext
-from repro.tfhe.repack import repack_with_counters
+
+from .oracle import assert_ct_equal
 
 
 def make_lut_params(n=32):
@@ -70,158 +64,60 @@ def stack():
     return ctx, sk, ev, swk, ct
 
 
-def legacy_evaluate(ctx, keys, ct, f):
-    """The pre-refactor direct path, kept verbatim as the oracle: the
-    per-index extract+modswitch loop over object arrays, one default
-    blind-rotate call against a freshly built LUT, repack, rescale."""
-    n = ctx.n
-    two_n = 2 * n
-    q = ct.basis.moduli[0]
-    c0 = np.asarray(ct.c0.to_coeff().limbs[0], dtype=object)
-    c1 = np.asarray(ct.c1.to_coeff().limbs[0], dtype=object)
-    lwes = []
-    for i in range(n):
-        head = c1[: i + 1][::-1]
-        tail = c1[i + 1:][::-1]
-        a_q = np.concatenate([head, (q - tail) % q]) % q
-        a_ms = ((a_q * two_n + q // 2) // q) % two_n
-        b_ms = ((int(c0[i]) * two_n + q // 2) // q) % two_n
-        lwes.append(LweCiphertext(a=a_ms.astype(np.int64), b=int(b_ms),
-                                  q=two_n))
-    tv = build_functional_lut(f, n, q, ct.scale, keys.raised_basis)
-    accs = blind_rotate_batch(tv, lwes, keys.brk)
-    packed, _ = repack_with_counters(accs, keys.auto_keys)
-    body = packed.body.rescale_last_limb().to_eval()
-    mask = packed.mask[0].rescale_last_limb().to_eval()
-    return type(ct)(c0=body, c1=mask, scale=ct.scale)
-
-
-@pytest.fixture(scope="module")
-def oracle(stack):
-    ctx, _, _, swk, ct = stack
-    return {"sign": legacy_evaluate(ctx, swk, ct, sign_fn),
-            "relu": legacy_evaluate(ctx, swk, ct, relu_fn)}
-
-
-def assert_ct_equal(a, b):
-    for ref_l, got_l in zip(a.c0.to_coeff().limbs, b.c0.to_coeff().limbs):
-        assert np.asarray(ref_l).tolist() == np.asarray(got_l).tolist()
-    for ref_l, got_l in zip(a.c1.to_coeff().limbs, b.c1.to_coeff().limbs):
-        assert np.asarray(ref_l).tolist() == np.asarray(got_l).tolist()
-
-
-ENGINE_COMBOS = [("vectorized", "vectorized"), ("vectorized", "reference"),
-                 ("reference", "vectorized"), ("reference", "reference")]
-
-
 class TestDeForkedBitIdentity:
-    """The refactored path equals the pre-refactor oracle byte for byte."""
-
-    @pytest.mark.parametrize("br_engine,rp_engine", ENGINE_COMBOS)
-    def test_local_matches_legacy(self, stack, oracle, br_engine, rp_engine):
-        ctx, _, _, swk, ct = stack
-        fev = FunctionalEvaluator(ctx, swk, blind_rotate_engine=br_engine,
-                                  repack_engine=rp_engine)
-        assert_ct_equal(oracle["sign"], fev.evaluate(ct, sign_fn))
-
-    @pytest.mark.parametrize("extract_engine", ["vectorized", "reference"])
-    def test_extract_engines_identical(self, stack, oracle, extract_engine):
-        ctx, _, _, swk, ct = stack
-        fev = FunctionalEvaluator(ctx, swk, extract_engine=extract_engine)
-        assert_ct_equal(oracle["relu"], fev.evaluate(ct, relu_fn))
-
-    @pytest.mark.parametrize("br_engine,rp_engine", ENGINE_COMBOS)
-    def test_cluster_with_faults_matches_legacy(self, stack, oracle,
-                                                br_engine, rp_engine):
-        """The distributed path — crash + corrupt injected — recovers
-        and still equals the oracle."""
-        ctx, _, _, swk, ct = stack
-        clus = SimulatedCluster(
-            ctx, swk, num_nodes=4, blind_rotate_engine=br_engine,
-            repack_engine=rp_engine,
-            fault_injector=FaultInjector([Fault.crash(1, after=1),
-                                          Fault.corrupt_reply(2)]))
-        trace = BootstrapTrace()
-        assert_ct_equal(oracle["sign"], clus.pbs(ct, sign_fn, trace))
-        assert trace.fanout_retries >= 2
+    """How each distributed executor gets a LUT to its workers (their
+    byte-equality to the oracle is in ``test_conformance.py``)."""
 
     def test_cluster_ships_lut_once_per_node(self, stack):
         ctx, _, _, swk, ct = stack
         clus = SimulatedCluster(ctx, swk, num_nodes=3)
-        clus.pbs(ct, sign_fn)
+        clus.pipeline.run_pbs(ct, sign_fn)
         after_first = clus.comm.link_bytes(0, 1)
-        clus.pbs(ct, sign_fn)
+        clus.pipeline.run_pbs(ct, sign_fn)
         # Second batch re-sends LWEs but NOT the LUT tensor.
         lut_id = clus.pipeline.resolve_lut(sign_fn, ct.scale)
         assert all((nid, lut_id) in clus.executor._lut_shipped
                    for nid in (0, 1, 2))
         assert clus.comm.link_bytes(0, 1) < 2 * after_first
 
-    @pytest.mark.parametrize("br_engine", ["vectorized", "reference"])
-    def test_pool_with_midbatch_kill_matches_legacy(self, stack, oracle,
-                                                    br_engine):
-        """A worker SIGKILLed mid-PBS-batch is respawned and the slice
-        re-dispatched; the output is still byte-equal, for both repack
-        engines off one pool."""
-        ctx, _, _, swk, ct = stack
-        with ProcessPoolFanoutExecutor.for_keys(
-                ctx, swk, num_workers=2, blind_rotate_engine=br_engine,
-                fault_injector=FaultInjector(
-                    [Fault.kill_worker(0, after=1)])) as pool:
-            trace = BootstrapTrace()
-            fev = FunctionalEvaluator(ctx, swk, executor=pool)
-            assert_ct_equal(oracle["sign"], fev.evaluate(ct, sign_fn, trace))
-            assert trace.worker_respawns == 1
-            fev_ref = FunctionalEvaluator(ctx, swk, executor=pool,
-                                          repack_engine="reference")
-            assert_ct_equal(oracle["relu"], fev_ref.evaluate(ct, relu_fn))
-
     def test_pool_publishes_lut_into_shared_memory(self, stack):
         ctx, _, _, swk, ct = stack
         with ProcessPoolFanoutExecutor.for_keys(ctx, swk,
                                                 num_workers=1) as pool:
             key_only = pool.shared_key_bytes
-            fev = FunctionalEvaluator(ctx, swk, executor=pool)
-            fev.evaluate(ct, sign_fn)
+            pipe = BootstrapPipeline(ctx, swk, executor=pool)
+            pipe.run_pbs(ct, sign_fn)
             assert pool.shared_key_bytes > key_only
-            lut_id = fev.pipeline.resolve_lut(sign_fn, ct.scale)
+            lut_id = pipe.resolve_lut(sign_fn, ct.scale)
             assert lut_id in pool._lut_blocks
             grew_to = pool.shared_key_bytes
-            fev.evaluate(ct, sign_fn)  # same LUT: no second block
+            pipe.run_pbs(ct, sign_fn)  # same LUT: no second block
             assert pool.shared_key_bytes == grew_to
 
 
 class TestEngineRouting:
-    """`blind_rotate_engine` must actually change the code path — the
-    pre-refactor evaluator silently ignored it."""
-
-    def test_reference_engine_runs_scalar_products(self, stack):
-        ctx, _, _, swk, ct = stack
-        fev = FunctionalEvaluator(ctx, swk, blind_rotate_engine="reference")
-        with count_ops() as stats:
-            fev.evaluate(ct, sign_fn)
-        assert stats.ep_batch_hist and set(stats.ep_batch_hist) == {1}
+    """The pipeline runs the batched engine (``test_conformance.py``
+    checks that the oracle it is compared against does not)."""
 
     def test_vectorized_engine_runs_batched_products(self, stack):
         ctx, _, _, swk, ct = stack
-        fev = FunctionalEvaluator(ctx, swk, blind_rotate_engine="vectorized")
         with count_ops() as stats:
-            fev.evaluate(ct, sign_fn)
+            BootstrapPipeline(ctx, swk).run_pbs(ct, sign_fn)
         assert stats.ep_batch_hist and max(stats.ep_batch_hist) > 1
 
 
 class TestLutCache:
     def test_second_evaluate_hits(self, stack):
         ctx, _, _, swk, ct = stack
-        fev = FunctionalEvaluator(ctx, swk)
+        pipe = BootstrapPipeline(ctx, swk)
 
         def fresh_fn(x):
             return 0.25 * x
 
         with count_ops() as stats:
-            fev.evaluate(ct, fresh_fn)
+            pipe.run_pbs(ct, fresh_fn)
             first = (stats.lut_cache_hits, stats.lut_cache_misses)
-            fev.evaluate(ct, fresh_fn)
+            pipe.run_pbs(ct, fresh_fn)
         assert first == (0, 1)
         assert (stats.lut_cache_hits, stats.lut_cache_misses) == (1, 1)
 
@@ -283,9 +179,9 @@ class TestLutCache:
 
     def test_workload_names_resolve(self, stack):
         ctx, _, _, swk, ct = stack
-        fev = FunctionalEvaluator(ctx, swk)
-        by_name = fev.evaluate(ct, "sign")
-        by_fn = fev.evaluate(ct, sign_fn)
+        pipe = BootstrapPipeline(ctx, swk)
+        by_name = pipe.run_pbs(ct, "sign")
+        by_fn = pipe.run_pbs(ct, sign_fn)
         assert_ct_equal(by_name, by_fn)
 
     def test_threshold_and_quantized_mint_stable_names(self):
@@ -321,8 +217,8 @@ class TestExtractKernels:
                                    np.zeros(n, dtype=object), n, 2 * n, q)
 
     def test_dispatcher_falls_back_on_wide_q(self, stack, monkeypatch):
-        """`pbs_extract(engine="vectorized")` silently takes the
-        reference path when q exceeds the uint64 guard."""
+        """`pbs_extract` takes the reference path by itself when q
+        exceeds the uint64 guard."""
         import repro.switching.functional as functional
         ctx, _, ev, _, ct = stack
         calls = []
@@ -330,13 +226,8 @@ class TestExtractKernels:
         monkeypatch.setattr(functional, "pbs_extract_reference",
                             lambda *a: calls.append(1) or real(*a))
         monkeypatch.setattr(functional, "_U64_MAX", 2 ** 20)
-        functional.pbs_extract(ct, engine="vectorized")
+        functional.pbs_extract(ct)
         assert calls
-
-    def test_unknown_engine_rejected(self, stack):
-        _, _, _, _, ct = stack
-        with pytest.raises(ParameterError):
-            pbs_extract(ct, engine="quantum")
 
 
 # -- LUT bucket math properties (pure integers) -----------------------------------

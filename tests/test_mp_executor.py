@@ -1,5 +1,5 @@
 """Tests for the real multiprocessing fan-out executor: bit-identity
-against the in-process pipeline for every engine combination, survival of
+against the in-process pipeline, survival of
 genuine worker death (SIGKILL, nonzero exit, reply timeout), worker-side
 fault realisation, accounting, and the cross-executor determinism of the
 fault-injection schedule."""
@@ -21,11 +21,10 @@ from repro.switching.fanout import PRIMARY, Fault, FaultInjector
 from repro.switching.mp_executor import ProcessPoolFanoutExecutor
 from repro.switching.pipeline import BootstrapPipeline, BootstrapTrace
 
+from .oracle import assert_ct_equal as assert_bit_identical
+
 PARAMS = make_toy_params(n=16, limbs=3, limb_bits=30, scale_bits=23,
                          special_limbs=2)
-
-ENGINE_COMBOS = [("vectorized", "vectorized"), ("vectorized", "reference"),
-                 ("reference", "vectorized"), ("reference", "reference")]
 
 
 @pytest.fixture(scope="module")
@@ -46,59 +45,39 @@ def level0_ct(stack):
     return ev.encrypt(z, level=0)
 
 
-def assert_bit_identical(reference, distributed):
-    for ref_l, got_l in zip(reference.c0.to_coeff().limbs,
-                            distributed.c0.to_coeff().limbs):
-        assert ref_l.tolist() == got_l.tolist()
-    for ref_l, got_l in zip(reference.c1.to_coeff().limbs,
-                            distributed.c1.to_coeff().limbs):
-        assert ref_l.tolist() == got_l.tolist()
+@pytest.fixture(scope="module")
+def reference(stack, level0_ct):
+    """The in-process run every pool run must reproduce bit for bit."""
+    ctx, _, _, swk = stack
+    return BootstrapPipeline(ctx, swk).run(level0_ct)
 
 
-def pool_bootstrap(ctx, swk, ct, trace=None, num_workers=2, repack="vectorized",
-                   **pool_kwargs):
+def pool_bootstrap(ctx, swk, ct, trace=None, num_workers=2, **pool_kwargs):
     with ProcessPoolFanoutExecutor.for_keys(ctx, swk, num_workers=num_workers,
                                             **pool_kwargs) as pool:
-        pipe = BootstrapPipeline(ctx, swk, executor=pool, repack_engine=repack)
-        return pipe.run(ct, trace)
+        return BootstrapPipeline(ctx, swk, executor=pool).run(ct, trace)
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("br_engine,rp_engine", ENGINE_COMBOS)
-    def test_all_engine_combos_match_local(self, stack, level0_ct,
-                                           br_engine, rp_engine):
-        """The pool is the same computation as LocalExecutor, byte for
-        byte, for every blind-rotate x repack engine combination."""
-        ctx, _, _, swk = stack
-        reference = BootstrapPipeline(
-            ctx, swk, blind_rotate_engine=br_engine,
-            repack_engine=rp_engine).run(level0_ct)
-        out = pool_bootstrap(ctx, swk, level0_ct, repack=rp_engine,
-                             blind_rotate_engine=br_engine)
-        assert_bit_identical(reference, out)
-
-    def test_spawn_start_method(self, stack, level0_ct):
+    def test_spawn_start_method(self, stack, level0_ct, reference):
         """Workers located by import (no fork inheritance) rebuild the
         key material purely from the shared-memory manifest."""
         ctx, _, _, swk = stack
-        reference = BootstrapPipeline(ctx, swk).run(level0_ct)
         out = pool_bootstrap(ctx, swk, level0_ct, start_method="spawn")
         assert_bit_identical(reference, out)
 
-    def test_single_worker_pool(self, stack, level0_ct):
+    def test_single_worker_pool(self, stack, level0_ct, reference):
         ctx, _, _, swk = stack
-        reference = BootstrapPipeline(ctx, swk).run(level0_ct)
         out = pool_bootstrap(ctx, swk, level0_ct, num_workers=1)
         assert_bit_identical(reference, out)
 
 
 class TestWorkerDeath:
     def test_sigkill_mid_batch_recovers_bit_identically(self, stack,
-                                                        level0_ct):
+                                                        level0_ct, reference):
         """A worker SIGKILLed after part of its batch is detected,
         respawned, and its whole slice re-dispatched — output unchanged."""
         ctx, _, _, swk = stack
-        reference = BootstrapPipeline(ctx, swk).run(level0_ct)
         trace = BootstrapTrace()
         out = pool_bootstrap(
             ctx, swk, level0_ct, trace,
@@ -109,9 +88,8 @@ class TestWorkerDeath:
         assert trace.worker_respawns == 1
         assert any("signal 9" in note for note in trace.notes)
 
-    def test_nonzero_exit_recovers(self, stack, level0_ct):
+    def test_nonzero_exit_recovers(self, stack, level0_ct, reference):
         ctx, _, _, swk = stack
-        reference = BootstrapPipeline(ctx, swk).run(level0_ct)
         trace = BootstrapTrace()
         out = pool_bootstrap(
             ctx, swk, level0_ct, trace,
@@ -120,11 +98,10 @@ class TestWorkerDeath:
         assert_bit_identical(reference, out)
         assert any("exitcode=3" in note for note in trace.notes)
 
-    def test_reply_timeout_recovers(self, stack, level0_ct):
+    def test_reply_timeout_recovers(self, stack, level0_ct, reference):
         """A straggler beyond reply_timeout is presumed dead: killed,
         respawned, slice re-dispatched."""
         ctx, _, _, swk = stack
-        reference = BootstrapPipeline(ctx, swk).run(level0_ct)
         trace = BootstrapTrace()
         out = pool_bootstrap(
             ctx, swk, level0_ct, trace,
@@ -134,9 +111,8 @@ class TestWorkerDeath:
         assert trace.failed_nodes == [0]
         assert any("timed out" in note for note in trace.notes)
 
-    def test_both_workers_killed_recovers_via_respawn(self, stack, level0_ct):
+    def test_both_workers_killed_recovers_via_respawn(self, stack, level0_ct, reference):
         ctx, _, _, swk = stack
-        reference = BootstrapPipeline(ctx, swk).run(level0_ct)
         trace = BootstrapTrace()
         out = pool_bootstrap(
             ctx, swk, level0_ct, trace,
@@ -159,11 +135,10 @@ class TestWorkerDeath:
 
 
 class TestWorkerSideFaults:
-    def test_drop_and_corrupt_realised_by_worker(self, stack, level0_ct):
+    def test_drop_and_corrupt_realised_by_worker(self, stack, level0_ct, reference):
         """Reply mutation happens in the worker process; the primary's
         frame validation catches both and recovery restores the output."""
         ctx, _, _, swk = stack
-        reference = BootstrapPipeline(ctx, swk).run(level0_ct)
         trace = BootstrapTrace()
         out = pool_bootstrap(
             ctx, swk, level0_ct, trace,
@@ -175,9 +150,8 @@ class TestWorkerSideFaults:
         assert trace.failed_nodes == []
         assert trace.worker_respawns == 0
 
-    def test_short_straggle_just_slows_the_reply(self, stack, level0_ct):
+    def test_short_straggle_just_slows_the_reply(self, stack, level0_ct, reference):
         ctx, _, _, swk = stack
-        reference = BootstrapPipeline(ctx, swk).run(level0_ct)
         trace = BootstrapTrace()
         out = pool_bootstrap(
             ctx, swk, level0_ct, trace,
@@ -275,11 +249,10 @@ class TestLifecycle:
         pool.close()  # still idempotent after __exit__
         assert pool.closed
 
-    def test_pool_reusable_across_bootstraps(self, stack, level0_ct):
+    def test_pool_reusable_across_bootstraps(self, stack, level0_ct, reference):
         """The pool is persistent: spin-up is paid once, both runs are
         bit-identical to the local path."""
         ctx, _, _, swk = stack
-        reference = BootstrapPipeline(ctx, swk).run(level0_ct)
         with ProcessPoolFanoutExecutor.for_keys(ctx, swk,
                                                 num_workers=2) as pool:
             pipe = BootstrapPipeline(ctx, swk, executor=pool)
@@ -306,17 +279,16 @@ class TestInjectorDeterminism:
         assert a != FaultInjector.seeded(43, node_ids=[0, 1, 2], count=4)
         assert pickle.loads(pickle.dumps(a)) == b
 
-    def test_same_schedule_drives_both_executors(self, stack, level0_ct):
+    def test_same_schedule_drives_both_executors(self, stack, level0_ct, reference):
         """An identically-seeded schedule recovers bit-identically on the
         simulated cluster and on the worker pool (crash == kill_worker)."""
         ctx, _, _, swk = stack
-        reference = BootstrapPipeline(ctx, swk).run(level0_ct)
         kinds = ("crash", "drop_reply", "corrupt_reply")
         sim_trace, pool_trace = BootstrapTrace(), BootstrapTrace()
         sim = SimulatedCluster(
             ctx, swk, num_nodes=2,
             fault_injector=FaultInjector.seeded(11, [0, 1], kinds=kinds))
-        sim_out = sim.bootstrap(level0_ct, sim_trace)
+        sim_out = sim.pipeline.run(level0_ct, sim_trace)
         pool_out = pool_bootstrap(
             ctx, swk, level0_ct, pool_trace,
             fault_injector=FaultInjector.seeded(11, [0, 1], kinds=kinds))

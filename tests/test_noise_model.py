@@ -12,7 +12,7 @@ from repro.analysis.noise import (
 from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
-from repro.switching import SchemeSwitchBootstrapper, SwitchingKeySet
+from repro.switching import BootstrapPipeline, SwitchingKeySet
 
 
 class TestGaussianTail:
@@ -67,9 +67,9 @@ class TestNoisePrediction:
         base_bits = 4
         swk = SwitchingKeySet.generate(ctx, sk, Sampler(303),
                                        base_bits=base_bits, error_std=0.8)
-        boot = SchemeSwitchBootstrapper(ctx, swk)
+        boot = BootstrapPipeline(ctx, swk)
         z = np.random.default_rng(0).uniform(-1, 1, ctx.slots)
-        out = boot.bootstrap(ev.encrypt(z, level=0))
+        out = boot.run(ev.encrypt(z, level=0))
         measured = float(np.max(np.abs(ev.decrypt(out, sk).real - z)))
 
         model = SwitchingNoiseModel(

@@ -9,7 +9,7 @@ from repro.math.ntt import NttEngine
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
 from repro.profiling import OpStats, count_ops, estimate_hardware_seconds
-from repro.switching import SchemeSwitchBootstrapper, SwitchingKeySet
+from repro.switching import BootstrapPipeline, SwitchingKeySet
 
 
 class TestCounters:
@@ -125,20 +125,23 @@ class TestExternalProductCounters:
 
         f, cts, brk = self._blind_rotate_setup()
         with count_ops() as stats:
-            blind_rotate_batch(f, cts, brk, engine="vectorized")
+            blind_rotate_batch(f, cts, brk)
         assert stats.external_products > 0
         # At least one fused iteration advanced the whole batch at once.
         assert max(stats.ep_batch_hist) > 1
         assert sum(b * c for b, c in stats.ep_batch_hist.items()) == stats.external_products
 
     def test_engines_record_equal_totals(self):
-        from repro.tfhe.blind_rotate import blind_rotate_batch
+        from repro.tfhe.blind_rotate import (
+            blind_rotate_batch,
+            blind_rotate_batch_reference,
+        )
 
         f, cts, brk = self._blind_rotate_setup()
         with count_ops() as vec_stats:
-            blind_rotate_batch(f, cts, brk, engine="vectorized")
+            blind_rotate_batch(f, cts, brk)
         with count_ops() as ref_stats:
-            blind_rotate_batch(f, cts, brk, engine="reference")
+            blind_rotate_batch_reference(f, cts, brk)
         # Same schedule, same skipped iterations -> same ciphertext-level
         # external-product count, just different batching.
         assert vec_stats.external_products == ref_stats.external_products
@@ -167,10 +170,10 @@ class TestFunctionalVsModel:
         ev = CkksEvaluator(ctx, gen.keyset(sk), Sampler(902))
         swk = SwitchingKeySet.generate(ctx, sk, Sampler(903), base_bits=8,
                                        error_std=0.8)
-        boot = SchemeSwitchBootstrapper(ctx, swk)
+        boot = BootstrapPipeline(ctx, swk)
         ct = ev.encrypt(0.3, level=0)
         with count_ops() as stats:
-            boot.bootstrap(ct)
+            boot.run(ct)
         # Lower bound: N blind rotates x N iterations x digit transforms,
         # over the 4-limb raised basis.
         digits = swk.gadget.digits

@@ -18,13 +18,11 @@ from repro.profiling import count_ops
 from repro.tfhe.glwe import GlweSecretKey, glwe_encrypt
 from repro.tfhe.keyswitch import AutomorphismKeySet
 from repro.tfhe.repack import (
-    repack,
     repack_exponents,
     repack_keyswitch_count,
     repack_reference,
-    repack_with_counters,
 )
-from repro.tfhe.repack_engine import RepackEngine, repack_vectorized
+from repro.tfhe.repack_engine import RepackEngine, repack, repack_with_counters
 
 
 def _stack(n, limbs=1, limb_bits=28, base_bits=7, digits=4, seed=5):
@@ -75,7 +73,7 @@ def test_bit_identity_single_limb(n, n_cts, digit_path):
     basis, sk, auto, s = _stack(n, seed=n + n_cts)
     cts = _encrypt_batch(n, basis, sk, s, n_cts)
     want = repack_reference(cts, auto)
-    got = repack_vectorized(cts, auto, digit_path=digit_path)
+    got = repack(cts, auto, digit_path=digit_path)
     _assert_identical(got, want)
 
 
@@ -87,7 +85,7 @@ def test_bit_identity_multi_limb(n_cts, digit_path):
                                 digits=15, seed=n_cts)
     cts = _encrypt_batch(n, basis, sk, s, n_cts)
     want = repack_reference(cts, auto)
-    got = repack_vectorized(cts, auto, digit_path=digit_path)
+    got = repack(cts, auto, digit_path=digit_path)
     _assert_identical(got, want)
 
 
@@ -100,7 +98,7 @@ def test_bit_identity_wide_modulus():
     cts = _encrypt_batch(n, basis, sk, s, 8)
     want = repack_reference(cts, auto)
     for path in ("auto", "fresh", "hoisted"):
-        _assert_identical(repack_vectorized(cts, auto, digit_path=path), want)
+        _assert_identical(repack(cts, auto, digit_path=path), want)
 
 
 def test_dispatcher_default_is_vectorized():
@@ -154,8 +152,7 @@ def test_engine_counters(n_cts):
     n = 32
     basis, sk, auto, s = _stack(n, seed=n_cts)
     cts = _encrypt_batch(n, basis, sk, s, n_cts)
-    _, ctr = repack_with_counters(cts, auto, engine="vectorized",
-                                  digit_path="hoisted")
+    _, ctr = repack_with_counters(cts, auto, digit_path="hoisted")
     assert ctr.total_keyswitches == repack_keyswitch_count(n_cts, n)
     assert ctr.merge_keyswitches == n_cts - 1
     assert ctr.trace_keyswitches == (n // n_cts).bit_length() - 1
@@ -166,23 +163,22 @@ def test_engine_counters(n_cts):
     assert ctr.fresh_decomposes == 0
     assert ctr.ntt_calls_saved > 0
 
-    _, fresh_ctr = repack_with_counters(cts, auto, engine="vectorized",
-                                        digit_path="fresh")
+    _, fresh_ctr = repack_with_counters(cts, auto, digit_path="fresh")
     assert fresh_ctr.hoisted_decomposes == 0
     assert fresh_ctr.fresh_decomposes == fresh_ctr.total_keyswitches
 
 
 def test_reference_counters_match_vectorized():
+    """The engine's executed-work counters equal the reference
+    recursion's closed-form keyswitch count, on identical output."""
     n = 32
     basis, sk, auto, s = _stack(n, seed=11)
     cts = _encrypt_batch(n, basis, sk, s, 8)
-    out_ref, ctr_ref = repack_with_counters(cts, auto, engine="reference")
-    out_vec, ctr_vec = repack_with_counters(cts, auto, engine="vectorized")
-    _assert_identical(out_vec, out_ref)
-    assert ctr_ref.total_keyswitches == ctr_vec.total_keyswitches
-    assert ctr_ref.merge_keyswitches == ctr_vec.merge_keyswitches
-    assert ctr_ref.trace_keyswitches == ctr_vec.trace_keyswitches
-    assert ctr_ref.levels == ctr_vec.levels
+    out_vec, ctr = repack_with_counters(cts, auto)
+    _assert_identical(out_vec, repack_reference(cts, auto))
+    assert ctr.total_keyswitches == repack_keyswitch_count(8, n)
+    assert ctr.merge_keyswitches == 8 - 1
+    assert ctr.levels == 3 + ctr.trace_keyswitches
 
 
 def test_profiling_records_repack_levels():
@@ -190,7 +186,7 @@ def test_profiling_records_repack_levels():
     basis, sk, auto, s = _stack(n, seed=21)
     cts = _encrypt_batch(n, basis, sk, s, 4)
     with count_ops() as stats:
-        repack_vectorized(cts, auto)
+        repack(cts, auto)
     assert stats.repack_merge_keyswitches == 3
     assert stats.repack_trace_keyswitches == 2
     assert stats.repack_levels == 4  # 2 merge levels + 2 trace levels
@@ -214,20 +210,12 @@ def test_engine_memoized_per_keyset():
         _assert_identical(eng.pack(cts), repack_reference(cts, auto))
 
 
-def test_unknown_engine_rejected():
-    n = 16
-    basis, sk, auto, s = _stack(n, seed=41)
-    cts = _encrypt_batch(n, basis, sk, s, 2)
-    with pytest.raises(ParameterError):
-        repack(cts, auto, engine="simd")
-
-
 def test_unknown_digit_path_rejected():
     n = 16
     basis, sk, auto, s = _stack(n, seed=42)
     cts = _encrypt_batch(n, basis, sk, s, 2)
     with pytest.raises(ParameterError):
-        repack_vectorized(cts, auto, digit_path="lazy")
+        repack(cts, auto, digit_path="lazy")
 
 
 def test_non_power_of_two_rejected():
@@ -235,7 +223,7 @@ def test_non_power_of_two_rejected():
     basis, sk, auto, s = _stack(n, seed=43)
     cts = _encrypt_batch(n, basis, sk, s, 3)
     with pytest.raises(ParameterError):
-        repack_vectorized(cts, auto)
+        repack(cts, auto)
 
 
 def test_too_many_cts_rejected():
@@ -243,11 +231,11 @@ def test_too_many_cts_rejected():
     basis, sk, auto, s = _stack(n, seed=44)
     cts = _encrypt_batch(n, basis, sk, s, 16)
     with pytest.raises(ParameterError):
-        repack_vectorized(cts + cts, auto)
+        repack(cts + cts, auto)
 
 
 def test_empty_batch_rejected():
     n = 16
     basis, sk, auto, s = _stack(n, seed=45)
     with pytest.raises(ParameterError):
-        repack_vectorized([], auto)
+        repack([], auto)

@@ -9,7 +9,7 @@ from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.errors import ParameterError
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
-from repro.switching import SchemeSwitchBootstrapper, SwitchingKeySet
+from repro.switching import BootstrapPipeline, SwitchingKeySet
 from repro.switching.cluster_sim import Fault, FaultInjector, SimulatedCluster
 from repro.switching.pipeline import BootstrapTrace
 from repro.switching.scheduler import make_schedule, pick_recovery_node
@@ -81,7 +81,7 @@ class TestRecoveryNodeFailsToo:
         ctx, ev, swk = stack
         z = np.random.default_rng(3).uniform(-1, 1, ctx.slots)
         ct = ev.encrypt(z, level=0)
-        reference = SchemeSwitchBootstrapper(ctx, swk).bootstrap(ct)
+        reference = BootstrapPipeline(ctx, swk).run(ct)
         # 16 LWEs over 3 nodes: slices of 6, 5, 5.  Node 0 crashes on its
         # own slice; recovery (tied loads 5, 5 -> lowest id) targets node
         # 1, whose persistent ``after=5`` fault is harmless on its own
@@ -91,7 +91,7 @@ class TestRecoveryNodeFailsToo:
                              Fault.crash(1, after=5, persistent=True)])
         cluster = SimulatedCluster(ctx, swk, num_nodes=3, fault_injector=inj)
         trace = BootstrapTrace()
-        out = cluster.bootstrap(ct, trace)
+        out = cluster.pipeline.run(ct, trace)
         for ref_l, got_l in zip(reference.c0.to_coeff().limbs,
                                 out.c0.to_coeff().limbs):
             assert ref_l.tolist() == got_l.tolist()

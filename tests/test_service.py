@@ -1,8 +1,8 @@
 """Tests for the coalescing bootstrap service: batch-composition
 invariance (a request's result is byte-equal no matter which other
-requests it was batched with, across executors and engines), LRU
-key-cache eviction order and byte accounting, backpressure, graceful
-drain, and the pipeline's prepare/complete split (``run_many``)."""
+requests it was batched with, across executors), LRU key-cache
+eviction order and byte accounting, backpressure, graceful drain, and
+the shared ``run_batch`` loop's trace accounting."""
 
 import asyncio
 import datetime
@@ -28,10 +28,17 @@ from repro.service import (BootstrapService, KeyCacheEntry, LruKeyCache,
                            UserKeys, pool_executor_factory)
 from repro.service.key_cache import rns_poly_bytes
 from repro.switching import RELU, SIGN, SwitchingKeySet
-from repro.switching.pipeline import BootstrapPipeline, BootstrapTrace, LocalExecutor
+from repro.switching.pipeline import (
+    BootstrapPipeline,
+    BootstrapTrace,
+    LocalExecutor,
+    run_batch,
+)
 from repro.tfhe.blind_rotate import BlindRotateKey, build_test_vector
 from repro.tfhe.glwe import GlweSecretKey
 from repro.tfhe.lwe import LweSecretKey, lwe_encrypt
+
+from .oracle import assert_ct_equal, assert_glwe_equal
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmarks"))
@@ -89,25 +96,11 @@ def make_lwes(lwe_stack, count, seed=42):
             for i in range(count)]
 
 
-def solo_results(lwe_stack, lwes, engine="vectorized"):
+def solo_results(lwe_stack, lwes):
     """Reference: each request dispatched alone (batch of one)."""
     _, _, _, brk, tv = lwe_stack
-    ex = LocalExecutor(_KeyBox(brk), tv, engine)
+    ex = LocalExecutor(_KeyBox(brk), tv)
     return [ex.fanout([lw], BootstrapTrace())[0] for lw in lwes]
-
-
-def assert_glwe_equal(a, b):
-    for pa, pb in zip(list(a.mask) + [a.body], list(b.mask) + [b.body]):
-        ca, cb = pa.to_coeff(), pb.to_coeff()
-        for la, lb in zip(ca.limbs, cb.limbs):
-            assert np.asarray(la).tolist() == np.asarray(lb).tolist()
-
-
-def assert_ct_equal(a, b):
-    for ref_l, got_l in zip(a.c0.to_coeff().limbs, b.c0.to_coeff().limbs):
-        assert ref_l.tolist() == got_l.tolist()
-    for ref_l, got_l in zip(a.c1.to_coeff().limbs, b.c1.to_coeff().limbs):
-        assert ref_l.tolist() == got_l.tolist()
 
 
 def serve_all(lwe_stack, lwes, user_ids, **svc_kwargs):
@@ -139,16 +132,6 @@ class TestBatchCompositionInvariance:
             assert_glwe_equal(ref, out)
         assert trace.requests_completed == len(lwes)
         assert max(trace.batch_fill) <= max_batch
-
-    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
-    def test_engines_match_solo(self, lwe_stack, engine):
-        lwes = make_lwes(lwe_stack, 6)
-        reference = solo_results(lwe_stack, lwes, engine)
-        got, _ = serve_all(lwe_stack, lwes, ["u"] * len(lwes),
-                           max_batch=4, max_delay_s=0.005,
-                           blind_rotate_engine=engine)
-        for ref, out in zip(reference, got):
-            assert_glwe_equal(ref, out)
 
     def test_multi_user_shared_keys_coalesce_and_match(self, lwe_stack):
         """Users sharing one key set coalesce into common batches; each
@@ -190,8 +173,8 @@ class TestBatchCompositionInvariance:
                                        GlweSecretKey.generate(N_RING, 1, s2),
                                        basis, gadget, s2)
         lwes = make_lwes(lwe_stack, 4)
-        ex_a = LocalExecutor(_KeyBox(brk), tv, "vectorized")
-        ex_b = LocalExecutor(_KeyBox(brk2), tv, "vectorized")
+        ex_a = LocalExecutor(_KeyBox(brk), tv)
+        ex_b = LocalExecutor(_KeyBox(brk2), tv)
         want_a = ex_a.fanout(lwes, BootstrapTrace())
         want_b = ex_b.fanout(lwes, BootstrapTrace())
 
@@ -228,7 +211,7 @@ class TestBatchCompositionInvariance:
         lwes = make_lwes(lwe_stack, 6)
         references = {}
         for name, key in (("a", brk), ("b", brk2)):
-            ex = LocalExecutor(_KeyBox(key), tv, "vectorized")
+            ex = LocalExecutor(_KeyBox(key), tv)
             references[name] = [ex.fanout([lw], BootstrapTrace())[0]
                                 for lw in lwes]
 
@@ -503,18 +486,61 @@ class TestBackpressureAndLifecycle:
 
 
 class TestRunMany:
+    """``run_batch`` is the one compose -> fanout -> slice-back loop;
+    the service dispatches through it."""
+
     def test_run_many_matches_individual_runs(self, ckks_stack):
+        """A raw LWE and a ciphertext coalesced into ONE fan-out equal
+        their solo runs byte for byte, and the shared trace holds the
+        sums of the solo runs' counters."""
         ctx, _, ev, swk = ckks_stack
-        rng = np.random.default_rng(23)
-        cts = [ev.encrypt(rng.uniform(-1, 1, ctx.slots), level=0)
-               for _ in range(2)]
+        ct = ev.encrypt(np.random.default_rng(23).uniform(-1, 1, ctx.slots),
+                        level=0)
         pipe = BootstrapPipeline(ctx, swk)
-        reference = [pipe.run(ct) for ct in cts]
-        trace = BootstrapTrace()
-        got = pipe.run_many(cts, trace)
-        for ref, out in zip(reference, got):
-            assert_ct_equal(ref, out)
-        assert trace.num_blind_rotates == 2 * ctx.n
+        lwe = pipe.prepare(ct).lwes[3]
+        solo_lwe, solo_ct, both = (BootstrapTrace() for _ in range(3))
+        (ref_acc,) = run_batch(pipe.executor, [lwe], solo_lwe)
+        ref_ct = pipe.run(ct, solo_ct)
+        acc, out = run_batch(pipe.executor, [lwe, pipe.prepare(ct)], both,
+                             pipeline=pipe)
+        assert_glwe_equal(ref_acc, acc)
+        assert_ct_equal(ref_ct, out)
+        for name in ("num_lwe", "num_blind_rotates", "modswitch_ops",
+                     "repack_keyswitches"):
+            assert getattr(both, name) == \
+                getattr(solo_lwe, name) + getattr(solo_ct, name)
+        assert (both.num_lwe, both.modswitch_ops) == (ctx.n + 1, 2 * ctx.n)
+
+    def test_service_batch_fills_its_trace(self, ckks_stack):
+        """A coalesced raw-LWE + Algorithm-2 batch reaches the executor
+        through ``run_batch``: the per-batch trace it is handed ends up
+        with the whole batch's counts."""
+        ctx, _, ev, swk = ckks_stack
+        ct = ev.encrypt(0.3, level=0)
+        lwe = BootstrapPipeline(ctx, swk).prepare(ct).lwes[0]
+        traces = []
+
+        class SpyExecutor(LocalExecutor):
+            def fanout(self, lwes, trace, lut=None):
+                traces.append(trace)
+                return super().fanout(lwes, trace, lut=lut)
+
+        uk = UserKeys.from_switching(ctx, swk)
+
+        async def main():
+            async with BootstrapService(
+                    lambda uid: uk, max_batch=4 * ctx.n, max_delay_s=0.05,
+                    executor_factory=lambda k: SpyExecutor(
+                        k.keys, k.test_vector)) as svc:
+                await asyncio.gather(svc.submit("a", lwe),
+                                     svc.submit_ciphertext("b", ct))
+
+        asyncio.run(main())
+        (trace,) = traces
+        assert trace.num_lwe == trace.num_blind_rotates == ctx.n + 1
+        assert trace.modswitch_ops == 2 * ctx.n
+        assert set(trace.step_seconds) == {"extract", "blind_rotate",
+                                           "repack", "finish"}
 
 
 class TestTrajectoryStamp:

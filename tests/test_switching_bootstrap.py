@@ -9,7 +9,7 @@ from repro.math.sampling import Sampler
 from repro.params import make_toy_params
 from repro.switching import (
     BootstrapTrace,
-    SchemeSwitchBootstrapper,
+    BootstrapPipeline,
     SwitchingKeySet,
     expected_k_prime_std,
     make_schedule,
@@ -29,7 +29,7 @@ def stack():
     keys = gen.keyset(sk)
     ev = CkksEvaluator(ctx, keys, Sampler(8))
     swk = SwitchingKeySet.generate(ctx, sk, Sampler(9), base_bits=4, error_std=0.8)
-    boot = SchemeSwitchBootstrapper(ctx, swk)
+    boot = BootstrapPipeline(ctx, swk)
     return ctx, sk, ev, boot
 
 
@@ -38,7 +38,7 @@ class TestBootstrapCorrectness:
         ctx, sk, ev, boot = stack
         z = np.random.default_rng(0).uniform(-1, 1, ctx.slots)
         ct = ev.encrypt(z, level=0)
-        refreshed = boot.bootstrap(ct)
+        refreshed = boot.run(ct)
         assert refreshed.level == ctx.max_level
         got = ev.decrypt(refreshed, sk)
         assert np.allclose(got.real, z, atol=0.05), np.max(np.abs(got.real - z))
@@ -48,7 +48,7 @@ class TestBootstrapCorrectness:
         rng = np.random.default_rng(1)
         z = rng.uniform(-1, 1, ctx.slots) + 1j * rng.uniform(-1, 1, ctx.slots)
         ct = ev.encrypt(z, level=0)
-        got = ev.decrypt(boot.bootstrap(ct), sk)
+        got = ev.decrypt(boot.run(ct), sk)
         assert np.allclose(got, z, atol=0.05)
 
     def test_enables_further_multiplications(self, stack):
@@ -56,7 +56,7 @@ class TestBootstrapCorrectness:
         ctx, sk, ev, boot = stack
         z = np.random.default_rng(2).uniform(0.2, 0.9, ctx.slots)
         ct = ev.encrypt(z, level=0)  # exhausted ciphertext
-        refreshed = boot.bootstrap(ct)
+        refreshed = boot.run(ct)
         prod = ev.mul_relin_rescale(
             refreshed, ev.encrypt(z, level=refreshed.level, scale=refreshed.scale))
         got = ev.decrypt(prod, sk)
@@ -65,18 +65,18 @@ class TestBootstrapCorrectness:
     def test_scale_preserved(self, stack):
         ctx, sk, ev, boot = stack
         ct = ev.encrypt(0.5, level=0)
-        assert boot.bootstrap(ct).scale == ct.scale
+        assert boot.run(ct).scale == ct.scale
 
     def test_rejects_non_level0(self, stack):
         ctx, sk, ev, boot = stack
         ct = ev.encrypt(0.5)  # top level
         with pytest.raises(ParameterError):
-            boot.bootstrap(ct)
+            boot.run(ct)
 
     def test_trace_counters(self, stack):
         ctx, sk, ev, boot = stack
         trace = BootstrapTrace()
-        boot.bootstrap(ev.encrypt(0.1, level=0), trace)
+        boot.run(ev.encrypt(0.1, level=0), trace)
         assert trace.num_lwe == ctx.n
         assert trace.num_blind_rotates == ctx.n
         assert trace.modswitch_ops == 2 * ctx.n
@@ -92,9 +92,9 @@ class TestBootstrapCorrectness:
         ctx, sk, ev, boot = stack
         z = np.random.default_rng(3).uniform(-0.5, 0.5, ctx.slots)
         ct = ev.encrypt(z, level=0)
-        refreshed = boot.bootstrap(ct)
+        refreshed = boot.run(ct)
         dropped = ev.drop_to_level(refreshed, 0)
-        again = boot.bootstrap(dropped)
+        again = boot.run(dropped)
         got = ev.decrypt(again, sk)
         assert np.allclose(got.real, z, atol=0.08)
 
@@ -123,6 +123,7 @@ class TestMultiNodeEquivalence:
         """Running the batch split over k simulated nodes gives bitwise
         the same accumulators as a single node — the basis of the paper's
         hardware-agnostic scaling claim."""
+        from repro.switching.pipeline import extract_mod_2n
         from repro.tfhe.blind_rotate import blind_rotate_batch
         ctx, sk, ev, boot = stack
         n = ctx.n
@@ -133,12 +134,12 @@ class TestMultiNodeEquivalence:
         c1 = np.asarray(ct.c1.to_coeff().limbs[0], dtype=object)
         c0_ms = (two_n * c0 - (two_n * c0) % q) // q
         c1_ms = (two_n * c1 - (two_n * c1) % q) // q
-        lwes = [boot._extract_mod_2n(c1_ms, c0_ms, i, two_n) for i in range(n)]
-        single = blind_rotate_batch(boot._test_vector, lwes, boot.keys.brk)
+        lwes = [extract_mod_2n(c1_ms, c0_ms, i, two_n) for i in range(n)]
+        single = blind_rotate_batch(boot.test_vector, lwes, boot.keys.brk)
         schedule = make_schedule(n, 4)
         multi = []
         for part in schedule.slices(lwes):
-            multi.extend(blind_rotate_batch(boot._test_vector, part, boot.keys.brk))
+            multi.extend(blind_rotate_batch(boot.test_vector, part, boot.keys.brk))
         for a, b in zip(single, multi):
             assert a.body.to_coeff().limbs[0].tolist() == b.body.to_coeff().limbs[0].tolist()
 

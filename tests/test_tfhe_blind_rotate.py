@@ -23,7 +23,8 @@ from repro.tfhe.extract import (
 from repro.tfhe.glwe import GlweSecretKey, glwe_decrypt_coeffs, glwe_encrypt
 from repro.tfhe.keyswitch import AutomorphismKeySet
 from repro.tfhe.lwe import LweSecretKey, lwe_encrypt, lwe_phase
-from repro.tfhe.repack import repack, repack_exponents
+from repro.tfhe.repack import repack_exponents
+from repro.tfhe.repack_engine import repack
 
 N = 32
 Q = find_ntt_primes(28, N, 1)[0]
