@@ -105,13 +105,8 @@ def bench_ablation_direct_vs_keyswitched_pipeline(benchmark):
     import numpy as np
     from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
     from repro.math.sampling import Sampler
-    from repro.switching import (
-        BootstrapPipeline,
-        KeySwitchedBootstrapper,
-        KeySwitchedKeySet,
-        SwitchingKeySet,
-        make_keyswitched_toy_params,
-    )
+    from repro.params import make_keyswitched_toy_params
+    from repro.switching import BootstrapPipeline, SwitchingKeySet
 
     n, n_t = 16, 8
     params = make_keyswitched_toy_params(n=n, limbs=3, limb_bits=30,
@@ -122,16 +117,16 @@ def bench_ablation_direct_vs_keyswitched_pipeline(benchmark):
     ev = CkksEvaluator(ctx, gen.keyset(sk), Sampler(92))
     direct_keys = SwitchingKeySet.generate(ctx, sk, Sampler(93), base_bits=4,
                                            error_std=0.6)
-    kw_keys = KeySwitchedKeySet.generate(ctx, sk, n_t=n_t, sampler=Sampler(94),
-                                         base_bits=4, error_std=0.6)
+    kw_keys = SwitchingKeySet.generate(ctx, sk, Sampler(94), base_bits=4,
+                                       error_std=0.6, n_t=n_t)
     direct = BootstrapPipeline(ctx, direct_keys)
-    keysw = KeySwitchedBootstrapper(ctx, kw_keys)
+    keysw = BootstrapPipeline(ctx, kw_keys)
     z = np.random.default_rng(3).uniform(-1, 1, ctx.slots)
 
     def run_both():
         ct = ev.encrypt(z, level=0)
         out_d = direct.run(ct)
-        out_k = keysw.bootstrap(ev.encrypt(z, level=0))
+        out_k = keysw.run(ev.encrypt(z, level=0))
         return out_d, out_k
 
     out_d, out_k = benchmark.pedantic(run_both, rounds=1, iterations=1,

@@ -6,8 +6,8 @@ Two workloads, both routed through ``CkksEvaluator``:
   rotation set 1..31 hoisted through a single ModUp at N = 2^10 over
   the full toy level chain.  This is the kernel the BSGS
   ``apply_matrix`` and CoeffToSlot/SlotToCoeff spend their time in.
-  Acceptance gate: the batched engine is >= 4x faster than
-  ``keyswitch_engine="reference"``.
+  Acceptance gate: the batched engine is >= 4x faster than the scalar
+  ``KeySwitcher.switch_reference`` / ``mod_down_reference`` path.
 * **Conventional bootstrap** — end-to-end ``ConventionalBootstrapper``
   at toy parameters (n = 64, 17 levels), where keyswitching is one cost
   among encode/rescale/NTT work it does not control.  Acceptance gate:
@@ -41,6 +41,7 @@ from repro.ckks.bootstrap import (
 from repro.ckks.context import CkksContext
 from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.keys import CkksKeyGenerator
+from repro.ckks.keyswitch import KeySwitcher
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
 
@@ -56,6 +57,24 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_keyswitch.json")
 
 
+class _ScalarKeySwitcher(KeySwitcher):
+    """The scalar reference as an evaluator's switcher — the baseline
+    every routed operation ran on before the batched engine."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.engine = None
+
+    switch = KeySwitcher.switch_reference
+    mod_down = KeySwitcher.mod_down_reference
+
+
+def _scalar_evaluator(ctx, keys, **kwargs):
+    ev = CkksEvaluator(ctx, keys, **kwargs)
+    ev.switcher = _ScalarKeySwitcher(ctx)
+    return ev
+
+
 def _assert_same_ct(a, b):
     assert a.c0 == b.c0 and a.c1 == b.c1 and a.scale == b.scale
 
@@ -67,8 +86,7 @@ def _hoisted_setup(n, limbs, special, rotations):
     sk = gen.secret_key()
     keys = gen.keyset(sk, rotations=rotations)
     ev_bat = CkksEvaluator(ctx, keys, sampler=Sampler(seed=7))
-    ev_ref = CkksEvaluator(ctx, keys, sampler=Sampler(seed=7),
-                           keyswitch_engine="reference")
+    ev_ref = _scalar_evaluator(ctx, keys, sampler=Sampler(seed=7))
     ct = ev_bat.encrypt(np.linspace(-1, 1, ctx.slots))
     return ev_bat, ev_ref, ct
 
@@ -112,8 +130,7 @@ def _bootstrap_setup(n, levels):
     keys = gen.keyset(sk, rotations=rots, conjugate=True)
     cfg = ConventionalBootstrapConfig()
     ev_bat = CkksEvaluator(ctx, keys, scale_rtol=5e-2)
-    ev_ref = CkksEvaluator(ctx, keys, scale_rtol=5e-2,
-                           keyswitch_engine="reference")
+    ev_ref = _scalar_evaluator(ctx, keys, scale_rtol=5e-2)
     boot_bat = ConventionalBootstrapper(ctx, keys, cfg, evaluator=ev_bat)
     boot_ref = ConventionalBootstrapper(ctx, keys, cfg, evaluator=ev_ref)
     vals = np.linspace(-0.4, 0.4, ctx.slots)

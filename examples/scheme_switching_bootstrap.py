@@ -9,13 +9,15 @@ bit-identical to the single-node run — the property that makes the
 approach "agnostic of the hardware".  The stage functions used here
 (``extract_mod_2n``, ``blind_rotate_batch``) are the ones
 ``BootstrapPipeline.run`` — the one way to run the whole thing — calls.
+It ends with the paper's own configuration: the same pipeline on an n_t
+key set, blind-rotating at dimension n_t instead of N.
 """
 
 import numpy as np
 
 from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.math.sampling import Sampler
-from repro.params import make_toy_params
+from repro.params import make_keyswitched_toy_params, make_toy_params
 from repro.switching import (
     BootstrapPipeline,
     SwitchingKeySet,
@@ -89,6 +91,19 @@ def main() -> None:
     print(f"steps 3c-5: repacked, added ct', rescaled by p")
     print(f"refreshed to level {refreshed.level}; "
           f"max error {np.max(np.abs(got - values)):.4f}")
+
+    # -- The paper's n_t configuration: same pipeline, smaller brk ---------------------
+    # (needs the strong switching prime p = 1 mod 2N^2)
+    ctx_nt = CkksContext(make_keyswitched_toy_params(n=n), dnum=2)
+    gen_nt = CkksKeyGenerator(ctx_nt, Sampler(7))
+    sk_nt = gen_nt.secret_key()
+    ev_nt = CkksEvaluator(ctx_nt, gen_nt.keyset(sk_nt), Sampler(8))
+    swk_nt = SwitchingKeySet.generate(ctx_nt, sk_nt, Sampler(9), base_bits=4,
+                                      error_std=0.6, n_t=n // 2)
+    out_nt = BootstrapPipeline(ctx_nt, swk_nt).run(ev_nt.encrypt(values, level=0))
+    err_nt = np.max(np.abs(ev_nt.decrypt(out_nt, sk_nt).real - values))
+    print(f"n_t = {n // 2}: brk {swk_nt.brk.n_t} entries (vs {swk.brk.n_t}), "
+          f"max error {err_nt:.4f}")
 
 
 if __name__ == "__main__":

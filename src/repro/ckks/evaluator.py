@@ -30,11 +30,10 @@ class CkksEvaluator:
 
     def __init__(self, context: CkksContext, keys: KeySet,
                  sampler: Optional[Sampler] = None,
-                 scale_rtol: float = _SCALE_RTOL,
-                 keyswitch_engine: str = "batched"):
+                 scale_rtol: float = _SCALE_RTOL):
         self.ctx = context
         self.keys = keys
-        self.switcher = KeySwitcher(context, engine=keyswitch_engine)
+        self.switcher = KeySwitcher(context)
         self.sampler = sampler or Sampler()
         # Relative tolerance for combining scales.  The conventional
         # bootstrapper runs with a loose tolerance and near-Delta primes

@@ -18,40 +18,37 @@ Correctness sketch (per digit group ``j`` with sub-modulus ``Q_j``):
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import ParameterError
 from ..math.rns import RnsBasis, RnsPoly, basis_convert_reference, concat_bases
 from .context import CkksContext
 from .keys import SwitchKey
+from .keyswitch_engine import CkksKeyswitchEngine
 
 
 class KeySwitcher:
     """Applies hybrid switching keys to polynomials at any level.
 
-    ``engine="batched"`` (the default) routes ``switch`` and ``mod_down``
-    through :class:`~repro.ckks.keyswitch_engine.CkksKeyswitchEngine` —
-    cached BConv plans, one stacked NTT per ModUp, fused uint64 MACs —
-    whenever every extended-basis prime fits the fast-modulus bound and
-    the operand basis is a prefix of the context's limb chain; otherwise
-    it falls back to the scalar path.  ``engine="reference"`` pins the
-    frozen scalar path (the pre-engine per-limb object-dtype loops),
-    kept bit-identical as the cross-check oracle and benchmark baseline.
+    ``switch`` and ``mod_down`` run on
+    :class:`~repro.ckks.keyswitch_engine.CkksKeyswitchEngine` — cached
+    BConv plans, one stacked NTT per ModUp, fused uint64 MACs — whenever
+    every extended-basis prime fits the fast-modulus bound and the
+    operand basis is a prefix of the context's limb chain; otherwise
+    they fall back to the scalar per-limb path.  That path is callable
+    directly as :meth:`switch_reference` / :meth:`mod_down_reference`:
+    the frozen cross-check oracle and benchmark baseline, bit-identical
+    to the engine.
     """
 
-    def __init__(self, context: CkksContext, engine: str = "batched"):
-        if engine not in ("batched", "reference"):
-            raise ParameterError(f"unknown keyswitch engine {engine!r}")
+    def __init__(self, context: CkksContext):
         self.ctx = context
-        self.engine_mode = engine
-        self._engine = None
-        if engine == "batched":
-            from .keyswitch_engine import CkksKeyswitchEngine
-
-            try:
-                self._engine = CkksKeyswitchEngine.for_context(context)
-            except ParameterError:
-                self._engine = None  # wide moduli: scalar fallback
+        #: The batched engine, or ``None`` when the context's moduli are
+        #: too wide for it (everything then takes the scalar path).
+        try:
+            self.engine = CkksKeyswitchEngine.for_context(context)
+        except ParameterError:
+            self.engine = None
         big_q = context.full_basis.product
         self._group_indices = context.digit_groups(context.max_level)
         # Q_j and Q_j_tilde for the *full* modulus; valid at every level
@@ -63,18 +60,18 @@ class KeySwitcher:
                 qj *= context.full_basis.moduli[idx]
             self._qj.append(qj)
 
-    @property
-    def engine(self) -> Optional["object"]:
-        """The batched engine, or ``None`` when running the scalar path."""
-        return self._engine
-
     # -- the main entry point ----------------------------------------------------------
 
     def switch(self, d: RnsPoly, key: SwitchKey) -> Tuple[RnsPoly, RnsPoly]:
         """Return ``(u0, u1)`` over ``d``'s basis such that
         ``u0 + u1*s_dst ~ d*s_src``."""
-        if self._engine is not None and self._engine.handles(d.basis):
-            return self._engine.switch(d, key)
+        if self.engine is not None and self.engine.handles(d.basis):
+            return self.engine.switch(d, key)
+        return self.switch_reference(d, key)
+
+    def switch_reference(self, d: RnsPoly,
+                         key: SwitchKey) -> Tuple[RnsPoly, RnsPoly]:
+        """:meth:`switch` on the scalar path."""
         ext, lifted = self.lift_digits(d)
         return self.inner_product_and_down(lifted, key, ext, d.basis)
 
@@ -98,7 +95,8 @@ class KeySwitcher:
 
     def inner_product_and_down(self, lifted, key: SwitchKey, ext: RnsBasis,
                                target: RnsBasis) -> Tuple[RnsPoly, RnsPoly]:
-        """MAC the lifted digits against the key and ModDown."""
+        """MAC the lifted digits against the key and ModDown (scalar: only
+        reached for a basis the engine does not handle)."""
         n = lifted[0][1].n
         acc0 = RnsPoly.zero(n, ext, "eval")
         acc1 = RnsPoly.zero(n, ext, "eval")
@@ -108,7 +106,8 @@ class KeySwitcher:
             lift_eval = lift.to_eval()
             acc0 = acc0 + lift_eval * b_j
             acc1 = acc1 + lift_eval * a_j
-        return self.mod_down(acc0, target), self.mod_down(acc1, target)
+        return (self.mod_down_reference(acc0, target),
+                self.mod_down_reference(acc1, target))
 
     # -- ModUp ------------------------------------------------------------------
 
@@ -142,10 +141,14 @@ class KeySwitcher:
         n_special = len(self.ctx.special_basis)
         if len(u.basis) != len(target) + n_special:
             raise ParameterError("ModDown basis arithmetic mismatch")
-        if self._engine is not None and self._engine.handles(target) \
+        if self.engine is not None and self.engine.handles(target) \
                 and tuple(u.basis.moduli) == tuple(target.moduli) \
                 + tuple(self.ctx.special_basis.moduli):
-            return self._engine.mod_down_poly(u, target)
+            return self.engine.mod_down_poly(u, target)
+        return self.mod_down_reference(u, target)
+
+    def mod_down_reference(self, u: RnsPoly, target: RnsBasis) -> RnsPoly:
+        """:meth:`mod_down` on the scalar path."""
         u_coeff = u.to_coeff()
         p_basis = self.ctx.special_basis
         p_part = RnsPoly(u.n, p_basis, u_coeff.limbs[len(target):], "coeff")

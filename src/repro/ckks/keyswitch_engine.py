@@ -33,9 +33,10 @@ engines, the BConv plan is bit-identical to the frozen reference MAC,
 lazy sums agree with iterated ``mac`` modulo each prime, and the
 eval-domain gather equals coefficient-permute-then-NTT exactly — so
 every routed operation (relinearise, rotate, conjugate, hoisted BSGS,
-conventional bootstrap end-to-end) matches ``keyswitch_engine=
-"reference"`` bit for bit; ``tests/test_keyswitch_engine.py`` asserts
-it at every level and digit-group count.
+conventional bootstrap end-to-end) matches ``KeySwitcher.
+switch_reference`` / ``mod_down_reference`` bit for bit;
+``tests/test_keyswitch_engine.py`` asserts it at every level and
+digit-group count.
 """
 
 from __future__ import annotations

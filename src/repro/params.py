@@ -208,3 +208,26 @@ def make_toy_params(
         decomp_digits=decomp_digits,
     )
     return HeapParams(ckks=ckks, tfhe=tfhe, name=f"toy-N{n}")
+
+
+def make_keyswitched_toy_params(n: int = 16, limbs: int = 3,
+                                limb_bits: int = 30, scale_bits: int = 23,
+                                special_limbs: int = 2) -> CkksParams:
+    """Toy CKKS parameters whose first special prime satisfies
+    ``p = 1 (mod 2 N^2)`` so the n_t-dimension bootstrap's final division
+    by ``2 N^2`` is exact (``SwitchingKeySet.generate(..., n_t=)``)."""
+    primes = find_ntt_primes(limb_bits, n, limbs)
+    # The switching prime needs the stronger congruence (a prime = 1 mod
+    # 2N^2 is automatically NTT-friendly for the ring); skip collisions
+    # with the limb chain.
+    skip = 0
+    while True:
+        strong = find_ntt_primes(limb_bits, n * n, 1, skip=skip)
+        if strong[0] not in primes:
+            break
+        skip += 1
+    ordinary = [p for p in
+                find_ntt_primes(limb_bits, n, limbs + special_limbs + 2)
+                if p not in primes and p != strong[0]][: special_limbs - 1]
+    return CkksParams(n=n, moduli=primes,
+                      special_moduli=strong + ordinary, scale_bits=scale_bits)

@@ -16,11 +16,6 @@ from .luts import (
     quantized,
     threshold,
 )
-from .keyswitched import (
-    KeySwitchedBootstrapper,
-    KeySwitchedKeySet,
-    make_keyswitched_toy_params,
-)
 from .mp_executor import ProcessPoolFanoutExecutor
 from .pipeline import (
     BootstrapPipeline,
@@ -65,9 +60,6 @@ __all__ = [
     "quantized",
     "threshold",
     "KeySizeAudit",
-    "KeySwitchedBootstrapper",
-    "KeySwitchedKeySet",
-    "make_keyswitched_toy_params",
     "SwitchingKeySet",
     "conventional_bootstrap_key_bytes",
     "BootstrapSchedule",

@@ -15,16 +15,16 @@ exercised by the key-size benchmark (0.44 MB ciphertext, ~3.52 MB per
 brk entry, 1.76 GB total, ~18x less key traffic than conventional
 bootstrapping).
 
-Note on dimensions: the paper key-switches extracted LWE ciphertexts down
-to ``n_t = 500`` before blind rotation, so its brk has 500 entries.  The
-pipeline over *this* key set blind-rotates at dimension ``N`` directly
-(exactly as Algorithm 2 is written — its Extract produces dimension-``N``
-LWE ciphertexts and there is no key-switch step in the algorithm
-listing).  The n_t pipeline is implemented functionally in
-:mod:`repro.switching.keyswitched` (its own
-:class:`~repro.switching.keyswitched.KeySwitchedKeySet`), priced by the
-performance model, and sized by :class:`KeySizeAudit`; DESIGN.md records
-the substitution.
+Note on dimensions: Algorithm 2 as printed blind-rotates the extracted
+dimension-``N`` LWE ciphertexts directly (there is no key-switch step in
+the listing), and that is what :meth:`SwitchingKeySet.generate` builds by
+default.  The paper's key-size story rests on key-switching them down to
+``n_t = 500`` first, so its brk has 500 entries: ``generate(..., n_t=)``
+builds that key set — the LWE key-switch key to a fresh dimension-``n_t``
+secret ``s_t``, the brk over ``s_t``'s digits, and the companion repack
+and ring key-switch keys under the padded ``s_t(X)`` — and the one
+pipeline (:mod:`repro.switching.pipeline`) reads the dimension off the
+key set.  :class:`KeySizeAudit` sizes the paper-scale keys.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from ..tfhe.blind_rotate import BlindRotateKey
 from ..tfhe.glwe import GlweCiphertext, GlweSecretKey
 from ..tfhe.keyswitch import (AutomorphismKeySet, GlweKeySwitchKey,
                               expand_glwe_keyswitch_key)
-from ..tfhe.lwe import LweSecretKey
+from ..tfhe.lwe import LweKeySwitchKey, LweSecretKey
 from ..tfhe.repack import repack_exponents
 from ..tfhe.rgsw import expand_rgsw, rgsw_bodies
 from .luts import LutRegistry
@@ -79,6 +79,24 @@ def brk_bytes(brk: BlindRotateKey) -> int:
     return sum(glwe_rows_bytes(comp)
                for rgsw in list(brk.plus) + list(brk.minus)
                for comp in rgsw.rows)
+
+
+def lwe_ksk_bytes(ksk: LweKeySwitchKey) -> int:
+    """Resident bytes of an LWE key-switch key: ``N * d`` ciphertexts of
+    ``n_t + 1`` coefficients each, wide coefficients priced as in
+    :func:`rns_poly_bytes`."""
+    total = 0
+    for row in ksk.rows:
+        for ct in row:
+            a = np.asarray(ct.a)
+            width = (int(ct.q).bit_length() + 7) // 8 \
+                if a.dtype == object else a.itemsize
+            total += (a.size + 1) * width
+    return total
+
+
+#: Digit width of the LWE key-switch gadget (dimension ``N`` -> ``n_t``).
+LWE_KS_BASE_BITS = 7
 
 
 def stack_brk_bodies(brk: BlindRotateKey, basis: RnsBasis) -> List[np.ndarray]:
@@ -139,6 +157,16 @@ class SwitchingKeySet:
     #: ``__post_init__``.
     luts: Optional[LutRegistry] = field(default=None, repr=False,
                                         compare=False)
+    #: The three extra keys of an n_t key set (``generate(..., n_t=)``),
+    #: ``None`` on a dimension-``N`` set: the LWE key-switch key from the
+    #: CKKS secret's coefficients (dim ``N``) to ``s_t`` (dim ``n_t``)
+    #: mod ``q``; the repack keys under the padded ring key ``s_t(X)``
+    #: for the companion terms; and the one ring key-switch key
+    #: ``s_t(X) -> s`` over ``Qp``.  ``brk`` then encrypts ``s_t``'s
+    #: digits.  ``s_t`` itself is not kept.
+    lwe_ksk: Optional[LweKeySwitchKey] = None
+    auto_keys_st: Optional[AutomorphismKeySet] = None
+    ring_ksk: Optional[GlweKeySwitchKey] = None
 
     def __post_init__(self) -> None:
         if self.luts is None:
@@ -147,6 +175,8 @@ class SwitchingKeySet:
     def resident_bytes(self) -> int:
         """Measured bytes of this key set's polynomial material — the
         blind-rotate RGSW entries plus every automorphism key-switch key
+        and, on an n_t set, the LWE key-switch key, the companion repack
+        keys and the ring key-switch key
         (the quantities §III-C audits by formula; ``bench_keysizes.py``
         checks the formula against the paper, this counts the *actual*
         resident arrays).  The service's LRU key cache charges each user
@@ -157,21 +187,31 @@ class SwitchingKeySet:
         ``ceil(log2 q / 8)`` bytes per slot, since a Python-int pointer
         array has no meaningful ``nbytes``.
         """
-        return brk_bytes(self.brk) + sum(
-            glwe_rows_bytes(ksk.rows) for ksk in self.auto_keys.keys.values())
+        ring_keys = list(self.auto_keys.keys.values())
+        total = brk_bytes(self.brk)
+        if self.lwe_ksk is not None:
+            total += lwe_ksk_bytes(self.lwe_ksk)
+            ring_keys += list(self.auto_keys_st.keys.values())
+            ring_keys.append(self.ring_ksk)
+        return total + sum(glwe_rows_bytes(ksk.rows) for ksk in ring_keys)
 
     def test_vector(self, n: int, q: int) -> RnsPoly:
         """The Algorithm-2 blind-rotate LUT over this key set's raised
-        basis (``g(t) = q*t`` folded with ``N^{-1}``), built once per
-        ``(n, q)`` and reused.  Served by the thread-safe
-        :class:`LutRegistry` (the service's batch threads race here)."""
-        return self.luts.switching_vector(n, q)
+        basis (``g(t) = q*t``), built once per ``(n, q)`` and reused.
+        Folded with ``N^{-1}`` for the repack factor on a dimension-``N``
+        set; un-folded on an n_t set, whose Finish divides the factor
+        out of accumulators and companions together.  Served by the
+        thread-safe :class:`LutRegistry` (the service's batch threads
+        race here)."""
+        return self.luts.switching_vector(n, q,
+                                          fold_n_inv=self.lwe_ksk is None)
 
     @classmethod
     def generate(cls, ctx: CkksContext, sk: SecretKey,
                  sampler: Optional[Sampler] = None,
                  base_bits: int = 6,
-                 error_std: float = 1.0) -> "SwitchingKeySet":
+                 error_std: float = 1.0,
+                 n_t: Optional[int] = None) -> "SwitchingKeySet":
         """Generate switching keys for a CKKS context and secret.
 
         ``base_bits`` sizes the gadget used by both the external products
@@ -179,16 +219,52 @@ class SwitchingKeySet:
         lower noise but more work per external product (the paper's
         ``d = 2`` corresponds to a very coarse digit over its 252-bit
         raised modulus).
+
+        With ``n_t`` the blind rotation runs at dimension ``n_t`` instead
+        of ``N`` (the paper's 500-entry brk): a fresh ternary ``s_t`` is
+        drawn, brk encrypts *its* digits, and the key set gains
+        ``lwe_ksk`` / ``auto_keys_st`` / ``ring_ksk``.  Needs a switching
+        prime ``p = 1 (mod 2N^2)``
+        (:func:`~repro.params.make_keyswitched_toy_params`).
         """
         sampler = sampler or Sampler()
-        raised, gadget, glwe_sk, lwe_view = _keygen_setup(ctx, sk, base_bits)
-        brk = BlindRotateKey.generate(lwe_view, glwe_sk, raised, gadget, sampler,
-                                      error_std=error_std)
+        n = ctx.n
+        raised, gadget, glwe_sk, brk_secret = _keygen_setup(ctx, sk, base_bits)
+        lwe_ksk = auto_keys_st = ring_ksk = None
+        if n_t is not None:
+            if n_t > n:
+                raise ParameterError("n_t cannot exceed the ring dimension")
+            if (raised.moduli[-1] - 1) % (2 * n * n):
+                raise ParameterError(
+                    "an n_t key set needs p = 1 (mod 2N^2); build params "
+                    "with make_keyswitched_toy_params")
+            q = ctx.full_basis.moduli[0]
+            s_t = LweSecretKey.generate(n_t, sampler)
+            lwe_gadget = GadgetVector(
+                q=q, base_bits=LWE_KS_BASE_BITS,
+                digits=max(1, (q.bit_length() - 1) // LWE_KS_BASE_BITS))
+            lwe_ksk = LweKeySwitchKey.generate(brk_secret, s_t, q, lwe_gadget,
+                                               sampler)
+            brk_secret = s_t
+        brk = BlindRotateKey.generate(brk_secret, glwe_sk, raised, gadget,
+                                      sampler, error_std=error_std)
         auto_keys = AutomorphismKeySet.generate(
-            glwe_sk, repack_exponents(ctx.n), raised, gadget, sampler,
+            glwe_sk, repack_exponents(n), raised, gadget, sampler,
             error_std=error_std)
+        if n_t is not None:
+            # The companions ``ct'_i`` decrypt under s_t: they are packed
+            # in the ring under s_t padded to N coefficients, then moved
+            # to s by one ring key switch.
+            st_coeffs = np.zeros(n, dtype=object)
+            st_coeffs[:n_t] = s_t.coeffs
+            auto_keys_st = AutomorphismKeySet.generate(
+                GlweSecretKey(coeffs=[st_coeffs], n=n), repack_exponents(n),
+                raised, gadget, sampler, error_std)
+            ring_ksk = GlweKeySwitchKey.generate(
+                st_coeffs, glwe_sk, raised, gadget, sampler, error_std)
         return cls(brk=brk, auto_keys=auto_keys, raised_basis=raised,
-                   gadget=gadget, glwe_sk_ref=glwe_sk)
+                   gadget=gadget, glwe_sk_ref=glwe_sk, lwe_ksk=lwe_ksk,
+                   auto_keys_st=auto_keys_st, ring_ksk=ring_ksk)
 
     @classmethod
     def generate_seeded(cls, ctx: CkksContext, sk: SecretKey, key_seed: int,

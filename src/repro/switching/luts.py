@@ -217,11 +217,13 @@ class LutRegistry:
         record_lut_cache(hit=True)
         return lut_id
 
-    def switching_vector(self, n: int, q: int) -> RnsPoly:
-        """The Algorithm-2 LUT (``g(t) = q*t`` folded with ``N^{-1}``),
-        built once per ``(n, q)``; both key-set classes' ``test_vector``
-        delegate here."""
-        lut_id = f"{ALGORITHM2}@n{n}:q{q}"
+    def switching_vector(self, n: int, q: int,
+                         fold_n_inv: bool = True) -> RnsPoly:
+        """The Algorithm-2 LUT (``g(t) = q*t``, folded with ``N^{-1}``
+        unless the key set's Finish divides the repack factor out
+        itself), built once per ``(n, q)``; both key-set classes'
+        ``test_vector`` delegate here."""
+        lut_id = f"{ALGORITHM2}@n{n}:q{q}" + ("" if fold_n_inv else ":unfolded")
         poly = self._built.get(lut_id)             # lock-free hit path
         if poly is None:
             with self._lock:
@@ -232,8 +234,8 @@ class LutRegistry:
                     from .pipeline import build_switching_test_vector
 
                     record_lut_cache(hit=False)
-                    poly = build_switching_test_vector(n, q,
-                                                       self.raised_basis)
+                    poly = build_switching_test_vector(
+                        n, q, self.raised_basis, fold_n_inv=fold_n_inv)
                     self._built[lut_id] = poly
                     return poly
         record_lut_cache(hit=True)

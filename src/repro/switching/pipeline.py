@@ -35,6 +35,38 @@ Correctness sketch (per coefficient, all quantities exact integers;
   every NTT prime) and Rescale by ``p``: the message becomes
   ``m * (p-1)/p ~ m`` over the full basis ``Q``.  One level consumed.
 
+Algorithm 2 as printed blind-rotates at dimension ``N``.  The paper's
+key-size story is built on ``n_t = 500``: extracted ciphertexts are
+key-switched down to an ``n_t``-dimension key ``s_t`` before blind
+rotation, so the blind-rotate key has only ``n_t`` entries (the 1.76 GB
+figure).  A key set generated with ``n_t=`` carries that dimension, and
+the same stages run as the ``"keyswitched"`` request kind::
+
+    Extract -> LweKeySwitch -> ModSwitch -> BlindRotateFanout -> Repack x2 -> Finish
+
+1. Extract LWE_i (dim ``N``, mod ``q``, key = CKKS secret coefficients)
+   for every coefficient ``i`` (Eq. 2).
+2. LWE key switch to ``s_t`` (dim ``n_t``, mod ``q``) — the paper's
+   "vector of h*N*d LWE ciphertexts" key.
+3. Steps 1-2 applied to each LWE: ``ct'_i = [2N ct_i]_q`` and
+   ``ct_ms,i = (2N ct_i - ct'_i)/q`` over ``Z_2N``.
+4. BlindRotate every ``ct_ms,i`` with the ``n_t``-entry key (RGSW
+   encryptions of ``s_t`` digits *under the CKKS secret*, LUT not
+   folded with ``N^{-1}``), producing RLWE ciphertexts under ``s``
+   encrypting ``q*(J_i - K'_i)``; repack them.
+5. The companion term ``phi(ct'_i)`` lives under ``s_t``, so it is
+   embedded into ``R_Qp`` under the padded key ``s_t(X)``, packed with
+   that key's automorphism keys, and ring-key-switched ``s_t(X) -> s``
+   once.
+6. Add, multiply by ``(p-1) / (2N * N)`` — exact because the switching
+   prime is chosen with ``p = 1 (mod 2 N^2)``, absorbing the repack's
+   ``N`` factor — and rescale by ``p``.
+
+Per coefficient: ``N*q*(J_i - K'_i) + N*([2N M_i]_q + q K'_i) = N * 2N *
+M_i`` where ``M_i = m_i + e + e_ks`` is the key-switched phase; dividing
+by ``2 N^2`` and rescaling leaves ``m_i`` (plus key-switch noise — the
+price of the smaller key).
+
 The BlindRotates in step 3 are mutually independent — the parallelism the
 whole paper is built on.  :class:`LocalExecutor` runs them as one
 in-process batch; the cluster executor
@@ -66,9 +98,10 @@ from ..math.rns import RnsBasis, RnsPoly
 from ..profiling import record_fanout
 from ..tfhe import repack_with_counters
 from ..tfhe.blind_rotate import blind_rotate_batch, build_test_vector
-from ..tfhe.extract import extraction_vector
+from ..tfhe.extract import RnsLweCiphertext, embed_lwe, extraction_vector
 from ..tfhe.glwe import GlweCiphertext
-from ..tfhe.lwe import LweCiphertext
+from ..tfhe.keyswitch import glwe_keyswitch
+from ..tfhe.lwe import LweCiphertext, LweKeySwitchKey, lwe_keyswitch
 from .functional import pbs_extract
 from .luts import LutRegistry
 
@@ -174,6 +207,44 @@ def extract_lwes(ms: ModSwitched, two_n: int) -> List[LweCiphertext]:
             for i in range(len(ms.c0_ms))]
 
 
+# -- the n_t front-end: Extract -> LweKeySwitch -> per-LWE ModSwitch ---------------
+
+
+def extract_keyswitched(ct: CkksCiphertext, q: int,
+                        lwe_ksk: LweKeySwitchKey) -> List[LweCiphertext]:
+    """The ``N`` mod-``q`` coefficient LWEs of ``ct`` (Eq. 2), each
+    key-switched from dimension ``N`` down to the ``n_t`` of ``lwe_ksk``."""
+    c0 = ct.c0.to_coeff().limbs[0]
+    c1 = ct.c1.to_coeff().limbs[0]
+    return [lwe_keyswitch(LweCiphertext(a=extraction_vector(c1, i, q),
+                                        b=int(c0[i]), q=q), lwe_ksk)
+            for i in range(len(c0))]
+
+
+def mod_switch_lwe(lwe: LweCiphertext, two_n: int, raised_basis: RnsBasis
+                   ) -> Tuple[LweCiphertext, GlweCiphertext]:
+    """Steps 1-2 on one mod-``q`` LWE of dimension ``n_t``: the ``Z_2N``
+    quotient ``ct_ms`` the blind rotation consumes, and the mod-``q``
+    remainder ``ct'`` embedded as an RLWE over the raised basis under the
+    padded ring key ``s_t(X)`` — constant phase coefficient = ``phi(ct')``
+    exactly (values are in ``[0, q)`` and embed exactly into the larger
+    modulus)."""
+    q = lwe.q
+    a = np.asarray(lwe.a, dtype=object)
+    b = int(lwe.b)
+    a_p, b_p = (two_n * a) % q, (two_n * b) % q
+    a_ms = ((two_n * a - a_p) // q) % two_n
+    b_ms = ((two_n * b - b_p) // q) % two_n
+    padded = np.zeros(two_n // 2, dtype=object)
+    padded[: len(a_p)] = a_p
+    companion = embed_lwe(RnsLweCiphertext(
+        a=[np.mod(padded, qi) for qi in raised_basis.moduli],
+        b=[int(b_p) % qi for qi in raised_basis.moduli],
+        basis=raised_basis))
+    return (LweCiphertext(a=a_ms.astype(np.int64), b=int(b_ms), q=two_n),
+            companion)
+
+
 # -- stage 3b: BlindRotateFanout (pluggable) --------------------------------------
 
 
@@ -195,6 +266,12 @@ class Executor(Protocol):
                trace: BootstrapTrace,
                lut: Optional[str] = None) -> List[GlweCiphertext]:
         ...
+
+
+#: Why PBS requests are refused on an n_t key set (``prepare_pbs`` and the
+#: service's submit-time check raise it as a :class:`ParameterError`).
+PBS_OVER_NT = ("programmable bootstrapping over an n_t key set is not "
+               "implemented — use a dimension-N SwitchingKeySet")
 
 
 def key_registry(keys) -> LutRegistry:
@@ -241,12 +318,27 @@ def finish(packed: GlweCiphertext, ms: ModSwitched, raised_basis: RnsBasis,
         mask=[RnsPoly.from_int_coeffs(n, raised_basis, ms.c1_prime)],
         body=RnsPoly.from_int_coeffs(n, raised_basis, ms.c0_prime),
     )
-    ct_dprime = packed + ct_prime
     p = raised_basis.moduli[-1]
     w = (p - 1) // two_n
-    body = (ct_dprime.body * w).rescale_last_limb().to_eval()
-    mask = (ct_dprime.mask[0] * w).rescale_last_limb().to_eval()
     trace.notes.append(f"rescaled by p={p}, w=(p-1)/2N={w}")
+    return _scale_and_rescale(packed + ct_prime, w, scale)
+
+
+def finish_keyswitched(packed: GlweCiphertext, companion: GlweCiphertext,
+                       n: int, scale: float) -> CkksCiphertext:
+    """The n_t path's steps 4-5: add the packed companions (already under
+    ``s``), multiply by ``w = (p-1)/(2N*N)`` — exact for a switching
+    prime ``p = 1 mod 2N^2``, dividing out the ``2N`` of the ModSwitch and
+    the ``N`` of the two repacks — and rescale by ``p``."""
+    p = packed.body.basis.moduli[-1]
+    return _scale_and_rescale(packed + companion, (p - 1) // (2 * n * n),
+                              scale)
+
+
+def _scale_and_rescale(ct: GlweCiphertext, w: int,
+                       scale: float) -> CkksCiphertext:
+    body = (ct.body * w).rescale_last_limb().to_eval()
+    mask = (ct.mask[0] * w).rescale_last_limb().to_eval()
     return CkksCiphertext(c0=body, c1=mask, scale=scale)
 
 
@@ -275,13 +367,17 @@ class PreparedRequest:
     ``kind`` selects the Finish stage: ``"switching"`` is Algorithm 2
     (step-4 addition against ``ms`` then the ``w``-multiply rescale);
     ``"pbs"`` is the programmable path, whose rounding ModSwitch keeps
-    no remainder — ``ms`` is ``None`` and Finish is the bare rescale."""
+    no remainder — ``ms`` is ``None`` and Finish is the bare rescale;
+    ``"keyswitched"`` is Algorithm 2 on an n_t key set, whose remainders
+    are the per-LWE ``companions`` (RLWEs under the padded ``s_t(X)``)
+    that Repack packs and ring-key-switches before the addition."""
 
     ms: Optional[ModSwitched]
     lwes: List[LweCiphertext]
     scale: float
     seconds: float
     kind: str = "switching"
+    companions: Optional[List[GlweCiphertext]] = None
 
 
 class BootstrapPipeline:
@@ -306,6 +402,10 @@ class BootstrapPipeline:
         self.keys = keys
         self.raised_basis = keys.raised_basis
         self.test_vector = keys.test_vector(ctx.n, ctx.full_basis.moduli[0])
+        #: The key set's N -> n_t LWE key-switch key; ``None`` blind-rotates
+        #: at dimension N.  Read with a default: streaming key sets and
+        #: ``.brk``-only key boxes have no n_t fields.
+        self.lwe_ksk = getattr(keys, "lwe_ksk", None)
         self.executor: Executor = executor if executor is not None else \
             LocalExecutor(keys, self.test_vector)
 
@@ -318,6 +418,13 @@ class BootstrapPipeline:
         two_n = 2 * self.ctx.n
         q = ct.basis.moduli[0]
         t0 = time.perf_counter()
+        if self.lwe_ksk is not None:
+            switched = [mod_switch_lwe(lwe, two_n, self.raised_basis)
+                        for lwe in extract_keyswitched(ct, q, self.lwe_ksk)]
+            return PreparedRequest(
+                ms=None, lwes=[lwe for lwe, _ in switched], scale=ct.scale,
+                seconds=time.perf_counter() - t0, kind="keyswitched",
+                companions=[comp for _, comp in switched])
         ms = mod_switch(ct, two_n, q)
         lwes = extract_lwes(ms, two_n)
         return PreparedRequest(ms=ms, lwes=lwes, scale=ct.scale,
@@ -328,6 +435,8 @@ class BootstrapPipeline:
         coefficient-wise LWEs of ``ct`` under the *rounding* modswitch to
         ``Z_2N`` (``(a*2N + q/2) // q``), which keeps no mod-``q``
         remainder — the LUT's Finish has no step-4 addition to make."""
+        if self.lwe_ksk is not None:
+            raise ParameterError(PBS_OVER_NT)
         if ct.level != 0:
             raise ParameterError(
                 f"programmable bootstrap consumes a level-0 ciphertext, "
@@ -354,22 +463,38 @@ class BootstrapPipeline:
         can ride through the same coalesced fan-out."""
         n = self.ctx.n
         t2 = time.perf_counter()
-        packed, repack_ctr = repack_with_counters(list(accs),
-                                                  self.keys.auto_keys)
-        trace.repack_merge_keyswitches += repack_ctr.merge_keyswitches
-        trace.repack_trace_keyswitches += repack_ctr.trace_keyswitches
-        trace.repack_keyswitches += repack_ctr.total_keyswitches
-        t3 = time.perf_counter()
-        if prep.kind == "pbs":
-            out = finish_pbs(packed, prep.scale)
+        packed = self._repack(list(accs), self.keys.auto_keys, trace)
+        if prep.kind == "keyswitched":
+            # The companions sit under the padded s_t(X): pack them with
+            # that key's automorphism keys, then ONE ring key switch to s.
+            packed_st = self._repack(prep.companions, self.keys.auto_keys_st,
+                                     trace)
+            companion = glwe_keyswitch(packed_st.mask[0], packed_st.body,
+                                       self.keys.ring_ksk)
+            trace.repack_keyswitches += 1
+            t3 = time.perf_counter()
+            out = finish_keyswitched(packed, companion, n, prep.scale)
         else:
-            out = finish(packed, prep.ms, self.raised_basis, n, 2 * n,
-                         prep.scale, trace)
+            t3 = time.perf_counter()
+            if prep.kind == "pbs":
+                out = finish_pbs(packed, prep.scale)
+            else:
+                out = finish(packed, prep.ms, self.raised_basis, n, 2 * n,
+                             prep.scale, trace)
         t4 = time.perf_counter()
         step = trace.step_seconds
         step["repack"] = step.get("repack", 0.0) + (t3 - t2)
         step["finish"] = step.get("finish", 0.0) + (t4 - t3)
         return out
+
+    @staticmethod
+    def _repack(cts: List[GlweCiphertext], auto_keys,
+                trace: BootstrapTrace) -> GlweCiphertext:
+        packed, ctr = repack_with_counters(cts, auto_keys)
+        trace.repack_merge_keyswitches += ctr.merge_keyswitches
+        trace.repack_trace_keyswitches += ctr.trace_keyswitches
+        trace.repack_keyswitches += ctr.total_keyswitches
+        return packed
 
     def run(self, ct: CkksCiphertext,
             trace: Optional[BootstrapTrace] = None) -> CkksCiphertext:
@@ -452,8 +577,8 @@ def build_switching_test_vector(n: int, q: int, raised: RnsBasis,
                                 fold_n_inv: bool = True) -> RnsPoly:
     """The Algorithm-2 LUT: ``g(t) = q * t`` on ``[0, N/2)``,
     anti-periodically extended.  With ``fold_n_inv`` it is pre-multiplied
-    by ``N^{-1} mod Qp`` to cancel the repack factor (the n_t pipeline
-    divides the factor out exactly at the end instead).  Built once per
+    by ``N^{-1} mod Qp`` to cancel the repack factor (the n_t kind's
+    Finish divides the factor out exactly instead).  Built once per
     key set (:meth:`~repro.switching.keys.SwitchingKeySet.test_vector`)
     and shared by the local executor and every simulated cluster node."""
     big_qp = raised.product

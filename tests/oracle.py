@@ -1,11 +1,11 @@
 """The bootstrap composed from the scalar oracles only.
 
-``blind_rotate_batch_reference``, ``repack_reference`` and
-``pbs_extract_reference`` are plain functions; these helpers chain them
-through the pipeline's own (engine-free) ModSwitch / Extract / Finish
-stages.  No batched engine runs here, so byte-equality against these
-outputs pins every production executor to the reference arithmetic
-(``tests/test_conformance.py``).
+``blind_rotate_batch_reference``, ``repack_reference``,
+``pbs_extract_reference``, ``lwe_keyswitch`` and ``glwe_keyswitch`` are
+plain functions; these helpers chain them through the pipeline's own
+(engine-free) ModSwitch / Extract / Finish stages.  No batched engine
+runs here, so byte-equality against these outputs pins every production
+executor to the reference arithmetic (``tests/test_conformance.py``).
 """
 
 import numpy as np
@@ -16,10 +16,15 @@ from repro.switching.pipeline import (
     BootstrapTrace,
     extract_lwes,
     finish,
+    finish_keyswitched,
     finish_pbs,
     mod_switch,
+    mod_switch_lwe,
 )
 from repro.tfhe.blind_rotate import blind_rotate_batch_reference
+from repro.tfhe.extract import extraction_vector
+from repro.tfhe.keyswitch import glwe_keyswitch
+from repro.tfhe.lwe import LweCiphertext, lwe_keyswitch
 from repro.tfhe.repack import repack_reference
 
 
@@ -44,6 +49,29 @@ def oracle_pbs(ctx, keys, ct, f):
     tv = build_functional_lut(fn, n, q, ct.scale, keys.raised_basis)
     accs = blind_rotate_batch_reference(tv, lwes, keys.brk)
     return finish_pbs(repack_reference(accs, keys.auto_keys), ct.scale)
+
+
+def oracle_keyswitched(ctx, keys, ct):
+    """Algorithm 2 on an n_t key set: Eq. 2 extract -> scalar LWE key
+    switch -> per-LWE ModSwitch -> scalar BlindRotate (n_t iterations) ->
+    scalar repack of accumulators (under s) and of companions (under the
+    padded s_t(X)) -> ring key switch -> finish_keyswitched."""
+    n, q = ctx.n, ct.basis.moduli[0]
+    c0, c1 = ct.c0.to_coeff().limbs[0], ct.c1.to_coeff().limbs[0]
+    switched = [
+        mod_switch_lwe(
+            lwe_keyswitch(LweCiphertext(a=extraction_vector(c1, i, q),
+                                        b=int(c0[i]), q=q), keys.lwe_ksk),
+            2 * n, keys.raised_basis)
+        for i in range(n)]
+    accs = blind_rotate_batch_reference(keys.test_vector(n, q),
+                                        [lwe for lwe, _ in switched], keys.brk)
+    packed_st = repack_reference([comp for _, comp in switched],
+                                 keys.auto_keys_st)
+    companion = glwe_keyswitch(packed_st.mask[0], packed_st.body,
+                               keys.ring_ksk)
+    return finish_keyswitched(repack_reference(accs, keys.auto_keys),
+                              companion, n, ct.scale)
 
 
 def _assert_polys_equal(polys_a, polys_b):

@@ -15,52 +15,82 @@ import pkgutil
 import numpy as np
 import pytest
 
+import repro.ckks
 import repro.service
 import repro.switching
 from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.math.sampling import Sampler
-from repro.params import make_toy_params
+from repro.params import make_keyswitched_toy_params, make_toy_params
 from repro.profiling import count_ops
 from repro.service import BootstrapService, UserKeys
 from repro.switching import SIGN, BootstrapPipeline, SwitchingKeySet, run_batch
 from repro.switching.cluster_sim import Fault, FaultInjector, SimulatedCluster
 from repro.switching.mp_executor import ProcessPoolFanoutExecutor
-from repro.switching.pipeline import BootstrapTrace
+from repro.switching.pipeline import BootstrapTrace, Executor
 from repro.tfhe.blind_rotate import blind_rotate
 
-from .oracle import assert_ct_equal, assert_glwe_equal, oracle_bootstrap, oracle_pbs
+from .oracle import (
+    assert_ct_equal,
+    assert_glwe_equal,
+    oracle_bootstrap,
+    oracle_keyswitched,
+    oracle_pbs,
+)
 
 PARAMS = make_toy_params(n=16, limbs=3, limb_bits=30, scale_bits=23,
-                         special_limbs=2)
-KINDS = ["alg2", "pbs", "lwe"]
+                         special_limbs=2).ckks
+#: The n_t kinds need the strong switching prime p = 1 (mod 2N^2).
+PARAMS_NT = make_keyswitched_toy_params(n=16, limbs=3, limb_bits=30,
+                                        scale_bits=23, special_limbs=2)
+N_T = 8
+#: ``alg2``/``pbs``/``lwe`` run on a dimension-N key set;
+#: ``keyswitched``/``lwe_nt`` are the Algorithm-2 and raw-LWE requests on
+#: an n_t key set — same entry points, the key set picks the kind.
+KINDS = ["alg2", "pbs", "lwe", "keyswitched", "lwe_nt"]
+RAW_LWE_KINDS = {"lwe", "lwe_nt"}
+
+
+def _keyed(params, seed, **keygen):
+    ctx = CkksContext(params, dnum=2)
+    gen = CkksKeyGenerator(ctx, Sampler(seed))
+    sk = gen.secret_key()
+    ev = CkksEvaluator(ctx, gen.keyset(sk), Sampler(seed + 1))
+    swk = SwitchingKeySet.generate(ctx, sk, Sampler(seed + 2), base_bits=4,
+                                   error_std=0.8, **keygen)
+    return ctx, ev, swk
+
+
+def _five_lwes(ctx, swk, ct):
+    # Five raw LWEs: uneven slices on 2 workers and on 3 nodes.
+    return BootstrapPipeline(ctx, swk).prepare(ct).lwes[:5]
 
 
 @pytest.fixture(scope="module")
 def stack():
-    ctx = CkksContext(PARAMS.ckks, dnum=2)
-    gen = CkksKeyGenerator(ctx, Sampler(1101))
-    sk = gen.secret_key()
-    ev = CkksEvaluator(ctx, gen.keyset(sk), Sampler(1102))
-    swk = SwitchingKeySet.generate(ctx, sk, Sampler(1103), base_bits=4,
-                                   error_std=0.8)
+    """kind -> (ctx, key set, payload)."""
+    ctx, ev, swk = _keyed(PARAMS, 1101)
+    ctx_nt, ev_nt, swk_nt = _keyed(PARAMS_NT, 1201, n_t=N_T)
     rng = np.random.default_rng(5)
     ct = ev.encrypt(rng.uniform(-1, 1, ctx.slots), level=0)
-    inputs = {"alg2": ct,
-              "pbs": ev.encrypt_coeffs(rng.uniform(-0.9, 0.9, ctx.n), level=0),
-              # Five raw LWEs: uneven slices on 2 workers and on 3 nodes.
-              "lwe": BootstrapPipeline(ctx, swk).prepare(ct).lwes[:5]}
-    return ctx, swk, inputs
+    pbs_ct = ev.encrypt_coeffs(rng.uniform(-0.9, 0.9, ctx.n), level=0)
+    ct_nt = ev_nt.encrypt(rng.uniform(-1, 1, ctx_nt.slots), level=0)
+    return {"alg2": (ctx, swk, ct),
+            "pbs": (ctx, swk, pbs_ct),
+            "lwe": (ctx, swk, _five_lwes(ctx, swk, ct)),
+            "keyswitched": (ctx_nt, swk_nt, ct_nt),
+            "lwe_nt": (ctx_nt, swk_nt, _five_lwes(ctx_nt, swk_nt, ct_nt))}
 
 
 @pytest.fixture(scope="module")
 def expected(stack):
-    ctx, swk, inputs = stack
-    tv = swk.test_vector(ctx.n, ctx.full_basis.moduli[0])
     with count_ops() as stats:
-        outputs = {
-            "alg2": oracle_bootstrap(ctx, swk, inputs["alg2"]),
-            "pbs": oracle_pbs(ctx, swk, inputs["pbs"], SIGN),
-            "lwe": [blind_rotate(tv, lwe, swk.brk) for lwe in inputs["lwe"]]}
+        outputs = {"alg2": oracle_bootstrap(*stack["alg2"]),
+                   "pbs": oracle_pbs(*stack["pbs"], SIGN),
+                   "keyswitched": oracle_keyswitched(*stack["keyswitched"])}
+        for kind in RAW_LWE_KINDS:
+            ctx, swk, lwes = stack[kind]
+            tv = swk.test_vector(ctx.n, ctx.full_basis.moduli[0])
+            outputs[kind] = [blind_rotate(tv, lwe, swk.brk) for lwe in lwes]
     # The oracle must be independent of the engines under test: one
     # accumulator per external product, no level-batched repack pass.
     assert set(stats.ep_batch_hist) == {1} and stats.repack_levels == 0
@@ -68,11 +98,11 @@ def expected(stack):
 
 
 def run_on(pipeline, kind, payload, trace):
-    if kind == "alg2":
-        return pipeline.run(payload, trace)
     if kind == "pbs":
         return pipeline.run_pbs(payload, SIGN, trace)
-    return run_batch(pipeline.executor, payload, trace)
+    if kind in RAW_LWE_KINDS:
+        return run_batch(pipeline.executor, payload, trace)
+    return pipeline.run(payload, trace)
 
 
 def local(ctx, swk, kind, payload):
@@ -112,18 +142,18 @@ def coalescing_service(ctx, swk, kind, payload):
     async def main():
         async with BootstrapService(lambda uid: uk, max_batch=2 * ctx.n,
                                     max_delay_s=0.05) as svc:
-            if kind == "alg2":
-                jobs = [svc.submit_ciphertext(u, payload) for u in "ab"]
-            elif kind == "pbs":
+            if kind == "pbs":
                 jobs = [svc.submit_pbs(u, payload, SIGN) for u in "ab"]
-            else:
+            elif kind in RAW_LWE_KINDS:
                 jobs = [svc.submit("a", lwe) for lwe in payload]
+            else:
+                jobs = [svc.submit_ciphertext(u, payload) for u in "ab"]
             results = await asyncio.gather(*jobs)
         assert svc.trace.batches == 1
         return results
 
     results = asyncio.run(main())
-    if kind == "lwe":
+    if kind in RAW_LWE_KINDS:
         return results
     assert_ct_equal(results[0], results[1])
     return results[0]
@@ -134,9 +164,9 @@ def coalescing_service(ctx, swk, kind, payload):
                                       coalescing_service],
                          ids=lambda fn: fn.__name__)
 def test_matches_oracle(stack, expected, executor, kind):
-    ctx, swk, inputs = stack
-    got = executor(ctx, swk, kind, inputs[kind])
-    if kind == "lwe":
+    ctx, swk, payload = stack[kind]
+    got = executor(ctx, swk, kind, payload)
+    if kind in RAW_LWE_KINDS:
         assert len(got) == len(expected[kind])
         for want, acc in zip(expected[kind], got):
             assert_glwe_equal(want, acc)
@@ -147,7 +177,7 @@ def test_matches_oracle(stack, expected, executor, kind):
 def test_no_engine_name_parameters():
     """Which implementation runs is not a parameter: no public callable
     of the bootstrap stack may take an ``*engine`` argument."""
-    names = [info.name for pkg in (repro.switching, repro.service)
+    names = [info.name for pkg in (repro.switching, repro.service, repro.ckks)
              for info in pkgutil.iter_modules(pkg.__path__, pkg.__name__ + ".")]
     names += ["repro.tfhe.blind_rotate", "repro.tfhe.repack",
               "repro.tfhe.repack_engine"]
@@ -163,3 +193,17 @@ def test_no_engine_name_parameters():
                           for param in inspect.signature(fn).parameters
                           if param.endswith("engine")]
     assert not offenders, offenders
+
+
+def test_blind_rotate_dimension_is_not_a_parameter():
+    """The blind-rotate dimension is a property of the key set: nothing
+    between the key set and the executors takes it (or a kind) as an
+    argument, and the second bootstrap it used to select is gone."""
+    assert list(inspect.signature(BootstrapPipeline.__init__).parameters) \
+        == ["self", "ctx", "keys", "executor"]
+    for fn in (BootstrapPipeline.run, BootstrapPipeline.prepare, run_batch,
+               Executor.fanout, BootstrapService.__init__):
+        params = set(inspect.signature(fn).parameters)
+        assert not params & {"n_t", "kind", "dim", "dimension", "lwe_ksk"}, fn
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.switching.keyswitched")

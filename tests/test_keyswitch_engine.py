@@ -1,11 +1,11 @@
 """Batched hybrid-keyswitch engine vs the frozen scalar reference.
 
-Every routed operation must be bit-identical between
-``keyswitch_engine="batched"`` and ``"reference"`` — same limbs, same
-canonical residues — at every level, for every digit-group count, and
-for whole hoisted rotation sets.  Plus: the cached BConv plan against
-the frozen oracle, the approximation-error bound against exact CRT, the
-stacked NTT against the per-limb engines, and the new profiling
+Every routed operation must be bit-identical between the batched engine
+and ``KeySwitcher.switch_reference`` / ``mod_down_reference`` — same
+limbs, same canonical residues — at every level, for every digit-group
+count, and for whole hoisted rotation sets.  Plus: the cached BConv plan
+against the frozen oracle, the approximation-error bound against exact
+CRT, the stacked NTT against the per-limb engines, and the profiling
 counters.
 """
 
@@ -39,6 +39,26 @@ from repro.math.rns import (
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
 from repro.profiling import count_ops
+
+
+class ScalarKeySwitcher(KeySwitcher):
+    """The scalar reference as an evaluator's switcher: assigned to
+    ``ev.switcher`` it pins every routed operation — relinearise,
+    rotate, conjugate, the hoisted loop — to ``switch_reference`` /
+    ``mod_down_reference``."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.engine = None
+
+    switch = KeySwitcher.switch_reference
+    mod_down = KeySwitcher.mod_down_reference
+
+
+def _scalar_evaluator(ctx, keys, **kwargs):
+    ev = CkksEvaluator(ctx, keys, **kwargs)
+    ev.switcher = ScalarKeySwitcher(ctx)
+    return ev
 
 
 def _same_ct(a, b):
@@ -150,26 +170,24 @@ class TestSwitchBitIdentity:
     @pytest.mark.parametrize("dnum", [1, 2, 3, 4])
     def test_relin_switch_all_levels(self, dnum):
         ctx, sk, keys = _setup(dnum=dnum)
-        ref = KeySwitcher(ctx, engine="reference")
-        bat = KeySwitcher(ctx, engine="batched")
-        assert bat.engine is not None
+        sw = KeySwitcher(ctx)
+        assert sw.engine is not None
         for level in range(ctx.max_level + 1):
             basis = ctx.basis_at_level(level)
             d = _rand_poly(level + 10, ctx.n, basis)
-            r0, r1 = ref.switch(d, keys.relin)
-            b0, b1 = bat.switch(d, keys.relin)
+            r0, r1 = sw.switch_reference(d, keys.relin)
+            b0, b1 = sw.switch(d, keys.relin)
             assert r0 == b0 and r1 == b1
 
     def test_mod_down_dispatch_identity(self):
         ctx, sk, keys = _setup()
-        ref = KeySwitcher(ctx, engine="reference")
-        bat = KeySwitcher(ctx, engine="batched")
+        sw = KeySwitcher(ctx)
         from repro.math.rns import concat_bases
         for level in (0, ctx.max_level):
             target = ctx.basis_at_level(level)
             ext = concat_bases(target, ctx.special_basis)
             u = _rand_poly(level + 30, ctx.n, ext)
-            assert bat.mod_down(u, target) == ref.mod_down(u, target)
+            assert sw.mod_down(u, target) == sw.mod_down_reference(u, target)
 
     def test_wide_moduli_fall_back_to_reference(self):
         from repro.params import CkksParams
@@ -180,20 +198,21 @@ class TestSwitchBitIdentity:
         params = CkksParams(n=n, moduli=wide, special_moduli=specials,
                             scale_bits=26)
         ctx = CkksContext(params, dnum=2)
-        sw = KeySwitcher(ctx, engine="batched")
+        sw = KeySwitcher(ctx)
         assert sw.engine is None  # scalar fallback, still correct
 
     def test_unknown_engine_rejected(self):
+        """Which path runs is chosen from the moduli, never named: the
+        constructor takes no engine argument."""
         ctx, _, _ = _setup()
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             KeySwitcher(ctx, engine="nope")
 
 
 class TestEvaluatorBitIdentity:
     def _pair(self, ctx, keys, seed=9):
         ev_b = CkksEvaluator(ctx, keys, sampler=Sampler(seed=seed))
-        ev_r = CkksEvaluator(ctx, keys, sampler=Sampler(seed=seed),
-                             keyswitch_engine="reference")
+        ev_r = _scalar_evaluator(ctx, keys, sampler=Sampler(seed=seed))
         return ev_b, ev_r
 
     def test_rotate_conjugate_mul(self):
@@ -252,8 +271,7 @@ class TestBsgsAndBootstrap:
         sk = gen.secret_key()
         keys = gen.keyset(sk, rotations=required_rotations(ctx.slots))
         ev_b = CkksEvaluator(ctx, keys, sampler=Sampler(seed=7))
-        ev_r = CkksEvaluator(ctx, keys, sampler=Sampler(seed=7),
-                             keyswitch_engine="reference")
+        ev_r = _scalar_evaluator(ctx, keys, sampler=Sampler(seed=7))
         rng = np.random.default_rng(n)
         m = rng.normal(size=(ctx.slots, ctx.slots)) / ctx.slots
         vals = np.linspace(-1, 1, ctx.slots)
@@ -273,8 +291,7 @@ class TestBsgsAndBootstrap:
         keys = gen.keyset(sk, rotations=rots, conjugate=True)
         cfg = ConventionalBootstrapConfig()
         ev_b = CkksEvaluator(ctx, keys, scale_rtol=5e-2)
-        ev_r = CkksEvaluator(ctx, keys, scale_rtol=5e-2,
-                             keyswitch_engine="reference")
+        ev_r = _scalar_evaluator(ctx, keys, scale_rtol=5e-2)
         boot_b = ConventionalBootstrapper(ctx, keys, cfg, evaluator=ev_b)
         boot_r = ConventionalBootstrapper(ctx, keys, cfg, evaluator=ev_r)
         vals = np.linspace(-0.4, 0.4, ctx.slots)
@@ -314,9 +331,9 @@ class TestProfilingCounters:
 
     def test_restricted_key_cached(self):
         ctx, sk, keys = _setup()
-        sw = KeySwitcher(ctx, engine="reference")
+        sw = KeySwitcher(ctx)
         basis = ctx.basis_at_level(1)
         d = _rand_poly(1, ctx.n, basis)
-        sw.switch(d, keys.relin)
-        sw.switch(d, keys.relin)
+        sw.switch_reference(d, keys.relin)
+        sw.switch_reference(d, keys.relin)
         assert len(keys.relin._restricted) == 1

@@ -299,6 +299,36 @@ class TestCiphertextRequests:
         # Both rode one coalesced batch of 2N blind rotates.
         assert trace.batch_fill == {2 * ctx.n: 1}
 
+    def test_wrong_level_request_fails_alone(self, ckks_stack):
+        """A request the pipeline cannot serve is refused at submit —
+        before it is queued or pinned — so it cannot fail the requests
+        it would have been batched with."""
+        ctx, _, ev, swk = ckks_stack
+        z = np.random.default_rng(13).uniform(-1, 1, ctx.slots)
+        good, bad = ev.encrypt(z, level=0), ev.encrypt(z)
+        reference = BootstrapPipeline(ctx, swk).run(good)
+        uk = UserKeys.from_switching(ctx, swk)
+
+        async def main():
+            svc = BootstrapService(lambda uid: uk, max_batch=2 * ctx.n,
+                                   max_delay_s=0.05)
+            async with svc:
+                results = await asyncio.gather(
+                    svc.submit_ciphertext("alice", good),
+                    svc.submit_ciphertext("bob", bad),
+                    svc.submit_pbs("carol", bad, SIGN),
+                    return_exceptions=True)
+                pins = svc.cache.get("alice").pins
+            return results, pins, svc.trace
+
+        (out, *refused), pins, trace = asyncio.run(main())
+        assert_ct_equal(reference, out)
+        for exc in refused:
+            assert isinstance(exc, ParameterError) and "level-0" in str(exc)
+        assert pins == 0
+        assert trace.requests_failed == 0
+        assert (trace.requests_accepted, trace.requests_completed) == (1, 1)
+
     def test_ciphertext_requires_ctx(self, lwe_stack):
         _, _, _, brk, tv = lwe_stack
         uk = UserKeys(_KeyBox(brk), tv)  # no ctx

@@ -1,4 +1,7 @@
-"""Tests for the n_t-dimension (LWE-keyswitched) bootstrap pipeline."""
+"""The n_t-dimension (LWE-keyswitched) bootstrap: a ``SwitchingKeySet``
+generated with ``n_t=`` run through the one ``BootstrapPipeline``."""
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -6,13 +9,11 @@ import pytest
 from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.errors import ParameterError
 from repro.math.sampling import Sampler
-from repro.params import make_toy_params
-from repro.switching import BootstrapTrace
-from repro.switching.keyswitched import (
-    KeySwitchedBootstrapper,
-    KeySwitchedKeySet,
-    make_keyswitched_toy_params,
-)
+from repro.params import make_keyswitched_toy_params, make_toy_params
+from repro.service import BootstrapService, UserKeys
+from repro.switching import (SIGN, BootstrapPipeline, BootstrapTrace,
+                             SwitchingKeySet)
+from repro.switching.keys import brk_bytes, glwe_rows_bytes, lwe_ksk_bytes
 
 N = 16
 N_T = 8
@@ -27,9 +28,9 @@ def stack():
     sk = gen.secret_key()
     keys = gen.keyset(sk)
     ev = CkksEvaluator(ctx, keys, Sampler(202))
-    kwk = KeySwitchedKeySet.generate(ctx, sk, n_t=N_T, sampler=Sampler(203),
-                                     base_bits=4, error_std=0.6)
-    boot = KeySwitchedBootstrapper(ctx, kwk)
+    kwk = SwitchingKeySet.generate(ctx, sk, Sampler(203), base_bits=4,
+                                   error_std=0.6, n_t=N_T)
+    boot = BootstrapPipeline(ctx, kwk)
     return ctx, sk, ev, boot
 
 
@@ -52,7 +53,7 @@ class TestKeySet:
     def test_nt_cannot_exceed_ring(self, stack):
         ctx, sk, ev, boot = stack
         with pytest.raises(ParameterError):
-            KeySwitchedKeySet.generate(ctx, sk, n_t=ctx.n + 1)
+            SwitchingKeySet.generate(ctx, sk, n_t=ctx.n + 1)
 
     def test_requires_strong_prime(self):
         weak = make_toy_params(n=N, limbs=3, limb_bits=30, scale_bits=23,
@@ -62,24 +63,73 @@ class TestKeySet:
         if (ctx.special_basis.moduli[0] - 1) % (2 * N * N) == 0:
             pytest.skip("weak params happen to satisfy the congruence")
         with pytest.raises(ParameterError):
-            KeySwitchedKeySet.generate(ctx, sk, n_t=N_T)
+            SwitchingKeySet.generate(ctx, sk, n_t=N_T)
 
     def test_key_size_advantage(self, stack):
         """brk shrinks by ~N/n_t vs the direct pipeline (the paper's
         500-entry key vs a dimension-N key)."""
         ctx, sk, ev, boot = stack
-        from repro.switching import SwitchingKeySet
         direct = SwitchingKeySet.generate(ctx, sk, Sampler(9), base_bits=4)
         assert boot.keys.brk.size_bytes() * (N // N_T) == pytest.approx(
             direct.brk.size_bytes(), rel=0.01)
 
 
+    def test_resident_bytes_count_the_nt_keys(self, stack):
+        """The service's LRU charges the LWE key-switch key, the companion
+        repack keys and the ring key-switch key, not just brk + repack."""
+        ctx, sk, ev, boot = stack
+        keys = boot.keys
+        ring_keys = (list(keys.auto_keys.keys.values())
+                     + list(keys.auto_keys_st.keys.values()) + [keys.ring_ksk])
+        assert keys.resident_bytes() == (
+            brk_bytes(keys.brk) + lwe_ksk_bytes(keys.lwe_ksk)
+            + sum(glwe_rows_bytes(k.rows) for k in ring_keys))
+        # N * d ciphertexts of n_t + 1 machine words each.
+        assert lwe_ksk_bytes(keys.lwe_ksk) == (
+            keys.lwe_ksk.num_ciphertexts() * (N_T + 1) * 8)
+
+    def test_keeps_no_secret_but_the_debug_reference(self, stack):
+        """s_t and its padded ring form are dropped after generation."""
+        ctx, sk, ev, boot = stack
+        secrets = [name for name, v in vars(boot.keys).items()
+                   if type(v).__name__.endswith("SecretKey")]
+        assert secrets == ["glwe_sk_ref"]
+        assert "coeffs=[" not in repr(boot.keys)
+
+    def test_eager_nt_set_does_not_compress(self, stack):
+        ctx, sk, ev, boot = stack
+        with pytest.raises(ParameterError, match="only seeded key sets"):
+            boot.keys.compress()
+
+
 class TestBootstrap:
+    def test_pbs_is_refused(self, stack):
+        """PBS over an n_t key set is not implemented: typed refusal from
+        the pipeline and, before queueing, from the service."""
+        ctx, sk, ev, boot = stack
+        ct = ev.encrypt_coeffs([0.5], level=0)
+        with pytest.raises(ParameterError, match="n_t key set"):
+            boot.prepare_pbs(ct)
+        with pytest.raises(ParameterError, match="n_t key set"):
+            boot.run_pbs(ct, SIGN)
+        uk = UserKeys.from_switching(ctx, boot.keys)
+
+        async def main():
+            svc = BootstrapService(lambda uid: uk)
+            async with svc:
+                with pytest.raises(ParameterError, match="n_t key set"):
+                    await svc.submit_pbs("u", ct, SIGN)
+                assert svc.cache.get("u").pins == 0
+            return svc.trace
+
+        trace = asyncio.run(main())
+        assert trace.requests_accepted == trace.requests_failed == 0
+
     def test_refreshes_and_decrypts(self, stack):
         ctx, sk, ev, boot = stack
         z = np.random.default_rng(0).uniform(-1, 1, ctx.slots)
         ct = ev.encrypt(z, level=0)
-        out = boot.bootstrap(ct)
+        out = boot.run(ct)
         assert out.level == ctx.max_level
         got = ev.decrypt(out, sk)
         # The extra LWE key switch adds noise; keep a looser bound than
@@ -89,7 +139,7 @@ class TestBootstrap:
     def test_trace(self, stack):
         ctx, sk, ev, boot = stack
         trace = BootstrapTrace()
-        boot.bootstrap(ev.encrypt(0.2, level=0), trace)
+        boot.run(ev.encrypt(0.2, level=0), trace)
         assert trace.num_lwe == ctx.n
         assert trace.num_blind_rotates == ctx.n
         # Two full packs (kq + companion) at n - 1 keyswitches each, plus
@@ -103,21 +153,20 @@ class TestBootstrap:
         the LWE dimension of the switched ciphertexts."""
         ctx, sk, ev, boot = stack
         ct = ev.encrypt(0.1, level=0)
-        big = boot._extract_all(ct, ct.basis.moduli[0])
-        assert all(lwe.dim == ctx.n for lwe in big)
-        from repro.tfhe.lwe import lwe_keyswitch
-        small = lwe_keyswitch(big[0], boot.keys.lwe_ksk)
-        assert small.dim == N_T
+        assert len(boot.keys.lwe_ksk.rows) == ctx.n
+        small = boot.prepare(ct).lwes
+        assert len(small) == ctx.n
+        assert all(lwe.dim == N_T for lwe in small)
 
     def test_rejects_non_level0(self, stack):
         ctx, sk, ev, boot = stack
         with pytest.raises(ParameterError):
-            boot.bootstrap(ev.encrypt(0.1))
+            boot.run(ev.encrypt(0.1))
 
     def test_multiplication_after_refresh(self, stack):
         ctx, sk, ev, boot = stack
         z = np.random.default_rng(1).uniform(0.3, 0.8, ctx.slots)
-        out = boot.bootstrap(ev.encrypt(z, level=0))
+        out = boot.run(ev.encrypt(z, level=0))
         prod = ev.mul_relin_rescale(
             out, ev.encrypt(z, level=out.level, scale=out.scale))
         got = ev.decrypt(prod, sk).real
