@@ -1,24 +1,25 @@
-"""ARK-style seeded key streaming: resident set vs throughput (ISSUE 9).
+"""ARK-style seed+b key streaming: resident set vs throughput.
 
 Three measurements, one json (``BENCH_key_streaming.json``):
 
-1. **At-rest compression** — a seeded switching key set stores only the
+1. **At-rest compression** — a switching key set at rest stores only the
    ``b``-halves plus per-key seeds; the uniform ``a``-halves replay from
    the PRNG at expansion time.  At ``h = 1`` that is half the bytes
    (gate: >= 1.9x measured on real toy-parameter keys).
 
 2. **Pool publish** — the process-pool executor ships seeds + bodies
    through shared memory and each worker expands locally, so
-   ``shared_key_bytes`` drops by the same ~2x while workers trade
-   expansion compute for bandwidth (the ARK tradeoff; the expansion
-   cost is timed and reported, not hidden).
+   ``shared_key_bytes`` is ~half the lifted tensors an in-process
+   engine holds, while workers trade expansion compute for bandwidth
+   (the ARK tradeoff; the expansion cost is timed and reported, not
+   hidden).
 
 3. **Resident-set-vs-throughput curve** — a multi-tenant LWE bootstrap
    workload through :class:`~repro.service.BootstrapService` swept over
-   ``key_cache_bytes`` capacities.  Streaming keys give the LRU cache a
-   second eviction tier: a cold tenant first *demotes* (expanded
-   tensors freed, seed+``b`` and executor kept) and only under further
-   pressure fully evicts.  The curve records throughput alongside
+   ``key_cache_bytes`` capacities.  The key set's storage states give
+   the LRU cache a second eviction tier: a cold tenant first *demotes*
+   (expanded tensors freed, seed+``b`` and executor kept) and only
+   under further pressure fully evicts.  The curve records throughput alongside
    hits/misses/evictions/demotions/expansions at each capacity — the
    paper-level story that the key working set, not compute, is the
    binding resource for multi-tenant serving.
@@ -46,8 +47,9 @@ from repro.ckks import CkksContext, CkksKeyGenerator
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
 from repro.service import BootstrapService, ServiceTrace, UserKeys
-from repro.switching.keys import StreamingSwitchingKeys, SwitchingKeySet
+from repro.switching.keys import SwitchingKeySet
 from repro.switching.mp_executor import ProcessPoolFanoutExecutor
+from repro.tfhe.batch_engine import BatchBlindRotateEngine
 from repro.tfhe.lwe import LweSecretKey, lwe_encrypt
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -68,10 +70,10 @@ def _make_stack():
 
 def _at_rest_section(ctx, sk):
     """Measured seed+b compression on real keys (not the formula)."""
-    seeded = SwitchingKeySet.generate_seeded(ctx, sk, key_seed=SEED,
-                                             base_bits=4, error_std=0.8)
-    material = seeded.compress()
-    expanded_bytes = seeded.resident_bytes()
+    swk = SwitchingKeySet.generate(ctx, sk, base_bits=4, error_std=0.8,
+                                   key_seed=SEED)
+    material = swk.compress()
+    expanded_bytes = swk.resident_bytes()
     at_rest_bytes = material.resident_bytes()
     ratio = expanded_bytes / at_rest_bytes
     assert ratio >= 1.9, (
@@ -79,7 +81,7 @@ def _at_rest_section(ctx, sk):
 
     # Runtime expansion cost: the compute side of the ARK tradeoff.
     def expand():
-        stream = StreamingSwitchingKeys(material)
+        stream = SwitchingKeySet.from_material(material)
         _ = stream.brk
         for t in stream.auto_keys.keys:
             _ = stream.auto_keys.keys[t]
@@ -87,7 +89,7 @@ def _at_rest_section(ctx, sk):
 
     expand()  # warmup (NTT/monomial caches)
     (expand_s,) = time_interleaved(expand)
-    return seeded, material, {
+    return swk, {
         "expanded_bytes": expanded_bytes,
         "at_rest_bytes": at_rest_bytes,
         "compression_ratio": round(ratio, 3),
@@ -95,39 +97,35 @@ def _at_rest_section(ctx, sk):
     }
 
 
-def _pool_section(ctx, sk, seeded):
-    """shared_key_bytes: eager lifted publish vs seeds + bodies."""
-    eager = SwitchingKeySet.generate(ctx, sk, Sampler(503), base_bits=4,
-                                     error_std=0.8)
-    with ProcessPoolFanoutExecutor.for_keys(ctx, eager,
-                                            num_workers=1) as pool:
-        eager_bytes = pool.shared_key_bytes
+def _pool_bytes(ctx, swk):
+    """shared_key_bytes (seeds + bodies) vs the lifted tensors an
+    in-process engine holds for the same key."""
+    lifted_bytes = sum(
+        t.nbytes for t in
+        BatchBlindRotateEngine(swk.brk, ctx.n, swk.raised_basis).key_pm)
     t0 = time.perf_counter()
-    with ProcessPoolFanoutExecutor.for_keys(ctx, seeded,
-                                            num_workers=1) as pool:
-        seeded_bytes = pool.shared_key_bytes
-        seeded_spinup = time.perf_counter() - t0
-    ratio = eager_bytes / seeded_bytes
-    assert seeded_bytes < eager_bytes, (
-        "seeded publish did not reduce shared key bytes")
+    with ProcessPoolFanoutExecutor.for_keys(ctx, swk, num_workers=1) as pool:
+        shared_bytes = pool.shared_key_bytes
+        spinup = time.perf_counter() - t0
+    assert shared_bytes < lifted_bytes, (
+        "seeds + bodies are not smaller than the lifted key tensors")
     return {
-        "eager_shared_key_bytes": eager_bytes,
-        "seeded_shared_key_bytes": seeded_bytes,
-        "shared_bytes_ratio": round(ratio, 3),
-        "seeded_pool_spinup_s": round(seeded_spinup, 6),
+        "lifted_key_bytes": lifted_bytes,
+        "shared_key_bytes": shared_bytes,
+        "shared_bytes_ratio": round(lifted_bytes / shared_bytes, 3),
+        "pool_spinup_s": round(spinup, 6),
     }
 
 
 def _make_tenants(ctx):
-    """Per-tenant streaming keys (distinct seeds and secrets) plus the
+    """Per-tenant key material (distinct seeds and secrets) plus the
     LWE secrets the submitted ciphertexts encrypt under."""
     tenants = {}
     for t in range(TENANTS):
         gen = CkksKeyGenerator(ctx, Sampler(7000 + t))
         sk = gen.secret_key()
-        swk = SwitchingKeySet.generate_seeded(ctx, sk, key_seed=SEED + t,
-                                              base_bits=4, error_std=0.8)
-        material = swk.compress()
+        material = SwitchingKeySet.generate(
+            ctx, sk, base_bits=4, error_std=0.8, key_seed=SEED + t).compress()
         lwe_sk = LweSecretKey(coeffs=np.asarray(sk.coeffs, dtype=object))
         tenants[f"tenant-{t}"] = (material, lwe_sk)
     return tenants
@@ -139,10 +137,10 @@ def _curve_point(ctx, tenants, capacity, requests):
     streams = {}
 
     def provider(uid):
-        # Fresh StreamingSwitchingKeys per admission: an evicted tenant
-        # pays re-admission from material, a demoted one only re-expands.
+        # A fresh key set per admission: an evicted tenant pays
+        # re-admission from material, a demoted one only re-expands.
         material, _ = tenants[uid]
-        stream = StreamingSwitchingKeys(material)
+        stream = SwitchingKeySet.from_material(material)
         streams.setdefault(uid, []).append(stream)
         return UserKeys.from_switching(ctx, stream)
 
@@ -184,8 +182,8 @@ def _curve_point(ctx, tenants, capacity, requests):
 
 def _run(requests_per_point):
     ctx, sk = _make_stack()
-    seeded, material, at_rest = _at_rest_section(ctx, sk)
-    pool = _pool_section(ctx, sk, seeded)
+    swk, at_rest = _at_rest_section(ctx, sk)
+    pool = _pool_bytes(ctx, swk)
 
     tenants = _make_tenants(ctx)
     # Anchor capacities to a measured fully-expanded entry footprint
@@ -204,14 +202,14 @@ def _run(requests_per_point):
                      extra={"n": ctx.n, "tenants": TENANTS,
                             "at_rest": at_rest, "pool_publish": pool})
 
-    lines = ["Seeded key streaming: resident set vs throughput "
+    lines = ["Seed+b key streaming: resident set vs throughput "
              f"(n={ctx.n}, {TENANTS} tenants, zipf access)",
              f"at rest:   {at_rest['expanded_bytes']:>9} B expanded -> "
              f"{at_rest['at_rest_bytes']:>9} B seed+b "
              f"({at_rest['compression_ratio']:.2f}x), full expansion "
              f"{at_rest['full_expansion_seconds'] * 1e3:.1f} ms",
-             f"pool:      {pool['eager_shared_key_bytes']:>9} B shared -> "
-             f"{pool['seeded_shared_key_bytes']:>9} B "
+             f"pool:      {pool['lifted_key_bytes']:>9} B lifted -> "
+             f"{pool['shared_key_bytes']:>9} B shared "
              f"({pool['shared_bytes_ratio']:.2f}x)",
              f"{'capacity':>12} {'rps':>8} {'hit':>5} {'miss':>5} "
              f"{'evict':>6} {'demote':>7} {'expand':>7} {'peak MB':>8}"]

@@ -6,9 +6,9 @@ harness (so every run also lands in ``benchmarks/out/trajectory.jsonl``)
 with three sections:
 
 * the paper's size audit (model formula vs paper number, rel 12% gate);
-* seeded at-rest sizes — the formula at paper parameters *and* a
+* seed+b at-rest sizes — the formula at paper parameters *and* a
   measured compression ratio from real toy-parameter keys
-  (``SwitchingKeySet.generate_seeded().compress()``), gated >= 1.9x;
+  (``SwitchingKeySet.generate().compress()``), gated >= 1.9x;
 * key-streaming lower bounds at 460 GB/s HBM for the conventional,
   scheme-switching, and seeded-at-rest key volumes.
 
@@ -48,16 +48,16 @@ HBM_BPS = 460e9
 
 def _measured_toy_ratio():
     """Compression measured on real keys, not the formula: generate a
-    seeded toy-parameter switching key set and compare its expanded
-    resident bytes against the compressed seed+``b`` material."""
+    toy-parameter switching key set and compare its expanded resident
+    bytes against the compressed seed+``b`` material."""
     from repro.switching.keys import SwitchingKeySet
 
     params = make_toy_params(n=16, limbs=3, limb_bits=30, scale_bits=23,
                              special_limbs=2)
     ctx = CkksContext(params.ckks, dnum=2)
     sk = CkksKeyGenerator(ctx, Sampler(501)).secret_key()
-    swk = SwitchingKeySet.generate_seeded(ctx, sk, key_seed=99, base_bits=4,
-                                          error_std=0.8)
+    swk = SwitchingKeySet.generate(ctx, sk, base_bits=4, error_std=0.8,
+                                   key_seed=99)
     material = swk.compress()
     return swk.resident_bytes(), material.resident_bytes()
 

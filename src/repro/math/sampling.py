@@ -92,6 +92,11 @@ class Sampler:
     def uniform_scalar(self, q: int) -> int:
         return int(self.uniform(1, q)[0])
 
+    def draw_seed(self) -> int:
+        """A fresh 63-bit seed from this stream: the key generators'
+        ``key_seed`` when the caller gives none."""
+        return int(self.rng.integers(0, 2**63))
+
     def spawn(self) -> "Sampler":
         """Independent child sampler (stable fan-out for parallel key gen)."""
-        return Sampler(int(self.rng.integers(0, 2**63)), self.error_std)
+        return Sampler(self.draw_seed(), self.error_std)

@@ -25,17 +25,18 @@ application serving many end users under one evaluation-key context.
 Shared keys alias one cache entry (bytes counted once, one executor),
 which is what lets the coalescer batch those users' requests together.
 
-Streaming keys add a second, cheaper eviction tier: when the resident
-keys support ``drop_expanded()`` (see :class:`~repro.switching.keys.
-StreamingSwitchingKeys`), an over-capacity cache first *demotes* cold
-unpinned entries — freeing the expanded eval-domain tensors while the
-seed+``b`` material (and the entry's executor) stays resident — and
-only falls back to full eviction if demotion alone cannot fit.  A
-demoted user's next request pays re-expansion, not a provider reload
-and executor rebuild.
+A key set's storage states add a second, cheaper eviction tier: when
+the resident keys support ``drop_expanded()`` (every
+:class:`~repro.switching.keys.SwitchingKeySet` does; a ``.brk``-only
+key box does not), an over-capacity cache first *demotes* cold
+unpinned entries — freeing the expanded ciphertexts and their lifted
+eval-domain tensors while the seed+``b`` material (and the entry's
+executor) stays resident — and only falls back to full eviction if
+demotion alone cannot fit.  A demoted user's next request pays
+re-expansion, not a provider reload and executor rebuild.
 
-Because a streaming entry's footprint changes as it expands and
-demotes, entries carry an optional ``nbytes_fn`` re-measured on every
+Because a key set's footprint changes as it expands and demotes,
+entries carry an optional ``nbytes_fn`` re-measured on every
 cache hit; the cache maintains a running byte total (updated on
 insert/refresh/evict) instead of re-walking every entry per eviction
 iteration, which made eviction quadratic in resident users.
@@ -77,6 +78,13 @@ class UserKeys:
         test_vector = keys.test_vector(ctx.n, ctx.full_basis.moduli[0])
         return cls(keys, test_vector, ctx=ctx)
 
+    @property
+    def n_t(self) -> int:
+        """Blind-rotate dimension of these keys — read off the key set
+        without expanding it (``brk.n_t`` on a ``.brk``-only box)."""
+        n_t = getattr(self.keys, "n_t", None)
+        return self.keys.brk.n_t if n_t is None else n_t
+
     def resident_bytes(self) -> int:
         """Measured bytes of this user's resident key material (the
         quantity the cache charges against its capacity)."""
@@ -102,8 +110,8 @@ class KeyCacheEntry:
         self.executor = executor
         self.pipeline = pipeline
         self.nbytes = nbytes
-        #: Re-measures the entry's footprint (streaming keys grow on
-        #: expansion and shrink on demotion); ``None`` = static size.
+        #: Re-measures the entry's footprint (key sets grow on expansion
+        #: and shrink on demotion); ``None`` = static size.
         self.nbytes_fn = nbytes_fn
         #: Every user id this entry serves (shared-key aliasing).
         self.users: Set[Any] = set()
@@ -149,7 +157,7 @@ class KeyCacheEntry:
 
     def demote(self) -> int:
         """Drop the keys back to seed+``b`` residency if they support
-        it; returns bytes freed (0 for eager keys)."""
+        it; returns bytes freed (0 for a ``.brk``-only key box)."""
         drop = getattr(self.user_keys.keys, "drop_expanded", None)
         if not callable(drop):
             return 0
@@ -213,7 +221,7 @@ class LruKeyCache:
 
     def _refresh(self, entry: KeyCacheEntry) -> None:
         """Re-measure one entry and fold the delta into the running
-        total (streaming keys change size between touches)."""
+        total (key sets change size between touches)."""
         before = entry.nbytes
         self._resident += entry.measure() - before
         self.peak_resident_bytes = max(self.peak_resident_bytes,
@@ -258,7 +266,7 @@ class LruKeyCache:
     def _evict_to_fit(self, keep: int) -> None:
         if self.capacity_bytes is None:
             return
-        # Tier 1: demote cold streaming entries back to seed+b residency
+        # Tier 1: demote cold entries back to seed+b residency
         # — the expanded tensors go, the entry (and executor) stays.
         if self._resident > self.capacity_bytes:
             for ref in list(self._entries):

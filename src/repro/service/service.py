@@ -100,7 +100,7 @@ class ServiceTrace:
     key_cache_hits: int = 0
     key_cache_misses: int = 0
     key_cache_evictions: int = 0
-    #: Streaming entries dropped back to seed+b residency (tier-1
+    #: Entries dropped back to seed+b residency (tier-1
     #: eviction: expanded tensors freed, entry and executor kept).
     key_cache_demotions: int = 0
     peak_resident_key_bytes: int = 0
@@ -308,7 +308,7 @@ class BootstrapService:
                     f"got level {payload.level}")
             weight = entry.pipeline.ctx.n
             if kind == "pbs":
-                if entry.pipeline.lwe_ksk is not None:
+                if entry.pipeline.keyswitched:
                     raise ParameterError(PBS_OVER_NT)
                 # Resolve to a named spec now (cheap — no LUT build);
                 # the N-point NTT build happens once, in the batch's
@@ -317,6 +317,14 @@ class BootstrapService:
                 group = (lut.name, float(payload.scale))
                 self.trace.pbs_requests += 1
         else:
+            # Likewise what ``rotate_batch`` would refuse inside the batch.
+            uk = entry.user_keys
+            two_n = 2 * uk.test_vector.n
+            if payload.dim != uk.n_t or payload.q != two_n:
+                raise ParameterError(
+                    f"user {user_id!r} blind-rotates LWE ciphertexts of "
+                    f"dimension {uk.n_t} mod {two_n}, got dimension "
+                    f"{payload.dim} mod {payload.q}")
             weight = 1
         future: "asyncio.Future[Any]" = \
             asyncio.get_running_loop().create_future()

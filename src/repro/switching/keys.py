@@ -1,6 +1,7 @@
 """Key material for the scheme-switching bootstrap.
 
-One :class:`SwitchingKeySet` holds everything Algorithm 2 needs:
+One :class:`SwitchingKeySet` — the only key-set type — holds everything
+Algorithm 2 needs:
 
 * **blind-rotate keys** ``brk = {RGSW(s_i^+), RGSW(s_i^-)}`` — RGSW
   encryptions (over the raised basis ``Q * p``) of the indicator digits of
@@ -9,6 +10,16 @@ One :class:`SwitchingKeySet` holds everything Algorithm 2 needs:
   be added directly to the raised ciphertext in step 4 of Algorithm 2.
 * **repacking keys** — automorphism key-switch keys for the ``log2 N``
   exponents used by the LWE-to-RLWE repack.
+
+There is one generator, :meth:`SwitchingKeySet.generate`, and it is
+seeded: every uniform mask streams from a child of one ``key_seed``, so
+seed + ``b`` *is* the representation (ARK: runtime key generation as the
+default, not an option).  Each component then lives in up to three
+storage states — seed+``b`` material, expanded ciphertexts, lifted
+engine tensors in :mod:`repro.keyreg` — and
+:meth:`~SwitchingKeySet.compress` / :meth:`~SwitchingKeySet.
+from_material` / :meth:`~SwitchingKeySet.drop_expanded` move between
+them bit-identically.
 
 Size audit helpers implement the paper's Section III-C accounting and are
 exercised by the key-size benchmark (0.44 MB ciphertext, ~3.52 MB per
@@ -30,8 +41,8 @@ key set.  :class:`KeySizeAudit` sizes the paper-scale keys.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -39,15 +50,16 @@ from ..ckks.context import CkksContext
 from ..ckks.keys import SecretKey
 from ..errors import ParameterError
 from ..io import SeededKeyMaterial
+from ..keyreg import get_key_registry
 from ..math.gadget import GadgetVector
 from ..math.rns import RnsBasis, RnsPoly, concat_bases
-from ..math.sampling import Sampler, mask_stream
+from ..math.sampling import Sampler, derive_seed, mask_stream
 from ..params import TfheParams
 from ..tfhe.blind_rotate import BlindRotateKey
 from ..tfhe.glwe import GlweCiphertext, GlweSecretKey
 from ..tfhe.keyswitch import (AutomorphismKeySet, GlweKeySwitchKey,
                               expand_glwe_keyswitch_key)
-from ..tfhe.lwe import LweKeySwitchKey, LweSecretKey
+from ..tfhe.lwe import LweKeySwitchKey, LweSecretKey, expand_lwe_keyswitch_key
 from ..tfhe.repack import repack_exponents
 from ..tfhe.rgsw import expand_rgsw, rgsw_bodies
 from .luts import LutRegistry
@@ -100,8 +112,8 @@ LWE_KS_BASE_BITS = 7
 
 
 def stack_brk_bodies(brk: BlindRotateKey, basis: RnsBasis) -> List[np.ndarray]:
-    """The seed+``b`` form's stored half of a seeded blind-rotate key:
-    one fixed-width evaluation-domain array per limb, shape
+    """The seed+``b`` form's stored half of a blind-rotate key: one
+    fixed-width evaluation-domain array per limb, shape
     ``(n_t, 2, (h+1)d, N)`` (axis 1 = brk+ / brk−, row ``r = c*d + k``)."""
     n = brk.plus[0].n
     rows = (brk.h + 1) * brk.gadget.digits
@@ -120,80 +132,181 @@ def stack_brk_bodies(brk: BlindRotateKey, basis: RnsBasis) -> List[np.ndarray]:
     return bodies
 
 
-def _keygen_setup(ctx: CkksContext, sk: SecretKey, base_bits: int
-                  ) -> Tuple[RnsBasis, GadgetVector, GlweSecretKey,
-                             LweSecretKey]:
-    """What eager and seeded generation share: the raised basis
-    ``Q * p``, the gadget over it, and the CKKS secret viewed as the
-    GLWE accumulator key and as the LWE key whose digits brk encrypts."""
-    raised = concat_bases(ctx.full_basis, RnsBasis([ctx.special_basis.moduli[0]]))
-    total_bits = raised.product.bit_length()
-    # Floor division: the couple of uncovered low-order bits only add
-    # +-2^(bits mod base) of rounding noise, far below the error term.
-    digits = max(1, total_bits // base_bits)
-    gadget = GadgetVector(q=raised.product, base_bits=base_bits, digits=digits)
-    glwe_sk = GlweSecretKey(coeffs=[np.asarray(sk.coeffs, dtype=object)], n=ctx.n)
-    lwe_view = LweSecretKey(coeffs=np.asarray(sk.coeffs, dtype=object))
-    return raised, gadget, glwe_sk, lwe_view
+def _stack_ksk_bodies(ksks: List[GlweKeySwitchKey]) -> List[np.ndarray]:
+    """Stored half of a run of GLWE key-switch keys: one ``(T, d, N)``
+    evaluation-domain array per limb."""
+    row = ksks[0].rows[0]
+    stacks = [np.empty((len(ksks), len(ksks[0].rows), row.n), dtype=np.int64)
+              for _ in row.basis.moduli]
+    for ti, ksk in enumerate(ksks):
+        for k, body in enumerate(ksk.bodies()):
+            for li, limb in enumerate(body.to_eval().limbs):
+                stacks[li][ti, k] = np.asarray(limb)
+    return stacks
 
 
-@dataclass
+def _lwe_gadget(q: int) -> GadgetVector:
+    """The LWE key-switch gadget of an n_t key set, fixed by ``q``."""
+    return GadgetVector(
+        q=q, base_bits=LWE_KS_BASE_BITS,
+        digits=max(1, (q.bit_length() - 1) // LWE_KS_BASE_BITS))
+
+
+def _component_bytes(key) -> int:
+    if isinstance(key, BlindRotateKey):
+        return brk_bytes(key)
+    if isinstance(key, LweKeySwitchKey):
+        return lwe_ksk_bytes(key)
+    return glwe_rows_bytes(key.rows)
+
+
+class _LazyKeyDict(Mapping):
+    """Per-exponent expand-on-access mapping backing a key set's
+    :class:`~repro.tfhe.keyswitch.AutomorphismKeySet`.
+
+    ``keys.keys[t]`` (and therefore ``key_for(t)``) materialises exactly
+    the exponent the repack path touches; iteration walks the known
+    exponent list without forcing expansion of the rest.
+    """
+
+    def __init__(self, exponents: List[int],
+                 component: Callable[[int], GlweKeySwitchKey]):
+        self._exponents = exponents
+        self._component = component
+
+    def __getitem__(self, t: int) -> GlweKeySwitchKey:
+        if t not in self._exponents:
+            raise KeyError(t)
+        return self._component(t)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._exponents)
+
+    def __len__(self) -> int:
+        return len(self._exponents)
+
+
 class SwitchingKeySet:
-    """Blind-rotate + repacking keys over the raised basis ``Q * p``."""
+    """Blind-rotate + repacking keys over the raised basis ``Q * p``.
 
-    brk: BlindRotateKey
-    auto_keys: AutomorphismKeySet
-    raised_basis: RnsBasis
-    gadget: GadgetVector
-    #: Kept for tests/debug decryption only; ``None`` for key sets
-    #: expanded from seed+``b`` material (the secret never travels).
-    glwe_sk_ref: Optional[GlweSecretKey] = None
-    #: Master key seed when generated seeded; ``None`` for eager keys.
-    key_seed: Optional[int] = field(default=None, repr=False, compare=False)
-    #: The per-key-set LUT registry: caches the Algorithm-2 test vector
-    #: *and* every programmable LUT built against this key set, shared
-    #: by every execution path — local pipeline, simulated cluster
-    #: nodes, and the process pool's shared-memory publisher.  Built in
-    #: ``__post_init__``.
-    luts: Optional[LutRegistry] = field(default=None, repr=False,
-                                        compare=False)
-    #: The three extra keys of an n_t key set (``generate(..., n_t=)``),
-    #: ``None`` on a dimension-``N`` set: the LWE key-switch key from the
-    #: CKKS secret's coefficients (dim ``N``) to ``s_t`` (dim ``n_t``)
-    #: mod ``q``; the repack keys under the padded ring key ``s_t(X)``
-    #: for the companion terms; and the one ring key-switch key
-    #: ``s_t(X) -> s`` over ``Qp``.  ``brk`` then encrypts ``s_t``'s
-    #: digits.  ``s_t`` itself is not kept.
-    lwe_ksk: Optional[LweKeySwitchKey] = None
-    auto_keys_st: Optional[AutomorphismKeySet] = None
-    ring_ksk: Optional[GlweKeySwitchKey] = None
+    Every key is made by the one seeded generator, so the representation
+    *is* seed + ``b``: a component (``brk``, one automorphism key, and on
+    an n_t set ``lwe_ksk`` / one companion automorphism key /
+    ``ring_ksk``) lives in up to three storage states —
 
-    def __post_init__(self) -> None:
-        if self.luts is None:
-            self.luts = LutRegistry(self.raised_basis)
+    * **seed+b** — only the :class:`~repro.io.SeededKeyMaterial`
+      (:meth:`compress`, :meth:`from_material`): bodies and seeds at
+      rest, ~``(h+1)``x smaller;
+    * **expanded** — the RGSW / GLWE / LWE ciphertexts an oracle or an
+      engine lift reads; built by :meth:`generate`, or on first access
+      from the material (``.brk`` expands every entry — blind rotation
+      walks all ``n_t`` of them — while ``.auto_keys.key_for(t)``
+      expands one exponent, so a workload that never repacks never pays
+      for those keys);
+    * **lifted** — the batched engines' eval-domain tensors, held in
+      :mod:`repro.keyreg` under the expanded object as owner.
 
-    def resident_bytes(self) -> int:
-        """Measured bytes of this key set's polynomial material — the
-        blind-rotate RGSW entries plus every automorphism key-switch key
-        and, on an n_t set, the LWE key-switch key, the companion repack
-        keys and the ring key-switch key
-        (the quantities §III-C audits by formula; ``bench_keysizes.py``
-        checks the formula against the paper, this counts the *actual*
-        resident arrays).  The service's LRU key cache charges each user
-        this amount (ARK direction: bound the resident key working set).
+    :meth:`drop_expanded` returns every component to seed+b (the key
+    cache's demote tier); a later access re-expands bit-identical
+    ciphertexts.  :meth:`resident_bytes` prices all three states, so the
+    service's byte-accounted LRU sees the true footprint in each.
+    """
 
-        Machine-dtype limbs are priced at ``ndarray.nbytes``; wide
-        (``object``-dtype) limbs at the §III-C coefficient width
-        ``ceil(log2 q / 8)`` bytes per slot, since a Python-int pointer
-        array has no meaningful ``nbytes``.
-        """
-        ring_keys = list(self.auto_keys.keys.values())
-        total = brk_bytes(self.brk)
-        if self.lwe_ksk is not None:
-            total += lwe_ksk_bytes(self.lwe_ksk)
-            ring_keys += list(self.auto_keys_st.keys.values())
-            ring_keys.append(self.ring_ksk)
-        return total + sum(glwe_rows_bytes(ksk.rows) for ksk in ring_keys)
+    def __init__(self, raised_basis: RnsBasis, gadget: GadgetVector,
+                 n: int, n_t: int, exponents: List[int], keyswitched: bool,
+                 key_seed: int,
+                 material: Optional[SeededKeyMaterial] = None,
+                 expanded: Optional[Dict[object, object]] = None,
+                 glwe_sk_ref: Optional[GlweSecretKey] = None):
+        self.raised_basis = raised_basis
+        self.gadget = gadget
+        self.n = n
+        #: Blind-rotate dimension (``brk.n_t``), readable without
+        #: expanding anything.
+        self.n_t = n_t
+        #: Whether this is an n_t key set: extracted LWEs are key-switched
+        #: from dimension ``N`` down to ``n_t`` before blind rotation, and
+        #: ``lwe_ksk`` / ``auto_keys_st`` / ``ring_ksk`` exist.
+        self.keyswitched = keyswitched
+        self.key_seed = key_seed
+        #: Kept for tests/debug decryption only; ``None`` on a set built
+        #: from material (the secret never travels).
+        self.glwe_sk_ref = glwe_sk_ref
+        #: The per-key-set LUT registry: caches the Algorithm-2 test vector
+        #: *and* every programmable LUT built against this key set, shared
+        #: by every execution path — local pipeline, simulated cluster
+        #: nodes, and the process pool's shared-memory publisher.
+        self.luts = LutRegistry(raised_basis)
+        self._exponents = exponents
+        self._material = material
+        #: component -> (expanded key, its resident bytes); components are
+        #: ``"brk"``, ``("auto", t)`` and, on an n_t set, ``"lwe_ksk"``,
+        #: ``("auto_st", t)``, ``"ring_ksk"``.
+        self._expanded: Dict[object, Tuple[object, int]] = {
+            name: (key, _component_bytes(key))
+            for name, key in (expanded or {}).items()}
+        self._lock = threading.RLock()
+        #: Repack keys under the CKKS secret, one per repack exponent.
+        self.auto_keys = self._lazy_auto_keys("auto")
+        #: n_t set only: repack keys under the padded ring key ``s_t(X)``
+        #: for the companion terms.
+        self.auto_keys_st = self._lazy_auto_keys("auto_st") \
+            if keyswitched else None
+        #: Components expanded from material (brk counts one per entry).
+        self.expansions = 0
+        #: drop_expanded() calls that actually freed bytes.
+        self.demotions = 0
+
+    def __repr__(self) -> str:
+        """Redacted: shape and residency only — seeds and secrets never."""
+        return (f"SwitchingKeySet(n={self.n}, n_t={self.n_t}, "
+                f"keyswitched={self.keyswitched}, "
+                f"expanded={len(self._expanded)} of "
+                f"{len(self._component_names())} components)")
+
+    # -- components -----------------------------------------------------------
+
+    def _lazy_auto_keys(self, group: str) -> AutomorphismKeySet:
+        return AutomorphismKeySet(keys=_LazyKeyDict(  # type: ignore[arg-type]
+            self._exponents, lambda t: self._component((group, t))))
+
+    def _component_names(self) -> List[object]:
+        names: List[object] = ["brk"]
+        names += [("auto", t) for t in self._exponents]
+        if self.keyswitched:
+            names.append("lwe_ksk")
+            names += [("auto_st", t) for t in self._exponents]
+            names.append("ring_ksk")
+        return names
+
+    def _component(self, name):
+        held = self._expanded.get(name)  # lock-free on a hit
+        if held is None:
+            with self._lock:
+                held = self._expanded.get(name)
+                if held is None:
+                    key = _expand_component(self._material, self.raised_basis,
+                                            self.gadget, name)
+                    held = self._expanded[name] = (key, _component_bytes(key))
+                    self.expansions += key.n_t if name == "brk" else 1
+        return held[0]
+
+    @property
+    def brk(self) -> BlindRotateKey:
+        """RGSW encryptions of the blind-rotated secret's digits (the
+        CKKS secret's, or ``s_t``'s on an n_t set) under the CKKS secret."""
+        return self._component("brk")
+
+    @property
+    def lwe_ksk(self) -> Optional[LweKeySwitchKey]:
+        """n_t set only: the LWE key-switch key from the CKKS secret's
+        coefficients (dim ``N``) to ``s_t`` (dim ``n_t``) mod ``q``."""
+        return self._component("lwe_ksk") if self.keyswitched else None
+
+    @property
+    def ring_ksk(self) -> Optional[GlweKeySwitchKey]:
+        """n_t set only: the one ring key-switch key ``s_t(X) -> s``."""
+        return self._component("ring_ksk") if self.keyswitched else None
 
     def test_vector(self, n: int, q: int) -> RnsPoly:
         """The Algorithm-2 blind-rotate LUT over this key set's raised
@@ -204,15 +317,85 @@ class SwitchingKeySet:
         thread-safe :class:`LutRegistry` (the service's batch threads
         race here)."""
         return self.luts.switching_vector(n, q,
-                                          fold_n_inv=self.lwe_ksk is None)
+                                          fold_n_inv=not self.keyswitched)
+
+    # -- residency ------------------------------------------------------------
+
+    def resident_bytes(self) -> int:
+        """Measured bytes of this key set in its current storage states:
+        the seed+``b`` material when held, every expanded component (the
+        quantities §III-C audits by formula; ``bench_keysizes.py``
+        checks the formula against the paper, this counts the *actual*
+        resident arrays) and the lifted tensors the key registry holds
+        for them.  The service's LRU key cache charges each user this
+        amount (ARK direction: bound the resident key working set).
+
+        Machine-dtype limbs are priced at ``ndarray.nbytes``; wide
+        (``object``-dtype) limbs at the §III-C coefficient width
+        ``ceil(log2 q / 8)`` bytes per slot, since a Python-int pointer
+        array has no meaningful ``nbytes``.
+        """
+        with self._lock:
+            total = sum(nbytes for _, nbytes in self._expanded.values())
+            if self._material is not None:
+                total += self._material.resident_bytes()
+            owners = self._lift_owners()
+        # Outside the lock: the registry builds a lift under *its* lock
+        # and the build expands a component under ours.
+        reg = get_key_registry()
+        return total + sum(reg.owner_bytes(o) for o in owners)
+
+    def _lift_owners(self) -> List[object]:
+        """The objects the key registry files this set's lifted tensors
+        under."""
+        owners: List[object] = [self.auto_keys]
+        if self.keyswitched:
+            owners.append(self.auto_keys_st)
+        if "brk" in self._expanded:
+            owners.append(self._expanded["brk"][0])
+        return owners
+
+    def drop_expanded(self) -> int:
+        """Fall back to seed+``b`` residency (the key cache's demote
+        tier): compress first if only the expanded form is held, then
+        release every expanded ciphertext and every lifted tensor the
+        key registry derived from them.  Returns the bytes freed (0 for
+        wide-modulus keys, which have no fixed-width seed+``b`` form); a
+        later access re-expands bit-identical material from the seeds.
+        """
+        before = self.resident_bytes()
+        with self._lock:
+            try:
+                self._material = self.compress()
+            except ParameterError:
+                return 0
+            owners = self._lift_owners()
+            self._expanded.clear()
+        reg = get_key_registry()
+        for owner in owners:
+            reg.drop_owner(owner)
+        freed = max(0, before - self.resident_bytes())
+        if freed:
+            self.demotions += 1
+        return freed
+
+    # -- generation -----------------------------------------------------------
 
     @classmethod
     def generate(cls, ctx: CkksContext, sk: SecretKey,
                  sampler: Optional[Sampler] = None,
                  base_bits: int = 6,
                  error_std: float = 1.0,
-                 n_t: Optional[int] = None) -> "SwitchingKeySet":
+                 n_t: Optional[int] = None,
+                 key_seed: Optional[int] = None) -> "SwitchingKeySet":
         """Generate switching keys for a CKKS context and secret.
+
+        Every uniform ``a``-half streams from a
+        :func:`~repro.math.sampling.derive_seed` child of ``key_seed``
+        (ARK-style seeded schedule; drawn from ``sampler`` when not
+        given), so any holder of the :meth:`compress` form re-expands the
+        identical ciphertexts.  Noise is drawn from ``sampler`` (fresh
+        entropy; never stored or replayed).
 
         ``base_bits`` sizes the gadget used by both the external products
         of BlindRotate and the repacking key switches; smaller digits mean
@@ -222,15 +405,27 @@ class SwitchingKeySet:
 
         With ``n_t`` the blind rotation runs at dimension ``n_t`` instead
         of ``N`` (the paper's 500-entry brk): a fresh ternary ``s_t`` is
-        drawn, brk encrypts *its* digits, and the key set gains
-        ``lwe_ksk`` / ``auto_keys_st`` / ``ring_ksk``.  Needs a switching
-        prime ``p = 1 (mod 2N^2)``
+        drawn (and not kept), brk encrypts *its* digits, and the key set
+        gains ``lwe_ksk`` / ``auto_keys_st`` / ``ring_ksk``.  Needs a
+        switching prime ``p = 1 (mod 2N^2)``
         (:func:`~repro.params.make_keyswitched_toy_params`).
         """
         sampler = sampler or Sampler()
+        if key_seed is None:
+            key_seed = sampler.draw_seed()
         n = ctx.n
-        raised, gadget, glwe_sk, brk_secret = _keygen_setup(ctx, sk, base_bits)
-        lwe_ksk = auto_keys_st = ring_ksk = None
+        raised = concat_bases(ctx.full_basis, RnsBasis([ctx.special_basis.moduli[0]]))
+        total_bits = raised.product.bit_length()
+        # Floor division: the couple of uncovered low-order bits only add
+        # +-2^(bits mod base) of rounding noise, far below the error term.
+        digits = max(1, total_bits // base_bits)
+        gadget = GadgetVector(q=raised.product, base_bits=base_bits, digits=digits)
+        # The CKKS secret viewed as the GLWE accumulator key and as the
+        # LWE key whose digits brk encrypts.
+        glwe_sk = GlweSecretKey(coeffs=[np.asarray(sk.coeffs, dtype=object)], n=n)
+        brk_secret = LweSecretKey(coeffs=np.asarray(sk.coeffs, dtype=object))
+        exponents = sorted(set(repack_exponents(n)))
+        expanded: Dict[object, object] = {}
         if n_t is not None:
             if n_t > n:
                 raise ParameterError("n_t cannot exceed the ring dimension")
@@ -240,321 +435,166 @@ class SwitchingKeySet:
                     "with make_keyswitched_toy_params")
             q = ctx.full_basis.moduli[0]
             s_t = LweSecretKey.generate(n_t, sampler)
-            lwe_gadget = GadgetVector(
-                q=q, base_bits=LWE_KS_BASE_BITS,
-                digits=max(1, (q.bit_length() - 1) // LWE_KS_BASE_BITS))
-            lwe_ksk = LweKeySwitchKey.generate(brk_secret, s_t, q, lwe_gadget,
-                                               sampler)
+            expanded["lwe_ksk"] = LweKeySwitchKey.generate(
+                brk_secret, s_t, q, _lwe_gadget(q), sampler,
+                key_seed=derive_seed(key_seed, "lwe_ksk"))
             brk_secret = s_t
-        brk = BlindRotateKey.generate(brk_secret, glwe_sk, raised, gadget,
-                                      sampler, error_std=error_std)
+        brk = expanded["brk"] = BlindRotateKey.generate(
+            brk_secret, glwe_sk, raised, gadget, sampler,
+            error_std=error_std, key_seed=key_seed)
         auto_keys = AutomorphismKeySet.generate(
-            glwe_sk, repack_exponents(n), raised, gadget, sampler,
-            error_std=error_std)
+            glwe_sk, exponents, raised, gadget, sampler,
+            error_std=error_std, key_seed=key_seed)
+        expanded.update((("auto", t), auto_keys.keys[t]) for t in exponents)
         if n_t is not None:
             # The companions ``ct'_i`` decrypt under s_t: they are packed
             # in the ring under s_t padded to N coefficients, then moved
             # to s by one ring key switch.
             st_coeffs = np.zeros(n, dtype=object)
             st_coeffs[:n_t] = s_t.coeffs
-            auto_keys_st = AutomorphismKeySet.generate(
-                GlweSecretKey(coeffs=[st_coeffs], n=n), repack_exponents(n),
-                raised, gadget, sampler, error_std)
-            ring_ksk = GlweKeySwitchKey.generate(
-                st_coeffs, glwe_sk, raised, gadget, sampler, error_std)
-        return cls(brk=brk, auto_keys=auto_keys, raised_basis=raised,
-                   gadget=gadget, glwe_sk_ref=glwe_sk, lwe_ksk=lwe_ksk,
-                   auto_keys_st=auto_keys_st, ring_ksk=ring_ksk)
+            auto_st = AutomorphismKeySet.generate(
+                GlweSecretKey(coeffs=[st_coeffs], n=n), exponents,
+                raised, gadget, sampler, error_std,
+                key_seed=derive_seed(key_seed, "auto_st"))
+            expanded.update((("auto_st", t), auto_st.keys[t])
+                            for t in exponents)
+            expanded["ring_ksk"] = GlweKeySwitchKey.generate(
+                st_coeffs, glwe_sk, raised, gadget, sampler, error_std,
+                key_seed=derive_seed(key_seed, "ring_ksk"))
+        return cls(raised, gadget, n, brk.n_t, exponents,
+                   keyswitched=n_t is not None, key_seed=key_seed,
+                   expanded=expanded, glwe_sk_ref=glwe_sk)
 
     @classmethod
     def generate_seeded(cls, ctx: CkksContext, sk: SecretKey, key_seed: int,
                         noise: Optional[Sampler] = None,
                         base_bits: int = 6,
                         error_std: float = 1.0) -> "SwitchingKeySet":
-        """Generate the key set with every uniform ``a``-half derived from
-        ``key_seed`` (ARK-style seeded schedule).
+        """``generate(..., key_seed=key_seed)`` under the name
+        ``benchmarks/e2e`` still calls; removable by the next
+        ``benchmark`` PR."""
+        return cls.generate(ctx, sk, noise, base_bits, error_std,
+                            key_seed=key_seed)
 
-        Same parameters and structure as :meth:`generate`, but each
-        blind-rotate RGSW and each automorphism key-switch key streams
-        its masks from a :func:`~repro.math.sampling.derive_seed` child of
-        ``key_seed``.  The result supports :meth:`compress` — only bodies
-        and seeds at rest, ~``(h+1)``x smaller — and any holder of the
-        compressed form re-expands the identical ciphertexts.  Noise is
-        drawn from ``noise`` (fresh entropy; never stored or replayed).
-        """
-        noise = noise or Sampler()
-        raised, gadget, glwe_sk, lwe_view = _keygen_setup(ctx, sk, base_bits)
-        brk = BlindRotateKey.generate_seeded(lwe_view, glwe_sk, raised, gadget,
-                                             key_seed, noise, error_std=error_std)
-        auto_keys = AutomorphismKeySet.generate_seeded(
-            glwe_sk, repack_exponents(ctx.n), raised, gadget, key_seed, noise,
-            error_std=error_std)
-        return cls(brk=brk, auto_keys=auto_keys, raised_basis=raised,
-                   gadget=gadget, glwe_sk_ref=glwe_sk, key_seed=key_seed)
+    # -- seed + b-half form (ARK-style streaming keys) ------------------------
 
     def compress(self) -> SeededKeyMaterial:
-        """Extract the seed+``b`` at-rest form of a seeded key set.
+        """The seed+``b`` at-rest form (the held material when there is
+        one; otherwise stacked from the expanded components).
 
         Bodies are stacked per limb into fixed-width evaluation-domain
         arrays (``brk_b_<li>`` of shape ``(n_t, 2, (h+1)d, N)``,
-        ``auto_b_<li>`` of shape ``(T, d, N)``); the meta carries the
-        public parameters plus the per-component mask seeds.  Requires a
-        set produced by :meth:`generate_seeded` — eager keys have payload
-        material in their masks and cannot be reduced to seeds.
+        ``auto_b_<li>`` of shape ``(T, d, N)``; an n_t set adds
+        ``lwe_ksk_b`` of shape ``(N, d_lwe)``, ``auto_st_b_<li>`` and
+        ``ring_b_<li>`` of shape ``(d, N)``); the meta carries the public
+        parameters plus the per-component mask seeds.
         """
-        if self.brk.mask_seeds is None or self.auto_keys.mask_seeds is None:
+        with self._lock:
+            if self._material is not None:
+                return self._material
+            brk = self.brk
+            exps = self._exponents
+            bodies: Dict[str, np.ndarray] = {}
+
+            def store(prefix: str, stacks: List[np.ndarray]) -> None:
+                bodies.update((f"{prefix}_{li}", stack)
+                              for li, stack in enumerate(stacks))
+
+            auto = [self.auto_keys.keys[t] for t in exps]
+            store("brk_b", stack_brk_bodies(brk, self.raised_basis))
+            store("auto_b", _stack_ksk_bodies(auto))
+            meta: Dict[str, object] = {
+                "n": self.n, "h": brk.h, "n_t": self.n_t,
+                "moduli": [int(q) for q in self.raised_basis.moduli],
+                "gadget_base_bits": self.gadget.base_bits,
+                "gadget_digits": self.gadget.digits,
+                "key_seed": self.key_seed,
+                "brk_mask_seeds": [[int(p), int(m)] for p, m in brk.mask_seeds],
+                "auto_exponents": [int(t) for t in exps],
+                "auto_mask_seeds": [int(k.mask_seed) for k in auto],
+            }
+            if self.keyswitched:
+                auto_st = [self.auto_keys_st.keys[t] for t in exps]
+                bodies["lwe_ksk_b"] = np.asarray(self.lwe_ksk.bodies(),
+                                                 dtype=np.int64)
+                store("auto_st_b", _stack_ksk_bodies(auto_st))
+                store("ring_b", [stack[0] for stack in
+                                 _stack_ksk_bodies([self.ring_ksk])])
+                meta["lwe_ksk_seed"] = int(self.lwe_ksk.mask_seed)
+                meta["auto_st_mask_seeds"] = [int(k.mask_seed) for k in auto_st]
+                meta["ring_ksk_seed"] = int(self.ring_ksk.mask_seed)
+            return SeededKeyMaterial(kind="switching", meta=meta, bodies=bodies)
+
+    @classmethod
+    def from_material(cls, material: SeededKeyMaterial) -> "SwitchingKeySet":
+        """A key set resident as seed+``b`` only; components expand on
+        first access, bit-identical to the :meth:`generate` output the
+        material was compressed from (``glwe_sk_ref`` excepted: the
+        secret is not in the material)."""
+        if material.kind != "switching":
             raise ParameterError(
-                "only seeded key sets compress to seed+b form — "
-                "use SwitchingKeySet.generate_seeded")
-        basis = self.raised_basis
-        n = self.brk.plus[0].n
-        h = self.brk.h
-        d = self.gadget.digits
-        n_t = self.brk.n_t
-        exps = sorted(self.auto_keys.keys)
-        num_limbs = len(basis.moduli)
-        brk_b = stack_brk_bodies(self.brk, basis)
-        auto_b = [np.empty((len(exps), d, n), dtype=np.int64) for _ in range(num_limbs)]
-        for ti, t in enumerate(exps):
-            for k, body in enumerate(self.auto_keys.keys[t].bodies()):
-                for li, limb in enumerate(body.to_eval().limbs):
-                    auto_b[li][ti, k] = np.asarray(limb)
-        bodies = {f"brk_b_{li}": brk_b[li] for li in range(num_limbs)}
-        bodies.update({f"auto_b_{li}": auto_b[li] for li in range(num_limbs)})
-        meta = {
-            "n": n, "h": h, "n_t": n_t,
-            "moduli": [int(q) for q in basis.moduli],
-            "gadget_base_bits": self.gadget.base_bits,
-            "gadget_digits": d,
-            "key_seed": self.key_seed,
-            "brk_mask_seeds": [[int(p), int(m)] for p, m in self.brk.mask_seeds],
-            "auto_exponents": [int(t) for t in exps],
-            "auto_mask_seeds": [int(self.auto_keys.mask_seeds[t]) for t in exps],
-        }
-        return SeededKeyMaterial(kind="switching", meta=meta, bodies=bodies)
+                f"expected 'switching' seeded material, got {material.kind!r}")
+        meta = material.meta
+        basis = RnsBasis([int(q) for q in meta["moduli"]])  # type: ignore[union-attr]
+        gadget = GadgetVector(q=basis.product,
+                              base_bits=int(meta["gadget_base_bits"]),  # type: ignore[arg-type]
+                              digits=int(meta["gadget_digits"]))  # type: ignore[arg-type]
+        return cls(basis, gadget, int(meta["n"]), int(meta["n_t"]),  # type: ignore[arg-type]
+                   [int(t) for t in meta["auto_exponents"]],  # type: ignore[union-attr]
+                   keyswitched="lwe_ksk_seed" in meta,
+                   key_seed=int(meta["key_seed"]),  # type: ignore[arg-type]
+                   material=material)
 
 
-# -- seed + b-half expansion (ARK-style streaming keys) ---------------------------
-
-
-def _material_params(material: SeededKeyMaterial):
-    """Decode the public parameters of a ``"switching"`` material."""
-    if material.kind != "switching":
-        raise ParameterError(
-            f"expected 'switching' seeded material, got {material.kind!r}")
-    meta = material.meta
-    basis = RnsBasis([int(q) for q in meta["moduli"]])  # type: ignore[union-attr]
-    gadget = GadgetVector(q=basis.product,
-                          base_bits=int(meta["gadget_base_bits"]),  # type: ignore[arg-type]
-                          digits=int(meta["gadget_digits"]))  # type: ignore[arg-type]
-    return basis, gadget
-
-
-def _expand_brk_entry(material: SeededKeyMaterial, basis: RnsBasis,
-                      gadget: GadgetVector, i: int):
-    """Expand blind-rotate entry ``i`` to its ``(plus, minus)`` RGSW pair."""
+def _expand_component(material: SeededKeyMaterial, basis: RnsBasis,
+                      gadget: GadgetVector, name):
+    """Expand one component of a ``"switching"`` material (pure PRNG
+    replay next to the stored bodies — no NTTs)."""
     meta = material.meta
     n = int(meta["n"])  # type: ignore[arg-type]
     h = int(meta["h"])  # type: ignore[arg-type]
-    rows = (h + 1) * gadget.digits
-    limbs = [material.bodies[f"brk_b_{li}"] for li in range(len(basis.moduli))]
-    seed_p, seed_m = meta["brk_mask_seeds"][i]  # type: ignore[index]
-    out = []
-    for pm, seed in ((0, seed_p), (1, seed_m)):
-        bodies = [RnsPoly(n, basis, [lb[i, pm, r] for lb in limbs], "eval")
-                  for r in range(rows)]
-        out.append(expand_rgsw(mask_stream(int(seed)), bodies, basis, gadget, h))
-    return out[0], out[1]
+    limbs = range(len(basis.moduli))
+    if name == "brk":
+        stacks = [material.bodies[f"brk_b_{li}"] for li in limbs]
+        seeds = [(int(p), int(m)) for p, m in meta["brk_mask_seeds"]]  # type: ignore[union-attr]
+        rows = range((h + 1) * gadget.digits)
 
+        def rgsw(i: int, pm: int):
+            bodies = [RnsPoly(n, basis, [lb[i, pm, r] for lb in stacks], "eval")
+                      for r in rows]
+            return expand_rgsw(mask_stream(seeds[i][pm]), bodies, basis,
+                               gadget, h)
 
-def _expand_auto_key(material: SeededKeyMaterial, basis: RnsBasis,
-                     gadget: GadgetVector, t: int) -> GlweKeySwitchKey:
-    """Expand the automorphism key for exponent ``t``."""
-    meta = material.meta
-    n = int(meta["n"])  # type: ignore[arg-type]
-    h = int(meta["h"])  # type: ignore[arg-type]
-    exps = [int(x) for x in meta["auto_exponents"]]  # type: ignore[union-attr]
-    ti = exps.index(t)
-    seed = int(meta["auto_mask_seeds"][ti])  # type: ignore[index]
-    limbs = [material.bodies[f"auto_b_{li}"] for li in range(len(basis.moduli))]
-    bodies = [RnsPoly(n, basis, [lb[ti, k] for lb in limbs], "eval")
+        plus = [rgsw(i, 0) for i in range(len(seeds))]
+        minus = [rgsw(i, 1) for i in range(len(seeds))]
+        return BlindRotateKey(plus=plus, minus=minus, gadget=gadget, h=h,
+                              mask_seeds=seeds)
+    if name == "lwe_ksk":
+        q = int(basis.moduli[0])
+        return expand_lwe_keyswitch_key(
+            int(meta["lwe_ksk_seed"]),  # type: ignore[arg-type]
+            material.bodies["lwe_ksk_b"].tolist(),
+            int(meta["n_t"]), q, _lwe_gadget(q))  # type: ignore[arg-type]
+    if name == "ring_ksk":
+        seed = meta["ring_ksk_seed"]
+        stacks = [material.bodies[f"ring_b_{li}"] for li in limbs]
+    else:
+        group, t = name
+        ti = [int(x) for x in meta["auto_exponents"]].index(t)  # type: ignore[union-attr]
+        seed = meta[f"{group}_mask_seeds"][ti]  # type: ignore[index]
+        stacks = [material.bodies[f"{group}_b_{li}"][ti] for li in limbs]
+    bodies = [RnsPoly(n, basis, [lb[k] for lb in stacks], "eval")
               for k in range(gadget.digits)]
-    return expand_glwe_keyswitch_key(mask_stream(seed), bodies, h, basis, gadget)
-
-
-def _expand_brk(material: SeededKeyMaterial, basis: RnsBasis,
-                gadget: GadgetVector) -> BlindRotateKey:
-    """Expand every blind-rotate entry; the per-entry mask seeds stay
-    attached, so the pool publisher still ships only seeds + bodies."""
-    meta = material.meta
-    pairs = [_expand_brk_entry(material, basis, gadget, i)
-             for i in range(int(meta["n_t"]))]  # type: ignore[arg-type]
-    seeds = [(int(p), int(m)) for p, m in meta["brk_mask_seeds"]]  # type: ignore[union-attr]
-    return BlindRotateKey(plus=[p for p, _ in pairs],
-                          minus=[m for _, m in pairs], gadget=gadget,
-                          h=int(meta["h"]), mask_seeds=seeds)  # type: ignore[arg-type]
+    return expand_glwe_keyswitch_key(int(seed), bodies, h, basis, gadget)  # type: ignore[arg-type]
 
 
 def expand_switching_keys(material: SeededKeyMaterial) -> SwitchingKeySet:
-    """Eagerly expand a compressed key set — bit-identical to the
-    :meth:`SwitchingKeySet.generate_seeded` output it was compressed
-    from (``glwe_sk_ref`` excepted: the secret is not in the material)."""
-    basis, gadget = _material_params(material)
-    meta = material.meta
-    brk = _expand_brk(material, basis, gadget)
-    exps = [int(t) for t in meta["auto_exponents"]]  # type: ignore[union-attr]
-    auto = AutomorphismKeySet(
-        keys={t: _expand_auto_key(material, basis, gadget, t) for t in exps},
-        mask_seeds={t: int(s) for t, s in
-                    zip(exps, meta["auto_mask_seeds"])})  # type: ignore[arg-type]
-    return SwitchingKeySet(brk=brk, auto_keys=auto, raised_basis=basis,
-                           gadget=gadget, glwe_sk_ref=None,
-                           key_seed=meta.get("key_seed"))  # type: ignore[arg-type]
-
-
-class _LazyAutoKeyDict(Mapping):
-    """Per-exponent expand-on-access mapping backing a streaming
-    :class:`~repro.tfhe.keyswitch.AutomorphismKeySet`.
-
-    ``keys.keys[t]`` (and therefore ``key_for(t)``) materialises exactly
-    the exponent the repack path touches; iteration walks the known
-    exponent list without forcing expansion of the rest.
-    """
-
-    def __init__(self, owner: "StreamingSwitchingKeys"):
-        self._owner = owner
-        self._exponents = [int(t) for t in owner.material.meta["auto_exponents"]]  # type: ignore[union-attr]
-        self._expanded: Dict[int, GlweKeySwitchKey] = {}
-
-    def __getitem__(self, t: int) -> GlweKeySwitchKey:
-        key = self._expanded.get(t)
-        if key is None:
-            if t not in self._exponents:
-                raise KeyError(t)
-            key = self._owner._expand_auto(t)
-            self._expanded[t] = key
-        return key
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._exponents)
-
-    def __len__(self) -> int:
-        return len(self._exponents)
-
-
-class StreamingSwitchingKeys:
-    """Lazy seed+``b``-resident key provider, duck-typing
-    :class:`SwitchingKeySet` for the pipeline and executors.
-
-    Holds only the compressed :class:`~repro.io.SeededKeyMaterial` until
-    an execution path touches a component:
-
-    * ``.brk`` expands every blind-rotate entry on first access (blind
-      rotation walks all ``n_t`` of them) and keeps the per-entry mask
-      seeds attached, so the process-pool publisher still ships only
-      seeds + bodies;
-    * ``.auto_keys.key_for(t)`` expands one automorphism key per
-      exponent on demand — a workload that never repacks never pays for
-      them;
-    * :meth:`drop_expanded` is the second eviction tier: it releases the
-      expanded ciphertexts *and* every lifted eval-domain tensor the
-      key registry derived from them, returning the entry to seed+``b``
-      residency instead of evicting the user outright.
-
-    ``resident_bytes()`` prices the compressed material plus whatever is
-    currently expanded (including registry-held derived tensors), so the
-    service's byte-accounted LRU sees the true footprint in every state.
-    """
-
-    def __init__(self, material: SeededKeyMaterial):
-        self.material = material
-        basis, gadget = _material_params(material)
-        self.raised_basis = basis
-        self.gadget = gadget
-        self.key_seed = material.meta.get("key_seed")
-        self._brk: Optional[BlindRotateKey] = None
-        self._brk_bytes = 0
-        self._auto_bytes: Dict[int, int] = {}
-        self.auto_keys = AutomorphismKeySet(
-            keys=_LazyAutoKeyDict(self),  # type: ignore[arg-type]
-            mask_seeds={int(t): int(s) for t, s in zip(
-                material.meta["auto_exponents"],  # type: ignore[arg-type]
-                material.meta["auto_mask_seeds"])})  # type: ignore[arg-type]
-        self.luts = LutRegistry(basis)
-        self._lock = threading.RLock()
-        #: Component expansions performed (brk counts as one per entry).
-        self.expansions = 0
-        #: drop_expanded() calls that actually freed bytes.
-        self.demotions = 0
-
-    # -- SwitchingKeySet surface ------------------------------------------
-
-    @property
-    def brk(self) -> BlindRotateKey:
-        with self._lock:
-            if self._brk is None:
-                self._brk = _expand_brk(self.material, self.raised_basis,
-                                        self.gadget)
-                self.expansions += self._brk.n_t
-                self._brk_bytes = brk_bytes(self._brk)
-            return self._brk
-
-    def test_vector(self, n: int, q: int) -> RnsPoly:
-        """Algorithm-2 LUT over the raised basis (served by the shared
-        :class:`LutRegistry`, exactly as on :class:`SwitchingKeySet`)."""
-        return self.luts.switching_vector(n, q)
-
-    def resident_bytes(self) -> int:
-        with self._lock:
-            total = self.material.resident_bytes()
-            total += self._brk_bytes + sum(self._auto_bytes.values())
-            from ..keyreg import get_key_registry
-
-            reg = get_key_registry()
-            if self._brk is not None:
-                total += reg.owner_bytes(self._brk)
-            total += reg.owner_bytes(self.auto_keys)
-            return total
-
-    # -- streaming-specific surface ----------------------------------------
-
-    def _expand_auto(self, t: int) -> GlweKeySwitchKey:
-        with self._lock:
-            key = _expand_auto_key(self.material, self.raised_basis,
-                                   self.gadget, t)
-            self.expansions += 1
-            self._auto_bytes[t] = glwe_rows_bytes(key.rows)
-            return key
-
-    def drop_expanded(self) -> int:
-        """Second eviction tier: fall back to seed+``b`` residency.
-
-        Releases the expanded blind-rotate and automorphism ciphertexts,
-        plus every derived eval-domain tensor the key registry holds for
-        them (lifted blind-rotate stacks, per-exponent repack tensors).
-        Returns the bytes freed; a later access re-expands bit-identical
-        material from the seeds.
-        """
-        from ..keyreg import get_key_registry
-
-        with self._lock:
-            reg = get_key_registry()
-            freed = self._brk_bytes + sum(self._auto_bytes.values())
-            if self._brk is not None:
-                freed += reg.drop_owner(self._brk)
-            freed += reg.drop_owner(self.auto_keys)
-            self._brk = None
-            self._brk_bytes = 0
-            self._auto_bytes.clear()
-            lazy = self.auto_keys.keys
-            if isinstance(lazy, _LazyAutoKeyDict):
-                lazy._expanded.clear()
-            if freed:
-                self.demotions += 1
-            return freed
-
-    def compress(self) -> SeededKeyMaterial:
-        return self.material
+    """:meth:`SwitchingKeySet.from_material` with every component
+    expanded up front."""
+    keys = SwitchingKeySet.from_material(material)
+    for name in keys._component_names():
+        keys._component(name)
+    return keys
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ provided for that single LUT into a registry of *named* LUTs:
   vectors can be cached and referenced across executors by a stable
   string id (the ``lut`` parameter of ``Executor.fanout``);
 * :class:`LutRegistry` owns the build cache — one per key set, living on
-  ``SwitchingKeySet.luts`` / ``StreamingSwitchingKeys.luts`` — with the
-  double-checked locking the ``BootstrapService`` thread pool requires
+  ``SwitchingKeySet.luts`` — with the double-checked locking the
+  ``BootstrapService`` thread pool requires
   (requests resolve LUTs from ``asyncio.to_thread`` workers) and
   hit/miss counters surfaced through :mod:`repro.profiling`;
 * the workload library at the bottom is the "functionally complete TFHE

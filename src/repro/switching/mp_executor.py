@@ -17,15 +17,18 @@ Design points, in the order they matter:
   taken literally: the key is published **once** into a
   ``multiprocessing.shared_memory`` block
   (:func:`repro.io.publish_shared_arrays`) and every worker attaches
-  zero-copy numpy views.  What is shared is the
-  :class:`~repro.tfhe.batch_engine.BatchBlindRotateEngine`'s lifted
-  evaluation-domain tensor form (one ``(n_t, N, (h+1)d, 2(h+1))`` stack
-  per limb) plus the Algorithm-2 test vector: the worker's engine
-  consumes the tensors directly (``key_pm=`` constructor injection) —
-  no copy, and no RGSW-form key is ever rebuilt.  Wide-modulus
-  (``object``-dtype) keys cannot be memory-mapped; publishing raises
-  :class:`~repro.errors.SharedBufferError` and callers fall back to
-  the in-process executors.
+  zero-copy numpy views.  What is shared is the seed+``b`` form every
+  generated key has — the body polynomials (one
+  ``(n_t, 2, (h+1)d, N)`` stack per limb) plus the Algorithm-2 test
+  vector, with the mask seeds in the manifest: each worker replays the
+  uniform mask halves into its own lifted
+  :class:`~repro.tfhe.batch_engine.BatchBlindRotateEngine` tensors
+  (``key_pm=`` constructor injection), so no RGSW-form key is ever
+  rebuilt and the shared block is half the lifted size at ``h = 1``.
+  Wide-modulus (``object``-dtype) keys cannot be memory-mapped, and a
+  hand-assembled key without mask seeds has no seed+``b`` form;
+  publishing either raises :class:`~repro.errors.SharedBufferError` and
+  callers fall back to the in-process executors.
 * **Ciphertexts travel framed.**  Task slices and replies are the PR-5
   CRC wire format (:func:`~repro.io.frame_blob`), so the primary detects
   corruption exactly as the simulated cluster does.
@@ -101,24 +104,34 @@ def _pack_key_material(brk: BlindRotateKey,
     """The publish-side layout, with the scalar parameters needed to
     rebuild everything in ``meta``.
 
-    Eager keys ship the batch engine's full lifted tensors (one per
-    limb) plus the test vector's coefficient limbs.  Seeded keys
-    (``brk.mask_seeds`` present) ship only the **body** polynomials —
-    shape ``(n_t, 2, (h+1)d, N)`` per limb — plus the per-entry mask
-    seeds in ``meta``; workers replay the uniform mask halves locally,
-    which cuts the shared key bytes roughly in half (exactly half at
-    ``h = 1``) at the price of per-worker expansion compute and private
+    What is shared is the key's **body** polynomials — shape
+    ``(n_t, 2, (h+1)d, N)`` per limb — and the test vector's coefficient
+    limbs; the per-entry mask seeds ride in ``meta`` and workers replay
+    the uniform mask halves locally.  Against mapping the lifted tensors
+    that roughly halves the shared key bytes (exactly half at ``h = 1``)
+    at the price of per-worker expansion compute and private
     (non-shared) mask residency.  That is ARK's tradeoff, taken
     literally: seeds travel, bandwidth doesn't.
     """
+    if len(brk.mask_seeds) != brk.n_t:
+        raise SharedBufferError(
+            "blind-rotate key carries no mask seeds (hand-assembled, not "
+            "generated): it cannot be published as seeds + bodies")
     basis = test_vector.basis
-    n = test_vector.n
     tv = test_vector.to_coeff()
     arrays: Dict[str, np.ndarray] = {
         "test_vector": np.stack([np.asarray(limb) for limb in tv.limbs]),
     }
+    try:
+        bodies = stack_brk_bodies(brk, basis)
+    except ParameterError as exc:
+        raise SharedBufferError(
+            "wide-modulus keys cannot be shared as fixed-width "
+            "bodies") from exc
+    for li, stacked in enumerate(bodies):
+        arrays[f"brk_b_{li}"] = stacked
     meta: Dict[str, object] = {
-        "n": n,
+        "n": test_vector.n,
         "n_t": brk.n_t,
         "h": brk.h,
         "moduli": list(basis.moduli),
@@ -126,31 +139,12 @@ def _pack_key_material(brk: BlindRotateKey,
         "gadget_base_bits": brk.gadget.base_bits,
         "gadget_digits": brk.gadget.digits,
         "tv_domain": "coeff",
+        "brk_mask_seeds": [[int(p), int(m)] for p, m in brk.mask_seeds],
     }
-    if brk.mask_seeds is not None:
-        try:
-            bodies = stack_brk_bodies(brk, basis)
-        except ParameterError as exc:
-            raise SharedBufferError(
-                "wide-modulus seeded keys cannot be shared as "
-                "fixed-width bodies") from exc
-        for li, stacked in enumerate(bodies):
-            arrays[f"brk_b_{li}"] = stacked
-        meta["seeded"] = True
-        meta["brk_mask_seeds"] = [[int(p), int(m)] for p, m in brk.mask_seeds]
-        return arrays, meta
-    # Built directly, NOT via `for_key`: that would cache the lifted
-    # tensors on the primary's key object, leaving the primary holding
-    # the full key working set twice (cache + shared block) even though
-    # it never BlindRotates in pool mode.  This engine is transient —
-    # its tensors are copied into shared memory and then dropped.
-    engine = BatchBlindRotateEngine(brk, n, basis)
-    for li, tensor in enumerate(engine.key_pm):
-        arrays[f"key_pm_{li}"] = tensor
     return arrays, meta
 
 
-def _expand_seeded_key_pm(views: Dict[str, np.ndarray], meta: Dict[str, object],
+def _expand_key_pm(views: Dict[str, np.ndarray], meta: Dict[str, object],
                           n: int, n_t: int, h: int, d: int,
                           basis: RnsBasis) -> List[np.ndarray]:
     """Worker-side runtime key expansion (ARK): rebuild the full lifted
@@ -158,10 +152,11 @@ def _expand_seeded_key_pm(views: Dict[str, np.ndarray], meta: Dict[str, object],
 
     Bodies are copied out of the shared block into the worker-local
     tensor; the mask columns are pure PRNG replay of the exact draw
-    order :func:`~repro.tfhe.rgsw.rgsw_encrypt_seeded` used (entry seed
+    order :func:`~repro.tfhe.rgsw.rgsw_encrypt` used (entry seed
     → rows ``c`` outer / ``k`` inner → mask components → limbs in basis
     order), written directly as evaluation-domain residues — no NTTs.
-    The expanded stack is bit-identical to the eager-published tensors.
+    The expanded stack is bit-identical to the primary's in-process
+    lift of the same key.
     """
     from ..math.sampling import mask_stream
 
@@ -189,10 +184,9 @@ def _rebuild_key_material(manifest: SharedBufferManifest):
     and rebuild ``(block, engine, test_vector)`` as zero-copy views.
 
     The :class:`~repro.tfhe.batch_engine.BatchBlindRotateEngine` gets
-    the lifted tensors injected directly (columns ``[0, h+1)`` = brk+,
-    ``[h+1, 2(h+1))`` = brk−), so an eager key is never copied; the
-    key object handed to it is a header carrying only ``gadget`` and
-    ``h``.
+    the worker-expanded lifted tensors injected directly (columns
+    ``[0, h+1)`` = brk+, ``[h+1, 2(h+1))`` = brk−); the key object
+    handed to it is a header carrying only ``gadget`` and ``h``.
     """
     block, views = attach_shared_arrays(manifest)
     meta = manifest.meta
@@ -204,11 +198,7 @@ def _rebuild_key_material(manifest: SharedBufferManifest):
                           base_bits=int(meta["gadget_base_bits"]),
                           digits=int(meta["gadget_digits"]))
     nlimbs = len(basis)
-    if meta.get("seeded"):
-        key_pm = _expand_seeded_key_pm(views, meta, n, n_t, h, gadget.digits,
-                                       basis)
-    else:
-        key_pm = [views[f"key_pm_{li}"] for li in range(nlimbs)]
+    key_pm = _expand_key_pm(views, meta, n, n_t, h, gadget.digits, basis)
     header = BlindRotateKey(plus=[], minus=[], gadget=gadget, h=h)
     engine = BatchBlindRotateEngine(header, n, basis, key_pm=key_pm)
     tv_stack = views["test_vector"]

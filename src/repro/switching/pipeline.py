@@ -281,7 +281,7 @@ def key_registry(keys) -> LutRegistry:
     if luts is None:
         raise ParameterError(
             "programmable bootstrapping needs a key set with a LUT "
-            "registry (SwitchingKeySet / StreamingSwitchingKeys)")
+            "registry (a SwitchingKeySet)")
     return luts
 
 
@@ -402,10 +402,10 @@ class BootstrapPipeline:
         self.keys = keys
         self.raised_basis = keys.raised_basis
         self.test_vector = keys.test_vector(ctx.n, ctx.full_basis.moduli[0])
-        #: The key set's N -> n_t LWE key-switch key; ``None`` blind-rotates
-        #: at dimension N.  Read with a default: streaming key sets and
-        #: ``.brk``-only key boxes have no n_t fields.
-        self.lwe_ksk = getattr(keys, "lwe_ksk", None)
+        #: Whether the key set key-switches extracted LWEs down to n_t
+        #: before blind rotation.  Read with a default: ``.brk``-only key
+        #: boxes have no n_t fields.
+        self.keyswitched = getattr(keys, "keyswitched", False)
         self.executor: Executor = executor if executor is not None else \
             LocalExecutor(keys, self.test_vector)
 
@@ -418,9 +418,9 @@ class BootstrapPipeline:
         two_n = 2 * self.ctx.n
         q = ct.basis.moduli[0]
         t0 = time.perf_counter()
-        if self.lwe_ksk is not None:
+        if self.keyswitched:
             switched = [mod_switch_lwe(lwe, two_n, self.raised_basis)
-                        for lwe in extract_keyswitched(ct, q, self.lwe_ksk)]
+                        for lwe in extract_keyswitched(ct, q, self.keys.lwe_ksk)]
             return PreparedRequest(
                 ms=None, lwes=[lwe for lwe, _ in switched], scale=ct.scale,
                 seconds=time.perf_counter() - t0, kind="keyswitched",
@@ -435,7 +435,7 @@ class BootstrapPipeline:
         coefficient-wise LWEs of ``ct`` under the *rounding* modswitch to
         ``Z_2N`` (``(a*2N + q/2) // q``), which keeps no mod-``q``
         remainder — the LUT's Finish has no step-4 addition to make."""
-        if self.lwe_ksk is not None:
+        if self.keyswitched:
             raise ParameterError(PBS_OVER_NT)
         if ct.level != 0:
             raise ParameterError(

@@ -157,7 +157,7 @@ class BatchBlindRotateEngine:
                 engine = cls(brk, n, basis)
                 cache[key] = engine
                 # Account the lifted tensor stack in the process-wide key
-                # registry (ARK-style reuse bookkeeping): the streaming
+                # registry (ARK-style reuse bookkeeping): the key
                 # cache's demote tier drops the engine with the key, and
                 # the registry's byte totals price the lift.  on_drop
                 # keeps the per-key engine cache consistent without

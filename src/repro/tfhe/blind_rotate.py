@@ -31,8 +31,7 @@ from ..math.rns import RnsBasis, RnsPoly
 from ..math.sampling import Sampler, derive_seed, mask_stream
 from .glwe import GlweCiphertext, GlweSecretKey
 from .lwe import LweCiphertext, LweSecretKey
-from .rgsw import (RgswCiphertext, external_product, rgsw_encrypt,
-                   rgsw_encrypt_seeded, rgsw_trivial)
+from .rgsw import RgswCiphertext, external_product, rgsw_encrypt, rgsw_trivial
 
 
 @dataclass
@@ -43,45 +42,35 @@ class BlindRotateKey:
     minus: List[RgswCiphertext]
     gadget: GadgetVector
     h: int
-    #: Per-entry ``(plus, minus)`` mask seeds when generated seeded
-    #: (``derive_seed(key_seed, "brk", i, sign)``); ``None`` for eager
-    #: keys.  Their presence is what switches the process-pool publisher
-    #: to the seeds+bodies wire form.
-    mask_seeds: Optional[List[Tuple[int, int]]] = field(
-        default=None, repr=False, compare=False)
+    #: Per-entry ``(plus, minus)`` mask seeds
+    #: (``derive_seed(key_seed, "brk", i, sign)``) — what the process-pool
+    #: publisher ships next to the bodies.  Empty only on a hand-assembled
+    #: key (the pool worker's header), which cannot be published.
+    mask_seeds: List[Tuple[int, int]] = field(
+        default_factory=list, repr=False, compare=False)
 
     @classmethod
     def generate(cls, lwe_sk: LweSecretKey, glwe_sk: GlweSecretKey,
                  basis: RnsBasis, gadget: GadgetVector, sampler: Sampler,
-                 error_std: Optional[float] = None) -> "BlindRotateKey":
-        plus, minus = [], []
-        for s in lwe_sk.coeffs:
-            s = int(s)
-            plus.append(rgsw_encrypt(1 if s == 1 else 0, glwe_sk, basis, gadget,
-                                     sampler, error_std))
-            minus.append(rgsw_encrypt(1 if s == -1 else 0, glwe_sk, basis, gadget,
-                                      sampler, error_std))
-        return cls(plus=plus, minus=minus, gadget=gadget, h=glwe_sk.h)
-
-    @classmethod
-    def generate_seeded(cls, lwe_sk: LweSecretKey, glwe_sk: GlweSecretKey,
-                        basis: RnsBasis, gadget: GadgetVector, key_seed: int,
-                        noise: Sampler,
-                        error_std: Optional[float] = None) -> "BlindRotateKey":
-        """Seeded variant: entry ``i``'s two RGSW encryptions stream their
-        masks from ``derive_seed(key_seed, "brk", i, "+"/"-")``, so the
-        at-rest/wire form is the body polynomials plus ``2 n_t`` seeds —
-        half the §III-C brk bytes at ``h = 1``."""
+                 error_std: Optional[float] = None,
+                 key_seed: Optional[int] = None) -> "BlindRotateKey":
+        """Entry ``i``'s two RGSW encryptions stream their masks from
+        ``derive_seed(key_seed, "brk", i, "+"/"-")`` (``key_seed`` drawn
+        from ``sampler`` when not given), so the at-rest/wire form is the
+        body polynomials plus ``2 n_t`` seeds — half the §III-C brk bytes
+        at ``h = 1``.  Errors come from ``sampler``."""
+        if key_seed is None:
+            key_seed = sampler.draw_seed()
         plus, minus = [], []
         seeds: List[Tuple[int, int]] = []
         for i, s in enumerate(lwe_sk.coeffs):
             s = int(s)
             sp = derive_seed(key_seed, "brk", i, "+")
             sm = derive_seed(key_seed, "brk", i, "-")
-            plus.append(rgsw_encrypt_seeded(1 if s == 1 else 0, glwe_sk, basis,
-                                            gadget, mask_stream(sp), noise, error_std))
-            minus.append(rgsw_encrypt_seeded(1 if s == -1 else 0, glwe_sk, basis,
-                                             gadget, mask_stream(sm), noise, error_std))
+            plus.append(rgsw_encrypt(1 if s == 1 else 0, glwe_sk, basis, gadget,
+                                     sampler, error_std, mask_stream(sp)))
+            minus.append(rgsw_encrypt(1 if s == -1 else 0, glwe_sk, basis, gadget,
+                                      sampler, error_std, mask_stream(sm)))
             seeds.append((sp, sm))
         return cls(plus=plus, minus=minus, gadget=gadget, h=glwe_sk.h,
                    mask_seeds=seeds)

@@ -128,33 +128,15 @@ class GlweCiphertext:
                    body=message.copy())
 
 
-def glwe_encrypt(message: RnsPoly, sk: GlweSecretKey, sampler: Sampler,
-                 error_std: Optional[float] = None) -> GlweCiphertext:
-    """Encrypt a ring element: ``body = m + e - sum a_i s_i``."""
-    basis = message.basis
-    n = message.n
-    s_polys = sk.on_basis(basis)
-    mask = []
-    acc = RnsPoly.zero(n, basis, "eval")
-    for s in s_polys:
-        limbs = [e.asarray(sampler.uniform(n, q)) for e, q in zip(basis.engines, basis.moduli)]
-        a = RnsPoly(n, basis, limbs, "eval")
-        mask.append(a)
-        acc = acc + a * s
-    e_poly = RnsPoly.from_int_coeffs(n, basis, sampler.gaussian(n, error_std).astype(object))
-    body = message.to_eval() + e_poly.to_eval() - acc
-    return GlweCiphertext(mask=mask, body=body)
-
-
 def draw_uniform_masks(mask_rng: Sampler, h: int, n: int,
                        basis: RnsBasis) -> List[RnsPoly]:
     """Draw the ``h`` uniform mask polynomials of one GLWE row.
 
-    This is THE canonical draw order of the seeded key schedule: mask
+    This is THE canonical draw order of the key schedule: mask
     polynomials in component order, limbs in basis order, every limb one
     ``uniform(n, q)`` call, interpreted directly as evaluation-domain
-    residues.  :func:`glwe_encrypt_seeded` consumes it at keygen and every
-    expansion path (eager re-expansion, streaming key cache misses, the
+    residues.  :func:`glwe_encrypt` consumes it at keygen and every
+    expansion path (re-expansion from seed+``b`` material, the
     process-pool workers) replays it bit-identically from the stored seed.
     """
     masks = []
@@ -165,25 +147,26 @@ def draw_uniform_masks(mask_rng: Sampler, h: int, n: int,
     return masks
 
 
-def glwe_encrypt_seeded(message: RnsPoly, sk: GlweSecretKey, mask_rng: Sampler,
-                        noise: Sampler,
-                        error_std: Optional[float] = None) -> GlweCiphertext:
-    """Encrypt with masks from a replayable seeded stream.
+def glwe_encrypt(message: RnsPoly, sk: GlweSecretKey, sampler: Sampler,
+                 error_std: Optional[float] = None,
+                 mask_rng: Optional[Sampler] = None) -> GlweCiphertext:
+    """Encrypt a ring element: ``body = m + e - sum a_i s_i``.
 
-    Identical to :func:`glwe_encrypt` except the uniform ``a``-halves come
-    from ``mask_rng`` (a :func:`~repro.math.sampling.mask_stream`) while
-    the Gaussian error comes from the separate ``noise`` sampler.  Only
-    the body and the mask seed need to be stored — the masks are
-    recomputed on demand by replaying the stream.
+    The uniform ``a``-halves come from ``mask_rng`` — ``sampler`` itself
+    unless the caller passes a replayable
+    :func:`~repro.math.sampling.mask_stream`, in which case only the body
+    and the stream's seed need storing: the masks are recomputed on
+    demand by replaying the stream.  The Gaussian error always comes
+    from ``sampler``.
     """
     basis = message.basis
     n = message.n
-    s_polys = sk.on_basis(basis)
-    mask = draw_uniform_masks(mask_rng, sk.h, n, basis)
+    mask = draw_uniform_masks(sampler if mask_rng is None else mask_rng,
+                              sk.h, n, basis)
     acc = RnsPoly.zero(n, basis, "eval")
-    for a, s in zip(mask, s_polys):
+    for a, s in zip(mask, sk.on_basis(basis)):
         acc = acc + a * s
-    e_poly = RnsPoly.from_int_coeffs(n, basis, noise.gaussian(n, error_std).astype(object))
+    e_poly = RnsPoly.from_int_coeffs(n, basis, sampler.gaussian(n, error_std).astype(object))
     body = message.to_eval() + e_poly.to_eval() - acc
     return GlweCiphertext(mask=mask, body=body)
 

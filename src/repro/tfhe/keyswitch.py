@@ -21,8 +21,7 @@ from ..math.automorphism import get_automorphism_perm
 from ..math.gadget import GadgetVector
 from ..math.rns import RnsBasis, RnsPoly
 from ..math.sampling import Sampler, derive_seed, mask_stream
-from .glwe import (GlweCiphertext, GlweSecretKey, draw_uniform_masks,
-                   glwe_encrypt, glwe_encrypt_seeded)
+from .glwe import GlweCiphertext, GlweSecretKey, draw_uniform_masks, glwe_encrypt
 
 
 @dataclass
@@ -31,53 +30,47 @@ class GlweKeySwitchKey:
 
     rows: List[GlweCiphertext]
     gadget: GadgetVector
+    #: Seed of the one mask stream every row's uniform masks came from.
+    mask_seed: int = field(repr=False, compare=False)
 
     @classmethod
     def generate(cls, payload_coeffs: np.ndarray, sk_dst: GlweSecretKey,
                  basis: RnsBasis, gadget: GadgetVector, sampler: Sampler,
-                 error_std: Optional[float] = None) -> "GlweKeySwitchKey":
+                 error_std: Optional[float] = None,
+                 key_seed: Optional[int] = None) -> "GlweKeySwitchKey":
+        """Every row's uniform masks come from ``mask_stream(key_seed)``
+        (digit order, then :func:`~repro.tfhe.glwe.draw_uniform_masks`
+        order within the row; ``key_seed`` drawn from ``sampler`` when
+        not given), so only the ``d`` bodies plus the seed need to be
+        stored.  Errors come from ``sampler``."""
+        if key_seed is None:
+            key_seed = sampler.draw_seed()
+        mask_rng = mask_stream(key_seed)
         n = sk_dst.n
         rows = []
         for g in gadget.factors():
             msg = RnsPoly.from_int_coeffs(
                 n, basis, (np.asarray(payload_coeffs, dtype=object) * g) % basis.product
             )
-            rows.append(glwe_encrypt(msg, sk_dst, sampler, error_std).to_eval())
-        return cls(rows=rows, gadget=gadget)
-
-    @classmethod
-    def generate_seeded(cls, payload_coeffs: np.ndarray, sk_dst: GlweSecretKey,
-                        basis: RnsBasis, gadget: GadgetVector, mask_rng: Sampler,
-                        noise: Sampler,
-                        error_std: Optional[float] = None) -> "GlweKeySwitchKey":
-        """Seeded variant: every row's uniform masks come from one
-        replayable ``mask_rng`` stream (digit order, then
-        :func:`~repro.tfhe.glwe.draw_uniform_masks` order within the row),
-        so only the ``d`` bodies plus the seed need to be stored."""
-        n = sk_dst.n
-        rows = []
-        for g in gadget.factors():
-            msg = RnsPoly.from_int_coeffs(
-                n, basis, (np.asarray(payload_coeffs, dtype=object) * g) % basis.product
-            )
-            rows.append(glwe_encrypt_seeded(msg, sk_dst, mask_rng, noise, error_std))
-        return cls(rows=rows, gadget=gadget)
+            rows.append(glwe_encrypt(msg, sk_dst, sampler, error_std, mask_rng))
+        return cls(rows=rows, gadget=gadget, mask_seed=key_seed)
 
     def bodies(self) -> List[RnsPoly]:
         """Stored half of the seed+``b`` form, digit order."""
         return [row.body for row in self.rows]
 
 
-def expand_glwe_keyswitch_key(mask_rng: Sampler, bodies: List[RnsPoly], h: int,
+def expand_glwe_keyswitch_key(mask_seed: int, bodies: List[RnsPoly], h: int,
                               basis: RnsBasis,
                               gadget: GadgetVector) -> GlweKeySwitchKey:
-    """Rebuild a seeded key-switch key bit-identically from seed + bodies."""
+    """Rebuild a key-switch key bit-identically from seed + bodies."""
     if len(bodies) != gadget.digits:
-        raise ParameterError("seeded key-switch body count does not match gadget digits")
+        raise ParameterError("key-switch body count does not match gadget digits")
     n = bodies[0].n
+    mask_rng = mask_stream(mask_seed)
     rows = [GlweCiphertext(mask=draw_uniform_masks(mask_rng, h, n, basis), body=b)
             for b in bodies]
-    return GlweKeySwitchKey(rows=rows, gadget=gadget)
+    return GlweKeySwitchKey(rows=rows, gadget=gadget, mask_seed=mask_seed)
 
 
 def glwe_keyswitch(d: RnsPoly, body: RnsPoly, ksk: GlweKeySwitchKey) -> GlweCiphertext:
@@ -103,44 +96,28 @@ class AutomorphismKeySet:
     """Key-switch keys for a set of automorphism exponents ``t``."""
 
     keys: Dict[int, GlweKeySwitchKey]
-    #: Per-exponent mask seeds when the set was generated seeded
-    #: (``derive_seed(key_seed, "auto", t)``); ``None`` for eager keys.
-    mask_seeds: Optional[Dict[int, int]] = field(
-        default=None, repr=False, compare=False)
 
     @classmethod
     def generate(cls, sk: GlweSecretKey, exponents: List[int], basis: RnsBasis,
                  gadget: GadgetVector, sampler: Sampler,
-                 error_std: Optional[float] = None) -> "AutomorphismKeySet":
+                 error_std: Optional[float] = None,
+                 key_seed: Optional[int] = None) -> "AutomorphismKeySet":
+        """Exponent ``t``'s masks stream from
+        ``derive_seed(key_seed, "auto", t)`` (``key_seed`` drawn from
+        ``sampler`` when not given) — each key expands independently,
+        which is what lets a key set materialise exactly the exponents a
+        workload touches."""
         if sk.h != 1:
             raise ParameterError("automorphism keys assume an RLWE (h=1) key")
-        n = sk.n
+        if key_seed is None:
+            key_seed = sampler.draw_seed()
         keys = {}
-        for t in set(exponents):
-            rotated = _int_automorphism(sk.coeffs[0], t)
-            keys[t] = GlweKeySwitchKey.generate(rotated, sk, basis, gadget,
-                                                sampler, error_std)
-        return cls(keys=keys)
-
-    @classmethod
-    def generate_seeded(cls, sk: GlweSecretKey, exponents: List[int],
-                        basis: RnsBasis, gadget: GadgetVector, key_seed: int,
-                        noise: Sampler,
-                        error_std: Optional[float] = None) -> "AutomorphismKeySet":
-        """Seeded variant: exponent ``t``'s masks stream from
-        ``derive_seed(key_seed, "auto", t)`` — each key expands
-        independently, which is what lets the streaming provider
-        materialise exactly the exponents a workload touches."""
-        if sk.h != 1:
-            raise ParameterError("automorphism keys assume an RLWE (h=1) key")
-        keys = {}
-        seeds = {}
         for t in sorted(set(exponents)):
             rotated = _int_automorphism(sk.coeffs[0], t)
-            seeds[t] = derive_seed(key_seed, "auto", t)
-            keys[t] = GlweKeySwitchKey.generate_seeded(
-                rotated, sk, basis, gadget, mask_stream(seeds[t]), noise, error_std)
-        return cls(keys=keys, mask_seeds=seeds)
+            keys[t] = GlweKeySwitchKey.generate(
+                rotated, sk, basis, gadget, sampler, error_std,
+                key_seed=derive_seed(key_seed, "auto", t))
+        return cls(keys=keys)
 
     def key_for(self, t: int) -> GlweKeySwitchKey:
         key = self.keys.get(t)

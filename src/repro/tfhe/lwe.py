@@ -13,7 +13,7 @@ out (Section II-B) are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import ParameterError
 from ..math.gadget import GadgetVector
 from ..math.modular import ModulusEngine
-from ..math.sampling import Sampler
+from ..math.sampling import Sampler, mask_stream
 
 
 @dataclass
@@ -83,25 +83,18 @@ class LweCiphertext:
 
 
 def lwe_encrypt(m: int, sk: LweSecretKey, q: int, sampler: Sampler,
-                error_std: Optional[float] = None) -> LweCiphertext:
-    """Encrypt an integer message (caller handles scaling/encoding)."""
+                error_std: Optional[float] = None,
+                mask_rng: Optional[Sampler] = None) -> LweCiphertext:
+    """Encrypt an integer message (caller handles scaling/encoding).
+
+    The uniform ``a``-vector is one ``uniform(dim, q)`` call on
+    ``mask_rng`` — ``sampler`` itself unless the caller passes a
+    replayable stream, in which case only ``b`` plus the stream's seed
+    need storing.  The error always comes from ``sampler``."""
     eng = ModulusEngine(q)
-    a = eng.asarray(sampler.uniform(sk.dim, q))
+    a = eng.asarray((sampler if mask_rng is None else mask_rng)
+                    .uniform(sk.dim, q))
     e = int(sampler.gaussian(1, error_std)[0])
-    inner = int(np.dot(a.astype(object), sk.coeffs)) % q
-    b = (m + e - inner) % q
-    return LweCiphertext(a=a, b=b, q=q)
-
-
-def lwe_encrypt_seeded(m: int, sk: LweSecretKey, q: int, mask_rng: Sampler,
-                       noise: Sampler,
-                       error_std: Optional[float] = None) -> LweCiphertext:
-    """Encrypt with the uniform ``a``-vector drawn from a replayable
-    seeded stream (one ``uniform(dim, q)`` call); errors come from the
-    separate ``noise`` sampler.  Only ``b`` plus the seed need storing."""
-    eng = ModulusEngine(q)
-    a = eng.asarray(mask_rng.uniform(sk.dim, q))
-    e = int(noise.gaussian(1, error_std)[0])
     inner = int(np.dot(a.astype(object), sk.coeffs)) % q
     b = (m + e - inner) % q
     return LweCiphertext(a=a, b=b, q=q)
@@ -145,35 +138,31 @@ class LweKeySwitchKey:
 
     rows: List[List[LweCiphertext]]
     gadget: GadgetVector
+    #: Seed of the one mask stream every row's ``a``-vector came from.
+    mask_seed: int = field(repr=False, compare=False)
 
     @classmethod
     def generate(cls, sk_in: LweSecretKey, sk_out: LweSecretKey, q: int,
-                 gadget: GadgetVector, sampler: Sampler) -> "LweKeySwitchKey":
+                 gadget: GadgetVector, sampler: Sampler,
+                 key_seed: Optional[int] = None) -> "LweKeySwitchKey":
+        """Every row ciphertext's ``a``-vector streams from
+        ``mask_stream(key_seed)`` (row order ``i`` outer, digit ``k``
+        inner; ``key_seed`` drawn from ``sampler`` when not given), so
+        the at-rest key is the ``N * d`` scalars ``b`` plus one seed —
+        the §III-C LWE key-switch key shrinks by ~``n_t``x.  Errors come
+        from ``sampler``."""
+        if key_seed is None:
+            key_seed = sampler.draw_seed()
+        mask_rng = mask_stream(key_seed)
         rows = []
         for i in range(sk_in.dim):
             row = []
             for g in gadget.factors():
                 m = int(sk_in.coeffs[i]) * g % q
-                row.append(lwe_encrypt(m, sk_out, q, sampler))
+                row.append(lwe_encrypt(m, sk_out, q, sampler,
+                                       mask_rng=mask_rng))
             rows.append(row)
-        return cls(rows=rows, gadget=gadget)
-
-    @classmethod
-    def generate_seeded(cls, sk_in: LweSecretKey, sk_out: LweSecretKey, q: int,
-                        gadget: GadgetVector, mask_rng: Sampler,
-                        noise: Sampler) -> "LweKeySwitchKey":
-        """Seeded variant: every row ciphertext's ``a``-vector streams from
-        one replayable ``mask_rng`` (row order ``i`` outer, digit ``k``
-        inner), so the at-rest key is the ``N * d`` scalars ``b`` plus one
-        seed — the §III-C LWE key-switch key shrinks by ~``n_t``x."""
-        rows = []
-        for i in range(sk_in.dim):
-            row = []
-            for g in gadget.factors():
-                m = int(sk_in.coeffs[i]) * g % q
-                row.append(lwe_encrypt_seeded(m, sk_out, q, mask_rng, noise))
-            rows.append(row)
-        return cls(rows=rows, gadget=gadget)
+        return cls(rows=rows, gadget=gadget, mask_seed=key_seed)
 
     def bodies(self) -> List[List[int]]:
         """Stored half of the seed+``b`` form (row-major digit order)."""
@@ -183,19 +172,20 @@ class LweKeySwitchKey:
         return sum(len(r) for r in self.rows)
 
 
-def expand_lwe_keyswitch_key(mask_rng: Sampler, bodies: List[List[int]],
+def expand_lwe_keyswitch_key(mask_seed: int, bodies: List[List[int]],
                              out_dim: int, q: int,
                              gadget: GadgetVector) -> LweKeySwitchKey:
-    """Rebuild a seeded LWE key-switch key bit-identically from seed + ``b``s."""
+    """Rebuild an LWE key-switch key bit-identically from seed + ``b``s."""
     eng = ModulusEngine(q)
+    mask_rng = mask_stream(mask_seed)
     rows = []
     for row_bodies in bodies:
         if len(row_bodies) != gadget.digits:
-            raise ParameterError("seeded LWE ksk body count does not match gadget digits")
+            raise ParameterError("LWE ksk body count does not match gadget digits")
         rows.append([LweCiphertext(a=eng.asarray(mask_rng.uniform(out_dim, q)),
                                    b=int(b), q=q)
                      for b in row_bodies])
-    return LweKeySwitchKey(rows=rows, gadget=gadget)
+    return LweKeySwitchKey(rows=rows, gadget=gadget, mask_seed=mask_seed)
 
 
 def lwe_keyswitch(ct: LweCiphertext, ksk: LweKeySwitchKey) -> LweCiphertext:

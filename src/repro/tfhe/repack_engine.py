@@ -118,7 +118,7 @@ class RepackEngine:
         Lifted through the process-wide key registry (owner: the key
         set), so merge and trace digit paths share one tensor per
         exponent, the bytes are accounted centrally, and demoting a
-        streaming key to seed+``b`` form drops its lifted tensors too.
+        key set to seed+``b`` form drops its lifted tensors too.
         ``_keys_lifted`` mirrors the registry for cheap engine-local
         lookups and is kept consistent by the registry's drop hook.
         """

@@ -22,8 +22,7 @@ from ..errors import ParameterError
 from ..math.gadget import GadgetVector
 from ..math.rns import RnsBasis, RnsPoly
 from ..math.sampling import Sampler
-from .glwe import (GlweCiphertext, GlweSecretKey, draw_uniform_masks,
-                   glwe_encrypt, glwe_encrypt_seeded)
+from .glwe import GlweCiphertext, GlweSecretKey, draw_uniform_masks, glwe_encrypt
 
 
 @dataclass
@@ -124,47 +123,18 @@ class RgswCiphertext:
 
 def rgsw_encrypt(m: int, sk: GlweSecretKey, basis: RnsBasis,
                  gadget: GadgetVector, sampler: Sampler,
-                 error_std: Optional[float] = None) -> RgswCiphertext:
-    """Encrypt a small integer (typically a secret-key digit in {-1,0,1})."""
-    n = sk.n
-    h = sk.h
-    rows: List[List[GlweCiphertext]] = []
-    factors = gadget.factors()
-    for c in range(h + 1):
-        comp_rows = []
-        for g in factors:
-            payload = (int(m) * g) % basis.product
-            if c < h:
-                ct = glwe_encrypt(RnsPoly.zero(n, basis), sk, sampler, error_std)
-                bump = RnsPoly.from_int_coeffs(
-                    n, basis, _constant_vec(n, payload)).to_eval()
-                ct = GlweCiphertext(
-                    mask=[a + bump if i == c else a for i, a in enumerate(ct.mask)],
-                    body=ct.body,
-                )
-            else:
-                msg = RnsPoly.from_int_coeffs(n, basis, _constant_vec(n, payload))
-                ct = glwe_encrypt(msg, sk, sampler, error_std)
-            comp_rows.append(ct.to_eval())
-        rows.append(comp_rows)
-    return RgswCiphertext(rows=rows, gadget=gadget)
+                 error_std: Optional[float] = None,
+                 mask_rng: Optional[Sampler] = None) -> RgswCiphertext:
+    """Encrypt a small integer (typically a secret-key digit in {-1,0,1}).
 
-
-def rgsw_encrypt_seeded(m: int, sk: GlweSecretKey, basis: RnsBasis,
-                        gadget: GadgetVector, mask_rng: Sampler, noise: Sampler,
-                        error_std: Optional[float] = None) -> RgswCiphertext:
-    """Seeded RGSW: every mask polynomial comes from one replayable stream.
-
-    :func:`rgsw_encrypt` puts the payload ``g_k * m`` *into the mask* of
-    component rows (``c < h``), which would make those masks
-    non-derivable from a seed.  The seeded form keeps the identical phase
-    — ``g_k * m * s_c`` for mask rows, ``g_k * m`` for the body row — but
-    realises it through the body instead: all masks are uniform draws
-    from ``mask_rng`` (row order ``c`` outer, digit ``k`` inner; the draw
-    order of :func:`~repro.tfhe.glwe.draw_uniform_masks` within a row)
-    and the body absorbs the payload.  Only the ``(h+1)d`` body
-    polynomials plus the mask seed need to be stored — a ``(h+1)``-fold
-    compression of the at-rest key.
+    Every mask polynomial is a uniform draw from ``mask_rng`` (default:
+    ``sampler``; row order ``c`` outer, digit ``k`` inner, the draw order
+    of :func:`~repro.tfhe.glwe.draw_uniform_masks` within a row) and the
+    *body* absorbs the payload — phase ``g_k * m * s_c`` for mask rows
+    (``c < h``), ``g_k * m`` for the body row.  With a replayable mask
+    stream only the ``(h+1)d`` body polynomials plus the stream's seed
+    need storing — a ``(h+1)``-fold compression of the at-rest key
+    (:func:`expand_rgsw`).
     """
     n = sk.n
     h = sk.h
@@ -177,29 +147,29 @@ def rgsw_encrypt_seeded(m: int, sk: GlweSecretKey, basis: RnsBasis,
             payload = (int(m) * g) % basis.product
             const = RnsPoly.from_int_coeffs(n, basis, _constant_vec(n, payload)).to_eval()
             msg = const * s_polys[c] if c < h else const
-            comp_rows.append(glwe_encrypt_seeded(msg, sk, mask_rng, noise, error_std))
+            comp_rows.append(glwe_encrypt(msg, sk, sampler, error_std, mask_rng))
         rows.append(comp_rows)
     return RgswCiphertext(rows=rows, gadget=gadget)
 
 
 def rgsw_bodies(rgsw: RgswCiphertext) -> List[RnsPoly]:
-    """Flat body list of a seeded RGSW, row order ``r = c*d + k`` (the
-    stored half of the seed+``b`` at-rest form)."""
+    """Flat body list of an RGSW, row order ``r = c*d + k`` (the stored
+    half of the seed+``b`` at-rest form)."""
     return [row.body for comp in rgsw.rows for row in comp]
 
 
 def expand_rgsw(mask_rng: Sampler, bodies: List[RnsPoly], basis: RnsBasis,
                 gadget: GadgetVector, h: int) -> RgswCiphertext:
-    """Rebuild a seeded RGSW from its mask stream and stored bodies.
+    """Rebuild an RGSW from its mask stream and stored bodies.
 
-    Replays exactly the draws :func:`rgsw_encrypt_seeded` made, so the
+    Replays exactly the draws :func:`rgsw_encrypt` made, so the
     result is bit-identical to the ciphertext produced at keygen.  Pure
     PRNG replay — masks are sampled directly in the evaluation domain, so
     expansion costs no NTTs.
     """
     d = gadget.digits
     if len(bodies) != (h + 1) * d:
-        raise ParameterError("seeded RGSW body count does not match gadget digits")
+        raise ParameterError("RGSW body count does not match gadget digits")
     n = bodies[0].n
     rows: List[List[GlweCiphertext]] = []
     for c in range(h + 1):

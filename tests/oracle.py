@@ -76,7 +76,10 @@ def oracle_keyswitched(ctx, keys, ct):
 
 def _assert_polys_equal(polys_a, polys_b):
     for pa, pb in zip(polys_a, polys_b):
-        for la, lb in zip(pa.to_coeff().limbs, pb.to_coeff().limbs):
+        # The NTT is a bijection: only a domain mismatch needs a transform.
+        if pa.domain != pb.domain:
+            pa, pb = pa.to_coeff(), pb.to_coeff()
+        for la, lb in zip(pa.limbs, pb.limbs):
             assert np.asarray(la).tolist() == np.asarray(lb).tolist()
 
 
@@ -86,3 +89,29 @@ def assert_ct_equal(a, b):
 
 def assert_glwe_equal(a, b):
     _assert_polys_equal(list(a.mask) + [a.body], list(b.mask) + [b.body])
+
+
+def assert_keyset_equal(a, b):
+    """Every component of two ``SwitchingKeySet``s, either dimension,
+    limb for limb (expands whatever is not expanded yet)."""
+    assert (a.n_t, a.keyswitched) == (b.n_t, b.keyswitched)
+    assert a.brk.mask_seeds == b.brk.mask_seeds
+    glwe_rows = [(row, row2)
+                 for r, r2 in zip(a.brk.plus + a.brk.minus,
+                                  b.brk.plus + b.brk.minus)
+                 for comp, comp2 in zip(r.rows, r2.rows)
+                 for row, row2 in zip(comp, comp2)]
+    ksks = [(a.auto_keys, b.auto_keys)]
+    if a.keyswitched:
+        ksks.append((a.auto_keys_st, b.auto_keys_st))
+        glwe_rows += zip(a.ring_ksk.rows, b.ring_ksk.rows)
+        assert len(a.lwe_ksk.rows) == len(b.lwe_ksk.rows)
+        for row, row2 in zip(a.lwe_ksk.rows, b.lwe_ksk.rows):
+            assert [(ct.a.tolist(), int(ct.b), ct.q) for ct in row] \
+                == [(ct.a.tolist(), int(ct.b), ct.q) for ct in row2]
+    for keys, keys2 in ksks:
+        assert sorted(keys.keys) == sorted(keys2.keys)
+        for t in keys.keys:
+            glwe_rows += zip(keys.keys[t].rows, keys2.keys[t].rows)
+    for row, row2 in glwe_rows:
+        assert_glwe_equal(row, row2)

@@ -3,14 +3,18 @@
 Every executor — in-process, fault-injected simulated cluster, process
 pool with a SIGKILLed worker, the coalescing service — must return, for
 every request kind, exactly the bytes of the scalar-oracle composition
-in ``tests/oracle.py``.  Plus the guard that keeps implementation-choice
-knobs from growing back.
+in ``tests/oracle.py``, whether the key set is as generated or rebuilt
+from its seed+b material.  Plus the guards that keep implementation-
+choice knobs and a second key generator from growing back.
 """
 
+import ast
 import asyncio
+import dataclasses
 import importlib
 import inspect
 import pkgutil
+import textwrap
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ import pytest
 import repro.ckks
 import repro.service
 import repro.switching
+import repro.switching.keys
+import repro.tfhe
 from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.math.sampling import Sampler
 from repro.params import make_keyswitched_toy_params, make_toy_params
@@ -174,15 +180,65 @@ def test_matches_oracle(stack, expected, executor, kind):
         assert_ct_equal(expected[kind], got)
 
 
+@pytest.mark.parametrize("kind", ["alg2", "keyswitched"])
+@pytest.mark.parametrize("executor", [local, sigkilled_pool],
+                         ids=lambda fn: fn.__name__)
+def test_matches_oracle_from_material(stack, expected, executor, kind):
+    """The key-state axis: a key set rebuilt from its seed+b material —
+    nothing expanded until the executor touches it — returns the same
+    bytes as the generated set the oracle ran on."""
+    ctx, swk, payload = stack[kind]
+    at_rest = SwitchingKeySet.from_material(swk.compress())
+    assert at_rest.expansions == 0
+    assert_ct_equal(expected[kind], executor(ctx, at_rest, kind, payload))
+    assert at_rest.expansions > 0
+
+
+def _stack_modules(*pkgs):
+    return [importlib.import_module(info.name) for pkg in pkgs
+            for info in pkgutil.iter_modules(pkg.__path__, pkg.__name__ + ".")]
+
+
+def test_one_key_generator():
+    """Seed+b is the representation: no second generator, no second
+    encrypt, no second key-set class, and no seed field whose ``None``
+    would mean "made by the other generator"."""
+    twins, optional_seeds = [], []
+    for mod in _stack_modules(repro.tfhe, repro.switching, repro.service):
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", "") != mod.__name__:
+                continue
+            members = [name] + ([f"{name}.{m}" for m in vars(obj)]
+                                if inspect.isclass(obj) else [])
+            twins += [f"{mod.__name__}.{m}" for m in members
+                      if m.split(".")[-1] in ("generate_seeded",
+                                              "StreamingSwitchingKeys")
+                      or m.endswith("_encrypt_seeded")]
+            if dataclasses.is_dataclass(obj):
+                optional_seeds += [
+                    f"{mod.__name__}.{name}.{f.name}: {f.type}"
+                    for f in dataclasses.fields(obj)
+                    if "seed" in f.name and "Optional" in str(f.type)]
+    # The one exception: the name benchmarks/e2e still calls, a
+    # one-statement delegate to generate(key_seed=...).
+    assert twins == ["repro.switching.keys.SwitchingKeySet.generate_seeded"]
+    body = ast.parse(textwrap.dedent(inspect.getsource(
+        SwitchingKeySet.generate_seeded))).body[0].body
+    assert [type(stmt) for stmt in body[1:]] == [ast.Return], \
+        "generate_seeded must stay a docstring plus one return"
+    assert not optional_seeds, optional_seeds
+    assert not hasattr(repro.switching.keys, "StreamingSwitchingKeys")
+
+
 def test_no_engine_name_parameters():
     """Which implementation runs is not a parameter: no public callable
     of the bootstrap stack may take an ``*engine`` argument."""
-    names = [info.name for pkg in (repro.switching, repro.service, repro.ckks)
-             for info in pkgutil.iter_modules(pkg.__path__, pkg.__name__ + ".")]
-    names += ["repro.tfhe.blind_rotate", "repro.tfhe.repack",
-              "repro.tfhe.repack_engine"]
+    mods = _stack_modules(repro.switching, repro.service, repro.ckks)
+    mods += map(importlib.import_module,
+                ["repro.tfhe.blind_rotate", "repro.tfhe.repack",
+                 "repro.tfhe.repack_engine"])
     offenders = []
-    for mod in map(importlib.import_module, names):
+    for mod in mods:
         for name, obj in vars(mod).items():
             if name.startswith("_") or getattr(obj, "__module__", "") != mod.__name__:
                 continue

@@ -6,20 +6,23 @@ fault-injection schedule."""
 
 import pickle
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
-from repro.errors import ClusterExecutionError
+from repro.errors import ClusterExecutionError, SharedBufferError
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
 from repro.profiling import count_ops
 from repro.switching import SwitchingKeySet
 from repro.switching.cluster_sim import SimulatedCluster
 from repro.switching.fanout import PRIMARY, Fault, FaultInjector
+from repro.switching.keys import brk_bytes
 from repro.switching.mp_executor import ProcessPoolFanoutExecutor
 from repro.switching.pipeline import BootstrapPipeline, BootstrapTrace
+from repro.tfhe.blind_rotate import BlindRotateKey
 
 from .oracle import assert_ct_equal as assert_bit_identical
 
@@ -304,8 +307,8 @@ class TestSeededKeyStreaming:
     @pytest.fixture(scope="class")
     def seeded_swk(self, stack):
         ctx, sk, _, _ = stack
-        return SwitchingKeySet.generate_seeded(ctx, sk, key_seed=9901,
-                                               base_bits=4, error_std=0.8)
+        return SwitchingKeySet.generate(ctx, sk, base_bits=4, error_std=0.8,
+                                        key_seed=9901)
 
     def test_seeded_pool_bit_identical(self, stack, level0_ct, seeded_swk):
         ctx, _, _, _ = stack
@@ -314,14 +317,24 @@ class TestSeededKeyStreaming:
         assert_bit_identical(reference, out)
 
     def test_seeded_publish_halves_shared_bytes(self, stack, seeded_swk):
-        ctx, _, _, swk = stack
-        with ProcessPoolFanoutExecutor.for_keys(ctx, swk,
-                                                num_workers=1) as eager_pool:
-            eager_bytes = eager_pool.shared_key_bytes
+        """Seeds + bodies in shared memory against the expanded key's
+        own bytes (what mapping the full key would cost)."""
+        ctx, _, _, _ = stack
         with ProcessPoolFanoutExecutor.for_keys(ctx, seeded_swk,
                                                 num_workers=1) as pool:
             seeded_bytes = pool.shared_key_bytes
-        assert eager_bytes >= 1.9 * seeded_bytes
+        assert brk_bytes(seeded_swk.brk) >= 1.9 * seeded_bytes
+
+    def test_seedless_key_is_refused(self, stack, seeded_swk):
+        """A hand-assembled key without mask seeds has no seed+b form."""
+        ctx, _, _, _ = stack
+        brk = seeded_swk.brk
+        bare = BlindRotateKey(plus=brk.plus, minus=brk.minus,
+                              gadget=brk.gadget, h=brk.h)
+        tv = seeded_swk.test_vector(ctx.n, ctx.full_basis.moduli[0])
+        with pytest.raises(SharedBufferError, match="no mask seeds"):
+            ProcessPoolFanoutExecutor(SimpleNamespace(brk=bare), tv,
+                                      num_workers=1)
 
     def test_seeded_pool_spawn_start_method(self, stack, level0_ct,
                                             seeded_swk):

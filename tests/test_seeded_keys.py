@@ -1,10 +1,10 @@
-"""Seeded key streaming: expansion bit-identity, streaming residency,
+"""Seed+b keys: expansion bit-identity, the key set's storage states,
 demote/re-expand round-trips, and the key-cache byte accounting.
 
 The load-bearing property is *bit-identity*: a key expanded at runtime
 from ``seed + b`` must be indistinguishable — limb for limb — from the
 key produced at keygen, for every key type, level count and dnum.
-Anything less and the seeded path silently computes a different
+Anything less and a re-expanded key silently computes a different
 bootstrap.  Hypothesis drives the seeds and shape parameters; the
 fixed-size comparisons stay exact (``tolist()`` equality, never
 ``allclose``).
@@ -23,11 +23,7 @@ from repro.math.rns import RnsBasis
 from repro.math.sampling import Sampler, derive_seed, mask_stream
 from repro.params import make_toy_params
 from repro.service.key_cache import KeyCacheEntry, LruKeyCache
-from repro.switching.keys import (
-    StreamingSwitchingKeys,
-    SwitchingKeySet,
-    expand_switching_keys,
-)
+from repro.switching.keys import SwitchingKeySet, expand_switching_keys
 from repro.tfhe.glwe import GlweSecretKey
 from repro.tfhe.keyswitch import (
     AutomorphismKeySet,
@@ -35,7 +31,9 @@ from repro.tfhe.keyswitch import (
     expand_glwe_keyswitch_key,
 )
 from repro.tfhe.lwe import LweKeySwitchKey, LweSecretKey, expand_lwe_keyswitch_key
-from repro.tfhe.rgsw import expand_rgsw, rgsw_bodies, rgsw_encrypt_seeded
+from repro.tfhe.rgsw import expand_rgsw, rgsw_bodies, rgsw_encrypt
+
+from .oracle import assert_keyset_equal
 
 N = 32
 Q = find_ntt_primes(28, N, 1)[0]
@@ -81,9 +79,9 @@ class TestLweKeySwitchExpansion:
                               digits=-(-Q.bit_length() // base_bits))
         sk_in = LweSecretKey.generate(24, Sampler(seed + 1))
         sk_out = LweSecretKey.generate(16, Sampler(seed + 2))
-        ksk = LweKeySwitchKey.generate_seeded(
-            sk_in, sk_out, Q, gadget, mask_stream(seed), Sampler(seed + 3))
-        back = expand_lwe_keyswitch_key(mask_stream(seed), ksk.bodies(),
+        ksk = LweKeySwitchKey.generate(
+            sk_in, sk_out, Q, gadget, Sampler(seed + 3), key_seed=seed)
+        back = expand_lwe_keyswitch_key(ksk.mask_seed, ksk.bodies(),
                                         sk_out.dim, Q, gadget)
         for row, row2 in zip(ksk.rows, back.rows):
             for ct, ct2 in zip(row, row2):
@@ -100,9 +98,9 @@ class TestGlweKeySwitchExpansion:
         payload = np.asarray(
             [int(v) for v in np.random.default_rng(seed).integers(0, Q, N)],
             dtype=object)
-        ksk = GlweKeySwitchKey.generate_seeded(
-            payload, sk, BASIS, gadget, mask_stream(seed), Sampler(seed + 2))
-        back = expand_glwe_keyswitch_key(mask_stream(seed), ksk.bodies(),
+        ksk = GlweKeySwitchKey.generate(
+            payload, sk, BASIS, gadget, Sampler(seed + 2), key_seed=seed)
+        back = expand_glwe_keyswitch_key(ksk.mask_seed, ksk.bodies(),
                                          h, BASIS, gadget)
         for row, row2 in zip(ksk.rows, back.rows):
             assert poly_eq(row.body, row2.body)
@@ -116,8 +114,8 @@ class TestRgswExpansion:
     def test_expansion_matches_keygen(self, seed, m, h):
         gadget = GadgetVector(q=Q, base_bits=7, digits=4)
         sk = GlweSecretKey.generate(N, h, Sampler(seed + 1))
-        ct = rgsw_encrypt_seeded(m, sk, BASIS, gadget, mask_stream(seed),
-                                 Sampler(seed + 2))
+        ct = rgsw_encrypt(m, sk, BASIS, gadget, Sampler(seed + 2),
+                          mask_rng=mask_stream(seed))
         back = expand_rgsw(mask_stream(seed), rgsw_bodies(ct), BASIS,
                            gadget, h)
         for comp, comp2 in zip(ct.rows, back.rows):
@@ -134,15 +132,15 @@ class TestAutomorphismSetExpansion:
         gadget = GadgetVector(q=Q, base_bits=7, digits=4)
         sk = GlweSecretKey.generate(N, 1, Sampler(7))
         exps = [3, 5, 9]
-        aks = AutomorphismKeySet.generate_seeded(
-            sk, exps, BASIS, gadget, key_seed, Sampler(8))
-        assert aks.mask_seeds is not None
+        aks = AutomorphismKeySet.generate(
+            sk, exps, BASIS, gadget, Sampler(8), key_seed=key_seed)
         # Each exponent expands alone from its derived seed — the order
         # of expansion cannot matter for a streaming provider.
         for t in reversed(exps):
             ksk = aks.keys[t]
+            assert ksk.mask_seed == derive_seed(key_seed, "auto", t)
             back = expand_glwe_keyswitch_key(
-                mask_stream(aks.mask_seeds[t]), ksk.bodies(), 1, BASIS, gadget)
+                ksk.mask_seed, ksk.bodies(), 1, BASIS, gadget)
             for row, row2 in zip(ksk.rows, back.rows):
                 assert poly_eq(row.body, row2.body)
                 for m1, m2 in zip(row.mask, row2.mask):
@@ -182,26 +180,9 @@ def seeded_stack():
     ctx = CkksContext(PARAMS.ckks, dnum=2)
     gen = CkksKeyGenerator(ctx, Sampler(501))
     sk = gen.secret_key()
-    swk = SwitchingKeySet.generate_seeded(ctx, sk, key_seed=424242,
-                                          base_bits=4, error_std=0.8)
+    swk = SwitchingKeySet.generate(ctx, sk, base_bits=4, error_std=0.8,
+                                   key_seed=424242)
     return ctx, sk, swk
-
-
-def assert_keyset_bit_identical(a, b):
-    for rgsw1, rgsw2 in zip(list(a.brk.plus) + list(a.brk.minus),
-                            list(b.brk.plus) + list(b.brk.minus)):
-        for comp1, comp2 in zip(rgsw1.rows, rgsw2.rows):
-            for row1, row2 in zip(comp1, comp2):
-                assert poly_eq(row1.body, row2.body)
-                for m1, m2 in zip(row1.mask, row2.mask):
-                    assert poly_eq(m1, m2)
-    assert sorted(a.auto_keys.keys) == sorted(b.auto_keys.keys)
-    for t in a.auto_keys.keys:
-        for row1, row2 in zip(a.auto_keys.keys[t].rows,
-                              b.auto_keys.keys[t].rows):
-            assert poly_eq(row1.body, row2.body)
-            for m1, m2 in zip(row1.mask, row2.mask):
-                assert poly_eq(m1, m2)
 
 
 class TestSwitchingKeyCompression:
@@ -209,20 +190,22 @@ class TestSwitchingKeyCompression:
         _, _, swk = seeded_stack
         material = swk.compress()
         back = expand_switching_keys(material)
-        assert_keyset_bit_identical(swk, back)
+        assert_keyset_equal(swk, back)
 
     def test_at_rest_compression_ratio(self, seeded_stack):
         _, _, swk = seeded_stack
         material = swk.compress()
         assert swk.resident_bytes() / material.resident_bytes() >= 1.9
 
-    def test_eager_keys_refuse_compression(self, seeded_stack):
+    def test_generated_keys_round_trip_through_material(self, seeded_stack):
+        """No key seed given: the generator draws one, and the set is
+        as compressible as any other — generate == from_material(compress())."""
         ctx, sk, _ = seeded_stack
-        from repro.errors import ParameterError
-        eager = SwitchingKeySet.generate(ctx, sk, Sampler(77), base_bits=4,
-                                         error_std=0.8)
-        with pytest.raises(ParameterError):
-            eager.compress()
+        swk = SwitchingKeySet.generate(ctx, sk, Sampler(77), base_bits=4,
+                                       error_std=0.8)
+        back = SwitchingKeySet.from_material(swk.compress())
+        assert back.resident_bytes() == swk.compress().resident_bytes()
+        assert_keyset_equal(swk, back)
 
     def test_material_repr_redacts_seeds(self, seeded_stack):
         _, _, swk = seeded_stack
@@ -234,23 +217,39 @@ class TestSwitchingKeyCompression:
 class TestStreamingKeys:
     def test_streaming_matches_eager_expansion(self, seeded_stack):
         _, _, swk = seeded_stack
-        stream = StreamingSwitchingKeys(swk.compress())
-        assert_keyset_bit_identical(swk, stream)
+        stream = SwitchingKeySet.from_material(swk.compress())
+        assert_keyset_equal(swk, stream)
 
     def test_drop_and_reexpand_round_trip(self, seeded_stack):
         _, _, swk = seeded_stack
-        stream = StreamingSwitchingKeys(swk.compress())
+        stream = SwitchingKeySet.from_material(swk.compress())
         _ = stream.brk  # force expansion
         resident_full = stream.resident_bytes()
         freed = stream.drop_expanded()
         assert freed > 0
         assert stream.resident_bytes() < resident_full
         assert stream.demotions == 1
-        assert_keyset_bit_identical(swk, stream)  # re-expands on demand
+        assert_keyset_equal(swk, stream)  # re-expands on demand
+
+    def test_generated_set_demotes_and_reexpands(self, seeded_stack):
+        """The demote tier is not special to material-built sets: a
+        generated set compresses itself, drops its ciphertexts and lifted
+        tensors, and re-expands the same bytes."""
+        ctx, sk, _ = seeded_stack
+        swk, fresh = (SwitchingKeySet.generate(ctx, sk, Sampler(78),
+                                               base_bits=4, error_std=0.8)
+                      for _ in range(2))
+        expanded = fresh.resident_bytes()
+        freed = fresh.drop_expanded()
+        assert freed == expanded - fresh.compress().resident_bytes() > 0
+        assert fresh.resident_bytes() == expanded - freed
+        assert fresh.drop_expanded() == 0 and fresh.demotions == 1
+        assert_keyset_equal(swk, fresh)
+        assert fresh.expansions == fresh.n_t + len(fresh.auto_keys.keys)
 
     def test_resident_bytes_grow_with_expansion(self, seeded_stack):
         _, _, swk = seeded_stack
-        stream = StreamingSwitchingKeys(swk.compress())
+        stream = SwitchingKeySet.from_material(swk.compress())
         at_rest = stream.resident_bytes()
         _ = stream.brk
         assert stream.resident_bytes() > at_rest
@@ -260,7 +259,7 @@ class TestStreamingKeys:
 # -- key-cache accounting ----------------------------------------------------
 
 
-class _FakeStreamingKeys:
+class _FakeKeySet:
     """Duck-typed stand-in: a compressed core plus droppable expansion."""
 
     def __init__(self, core, expanded):
@@ -290,7 +289,7 @@ def _entry_for(keys):
 
 class TestLruKeyCacheAccounting:
     def _cache(self, sizes, capacity):
-        keys = {u: _FakeStreamingKeys(core, exp)
+        keys = {u: _FakeKeySet(core, exp)
                 for u, (core, exp) in sizes.items()}
         cache = LruKeyCache(lambda u: keys[u],
                             lambda holder_keys: _entry_for(holder_keys),
@@ -351,6 +350,25 @@ class TestLruKeyCacheAccounting:
         cache.get(1)
         assert keys[0].drops == 0  # pinned: left alone
         first.unpin()
+
+    def test_generated_key_sets_demote_before_eviction(self):
+        """On the real class: two generated sets, room for one expanded
+        plus one at rest — the cold one demotes, nobody is evicted."""
+        ctx = CkksContext(PARAMS.ckks, dnum=2)
+        sk = CkksKeyGenerator(ctx, Sampler(501)).secret_key()
+        keys = {u: SwitchingKeySet.generate(ctx, sk, Sampler(u), base_bits=4,
+                                            error_std=0.8) for u in (0, 1)}
+        expanded = keys[0].resident_bytes()
+        at_rest = keys[0].compress().resident_bytes()
+        cache = LruKeyCache(lambda u: keys[u], _entry_for,
+                            capacity_bytes=expanded + at_rest)
+        cache.get(0)
+        cache.get(1)
+        assert (cache.demotions, cache.evictions, len(cache)) == (1, 0, 2)
+        assert keys[0].resident_bytes() == at_rest
+        assert keys[1].resident_bytes() == expanded
+        assert cache.resident_bytes() == cache.recount_bytes() \
+            == expanded + at_rest
 
     def test_hit_refreshes_entry_size(self):
         sizes = {0: (100, 0)}

@@ -148,6 +148,47 @@ class TestBatchCompositionInvariance:
         assert trace.key_cache_hits == 6
         assert trace.mean_batch_fill > 1.0
 
+    def test_wrong_dimension_lwe_fails_alone(self, lwe_stack, ckks_stack):
+        """A raw LWE of the wrong dimension or modulus is refused at
+        submit — before it is queued or pinned — so it cannot fail the
+        requests it would have been batched with; the dimension is read
+        off the key set without expanding it."""
+        _, _, lwe_sk, brk, tv = lwe_stack
+        good = make_lwes(lwe_stack, 2)
+        s = Sampler(99)
+        wrong_dim = lwe_encrypt(5, LweSecretKey.generate(N_T + 1, s),
+                                2 * N_RING, s, error_std=0.5)
+        wrong_q = lwe_encrypt(5, lwe_sk, 4 * N_RING, s, error_std=0.5)
+        reference = solo_results(lwe_stack, good)
+        uk = UserKeys(_KeyBox(brk), tv)
+        ctx, _, _, swk = ckks_stack
+        at_rest = SwitchingKeySet.from_material(swk.compress())
+        uk_at_rest = UserKeys.from_switching(ctx, at_rest)
+
+        async def main():
+            svc = BootstrapService(
+                lambda uid: uk_at_rest if uid == "at-rest" else uk,
+                max_batch=8, max_delay_s=0.05)
+            async with svc:
+                results = await asyncio.gather(
+                    svc.submit("u", good[0]), svc.submit("u", wrong_dim),
+                    svc.submit("u", good[1]), svc.submit("u", wrong_q),
+                    svc.submit("at-rest", wrong_dim),
+                    return_exceptions=True)
+                pins = [svc.cache.get(u).pins for u in ("u", "at-rest")]
+            return results, pins, svc.trace
+
+        (out0, bad0, out1, bad1, bad2), pins, trace = asyncio.run(main())
+        assert_glwe_equal(reference[0], out0)
+        assert_glwe_equal(reference[1], out1)
+        for exc in (bad0, bad1, bad2):
+            assert isinstance(exc, ParameterError) and "dimension" in str(exc)
+        assert pins == [0, 0]
+        assert at_rest.expansions == 0
+        assert trace.requests_failed == 0
+        assert (trace.requests_accepted, trace.requests_completed) == (2, 2)
+        assert trace.batch_fill == {2: 1}
+
     def test_process_pool_executor_matches_solo(self, lwe_stack):
         lwes = make_lwes(lwe_stack, 6)
         reference = solo_results(lwe_stack, lwes)

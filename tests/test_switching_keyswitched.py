@@ -8,12 +8,15 @@ import pytest
 
 from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.errors import ParameterError
+from repro.io import deserialize_seeded_key_material, serialize_seeded_key_material
 from repro.math.sampling import Sampler
 from repro.params import make_keyswitched_toy_params, make_toy_params
 from repro.service import BootstrapService, UserKeys
 from repro.switching import (SIGN, BootstrapPipeline, BootstrapTrace,
                              SwitchingKeySet)
 from repro.switching.keys import brk_bytes, glwe_rows_bytes, lwe_ksk_bytes
+
+from .oracle import assert_keyset_equal
 
 N = 16
 N_T = 8
@@ -96,10 +99,21 @@ class TestKeySet:
         assert secrets == ["glwe_sk_ref"]
         assert "coeffs=[" not in repr(boot.keys)
 
-    def test_eager_nt_set_does_not_compress(self, stack):
+    def test_nt_set_round_trips_through_material(self, stack):
+        """generate == from_material(compress()) for every component —
+        brk over s_t, lwe_ksk, both repack key sets, ring_ksk — across
+        the CRC-framed wire form, and again after a demotion."""
         ctx, sk, ev, boot = stack
-        with pytest.raises(ParameterError, match="only seeded key sets"):
-            boot.keys.compress()
+        material = boot.keys.compress()
+        assert set(material.bodies) >= {"lwe_ksk_b", "auto_st_b_0", "ring_b_0"}
+        back = SwitchingKeySet.from_material(deserialize_seeded_key_material(
+            serialize_seeded_key_material(material)))
+        assert (back.n_t, back.keyswitched, back.expansions) == (N_T, True, 0)
+        assert back.resident_bytes() == material.resident_bytes()
+        assert_keyset_equal(boot.keys, back)
+        assert back.drop_expanded() > 0
+        assert back.resident_bytes() == material.resident_bytes()
+        assert_keyset_equal(boot.keys, back)
 
 
 class TestBootstrap:
