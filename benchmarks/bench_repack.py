@@ -18,8 +18,8 @@ engine is then timed interleaved via the shared
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_repack.py -q``
 (the bench is excluded from tier-1 ``testpaths``), or directly as a
 script.  ``python benchmarks/bench_repack.py --quick`` runs the CI
-variant: bit-identity at N = 2^6 and 2^7 across both digit paths, no
-timing gate — fast enough for every pull request.
+variant: bit-identity at N = 2^6 and 2^7, no timing gate — fast enough
+for every pull request.
 """
 
 import os
@@ -86,13 +86,10 @@ def _run(ring_sizes, gate=True):
         engine = RepackEngine.for_keys(auto)
         for n_cts in (n, n // 4):
             cts = _encrypt_batch(n, basis, glwe_sk, s, n_cts)
-            # Warmup + correctness: both digit paths must match the
-            # scalar oracle bit-for-bit before any timing counts.
-            ref_out = repack_reference(cts, auto)
-            _assert_bit_identical(engine.pack(cts, digit_path="hoisted"),
-                                  ref_out)
-            _assert_bit_identical(engine.pack(cts, digit_path="fresh"),
-                                  ref_out)
+            # Warmup + correctness: the engine must match the scalar
+            # oracle bit-for-bit before any timing counts.
+            _assert_bit_identical(engine.pack(cts),
+                                  repack_reference(cts, auto))
             vec_s, ref_s = time_interleaved(
                 lambda: engine.pack(cts),
                 lambda: repack_reference(cts, auto))

@@ -42,7 +42,7 @@ async def main() -> None:
     tenant_keys = UserKeys.from_switching(ctx, swk)
 
     # Two predicate LUTs, built once each and cached on the key set's
-    # registry (OpStats counts the hits).
+    # registry (`swk.luts.built_ids()` lists what was built).
     is_elevated = threshold(LOW)
     is_critical = threshold(HIGH)
 

@@ -14,23 +14,21 @@ touches the key.  Before this registry three such caches existed ad hoc:
 
 All three now route through one process-wide :class:`EvalKeyRegistry`
 keyed ``(owner, kind, subkey)``, so the same lifted tensor serves
-keyswitch, rotation and repack; the total derived-tensor footprint is
-one number the service can report; and the streaming key cache's second
-eviction tier (`drop back to seed+b`) can release every tensor derived
-from a key it demotes with one :meth:`~EvalKeyRegistry.drop_owner` call.
+keyswitch, rotation and repack; a key set's derived-tensor footprint is
+one :meth:`~EvalKeyRegistry.owner_bytes` sum; and the key cache's demote
+tier (`drop back to seed+b`) can release every tensor derived from a key
+it demotes with one :meth:`~EvalKeyRegistry.drop_owner` call.
 
 Owners are weakly referenced: when a key object dies, its entries (and
-their bytes) vanish from the accounting automatically.  An optional
-byte capacity turns the registry into an LRU over derived tensors —
-by default it is unbounded and acts as pure shared accounting.
+their bytes) vanish from the accounting automatically.  The registry is
+unbounded — eviction is the key cache's job, through ``drop_owner``.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -59,34 +57,15 @@ class _Entry:
     on_drop: Optional[Callable[[Any], None]] = None
 
 
-@dataclass
-class RegistryStats:
-    """Counter snapshot for benches and the service trace."""
-
-    hits: int = 0
-    misses: int = 0
-    drops: int = 0
-    dropped_bytes: int = 0
-    resident_bytes: int = 0
-    entries: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
-
-
 class EvalKeyRegistry:
     """Process-wide cache of lifted key tensors, keyed ``(owner, kind,
-    subkey)`` with weakly-referenced owners and running byte accounting."""
+    subkey)`` with weakly-referenced owners and per-owner byte accounting."""
 
-    def __init__(self, capacity_bytes: Optional[int] = None):
+    def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[Tuple[int, str, Hashable], _Entry]" = OrderedDict()
+        self._entries: Dict[Tuple[int, str, Hashable], _Entry] = {}
         self._owner_keys: Dict[int, List[Tuple[int, str, Hashable]]] = {}
         self._finalizers: Dict[int, weakref.finalize] = {}
-        self._resident = 0
-        self.capacity_bytes = capacity_bytes
-        self.hits = 0
-        self.misses = 0
-        self.drops = 0
-        self.dropped_bytes = 0
 
     # -- core ------------------------------------------------------------------
 
@@ -101,55 +80,36 @@ class EvalKeyRegistry:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.ref() is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
                 return entry.value
-            self.misses += 1
             value = build()
-            self._insert(owner, key, value, _value_nbytes(value), on_drop)
+            self._insert(owner, key, value, on_drop)
             return value
 
     def register(self, owner: Any, kind: str, subkey: Hashable, value: Any,
-                 nbytes: Optional[int] = None,
                  on_drop: Optional[Callable[[Any], None]] = None) -> None:
         """Account a tensor built elsewhere (idempotent per key)."""
         key = (id(owner), kind, subkey)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.ref() is not None:
-                self._entries.move_to_end(key)
                 return
-            self._insert(owner, key, value,
-                         _value_nbytes(value) if nbytes is None else int(nbytes),
-                         on_drop)
+            self._insert(owner, key, value, on_drop)
 
     def _insert(self, owner: Any, key: Tuple[int, str, Hashable], value: Any,
-                nbytes: int, on_drop: Optional[Callable[[Any], None]]) -> None:
+                on_drop: Optional[Callable[[Any], None]]) -> None:
         oid = id(owner)
         self._entries[key] = _Entry(ref=weakref.ref(owner), value=value,
-                                    nbytes=nbytes, on_drop=on_drop)
+                                    nbytes=_value_nbytes(value),
+                                    on_drop=on_drop)
         self._owner_keys.setdefault(oid, []).append(key)
-        self._resident += nbytes
         if oid not in self._finalizers:
             self._finalizers[oid] = weakref.finalize(
                 owner, self._owner_died, oid)
-        if self.capacity_bytes is not None:
-            self._evict_to_fit(keep=key)
-
-    def _evict_to_fit(self, keep: Tuple[int, str, Hashable]) -> None:
-        while self._resident > self.capacity_bytes and len(self._entries) > 1:
-            victim = next((k for k in self._entries if k != keep), None)
-            if victim is None:
-                return
-            self._drop_key(victim)
 
     def _drop_key(self, key: Tuple[int, str, Hashable]) -> int:
         entry = self._entries.pop(key, None)
         if entry is None:
             return 0
-        self._resident -= entry.nbytes
-        self.drops += 1
-        self.dropped_bytes += entry.nbytes
         keys = self._owner_keys.get(key[0])
         if keys is not None:
             try:
@@ -168,9 +128,7 @@ class EvalKeyRegistry:
         with self._lock:
             self._finalizers.pop(oid, None)
             for key in list(self._owner_keys.get(oid, ())):
-                entry = self._entries.pop(key, None)
-                if entry is not None:
-                    self._resident -= entry.nbytes
+                self._entries.pop(key, None)
             self._owner_keys.pop(oid, None)
 
     # -- owner-level operations ------------------------------------------------
@@ -189,24 +147,6 @@ class EvalKeyRegistry:
             return sum(self._entries[key].nbytes
                        for key in self._owner_keys.get(id(owner), ())
                        if key in self._entries)
-
-    # -- introspection ---------------------------------------------------------
-
-    def resident_bytes(self) -> int:
-        with self._lock:
-            return self._resident
-
-    def stats(self) -> RegistryStats:
-        with self._lock:
-            per_kind: Dict[str, int] = {}
-            for (_oid, kind, _sub), entry in self._entries.items():
-                per_kind[kind] = per_kind.get(kind, 0) + entry.nbytes
-            return RegistryStats(hits=self.hits, misses=self.misses,
-                                 drops=self.drops,
-                                 dropped_bytes=self.dropped_bytes,
-                                 resident_bytes=self._resident,
-                                 entries=len(self._entries),
-                                 extra=per_kind)
 
 
 _REGISTRY = EvalKeyRegistry()

@@ -33,6 +33,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import ParameterError
+from ..profiling import record_mul, record_ntt
 from .modular import ModulusEngine, root_of_unity
 
 #: Largest value an unsigned 64-bit lane can hold; the fast-path butterfly
@@ -228,8 +229,6 @@ class NttEngine:
 
     def pointwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Hadamard product in the evaluation domain."""
-        from ..profiling import record_mul
-
         record_mul(int(np.asarray(a).size))
         return self.mod.mul(a, b)
 
@@ -571,8 +570,6 @@ def _profile_ntt(n: int, arr: np.ndarray) -> None:
     interface (one ``_cyclic`` pass per stage for the whole stack) versus
     degenerate one-row calls.
     """
-    from ..profiling import record_ntt
-
     batch = int(arr.size // n) if arr.size else 0
     if batch:
         record_ntt(n, batch)

@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import ParameterError
+from ..profiling import record_bconv_plan, record_mul
 from .automorphism import get_automorphism_perm
 from .modular import ModulusEngine, crt_compose
 from .ntt import get_ntt_engine, get_stacked_ntt_engine
@@ -183,8 +184,6 @@ class RnsPoly:
             return RnsPoly(self.n, self.basis, limbs, self.domain)
         self._check(other)
         a, b = self.to_eval(), other.to_eval()
-        from ..profiling import record_mul
-
         record_mul(self.n * len(self.basis))
         limbs = [e.mul(x, y) for e, x, y in zip(self.basis.engines, a.limbs, b.limbs)]
         return RnsPoly(self.n, self.basis, limbs, EVAL)
@@ -374,8 +373,6 @@ def get_bconv_plan(src_moduli: Sequence[int], dst_moduli: Sequence[int]) -> Bcon
     concurrent tenants share one plan instead of racing two half-built
     ones into the cache.
     """
-    from ..profiling import record_bconv_plan
-
     key = (tuple(int(q) for q in src_moduli), tuple(int(q) for q in dst_moduli))
     plan = _BCONV_PLANS.get(key)
     if plan is None:

@@ -27,7 +27,11 @@ if TYPE_CHECKING:
 
 @dataclass
 class OpStats:
-    """Primitive-operation tally for one profiled region."""
+    """Primitive-operation tally for one profiled region: arithmetic the
+    hardware model prices or the engines execute, nothing else (fan-out,
+    service, key-cache and LUT-registry facts live on the objects that
+    produce them — ``BootstrapTrace``, ``ServiceTrace``, ``LruKeyCache``,
+    ``LutRegistry``)."""
 
     ntt_calls: int = 0            # forward + inverse transforms (per limb)
     ntt_points: int = 0           # total transform points (sum of sizes)
@@ -46,8 +50,6 @@ class OpStats:
     repack_merge_keyswitches: int = 0   # merge-phase keyswitches (n_cts - 1 total)
     repack_trace_keyswitches: int = 0   # trace-phase keyswitches (log2(N/n_cts))
     repack_levels: int = 0              # batched automorphism levels executed
-    repack_hoisted_decomposes: int = 0  # digit tensors reused via signed gather
-    repack_fresh_decomposes: int = 0    # digit tensors decomposed from scratch
     repack_ntt_saved: int = 0           # per-limb NTT calls avoided by batching
     #: Keyswitches executed per repack level (level index -> count); in a
     #: full pack level ``k`` merges ``n/2^(k+1)`` pairs, then each trace
@@ -60,90 +62,6 @@ class OpStats:
     ks_hoisted_rotations: int = 0  # rotations served from one shared lift
     bconv_plan_hits: int = 0    # BconvPlan cache hits
     bconv_plan_misses: int = 0  # BconvPlan cache builds
-    # -- bootstrap fan-out counters (local + cluster executors) ----------
-    fanout_dispatches: int = 0  # BlindRotate slices dispatched (first attempts)
-    fanout_retries: int = 0     # recovery re-dispatches after a detected fault
-    fanout_redispatched_lwes: int = 0  # LWE ciphertexts re-sent by recovery
-    fanout_pool_spinups: int = 0       # worker pools started (fork + attach)
-    fanout_pool_spinup_s: float = 0.0  # wall-clock spent spinning pools up
-    fanout_worker_respawns: int = 0    # dead workers replaced mid-run
-    fanout_shared_key_bytes: int = 0   # key bytes published to shared memory
-    # -- programmable-bootstrap LUT registry counters --------------------
-    lut_cache_hits: int = 0    # built LUT tensors served from the registry
-    lut_cache_misses: int = 0  # LUT tensor builds (one N-point NTT per limb)
-    # -- bootstrap service counters (repro.service) ----------------------
-    service_requests: int = 0       # requests accepted into the queue
-    service_rejected: int = 0       # requests refused by backpressure
-    service_batches: int = 0        # coalesced batches dispatched
-    service_coalesced_lwes: int = 0  # LWE blind-rotates across those batches
-    service_coalesce_wait_s: float = 0.0  # summed request queue wait
-    #: Achieved batch fill (LWEs per dispatched batch -> occurrences) —
-    #: the software mirror of how full the (N, batch, h+1) tensors ran.
-    service_batch_fill_hist: Dict[int, int] = field(default_factory=dict)
-    #: Queue depth observed at each dispatch (depth -> occurrences).
-    service_queue_depth_hist: Dict[int, int] = field(default_factory=dict)
-    service_key_cache_hits: int = 0       # requests served by resident keys
-    service_key_cache_misses: int = 0     # key-provider loads
-    service_key_cache_evictions: int = 0  # entries evicted to fit capacity
-    service_key_cache_demotions: int = 0  # entries dropped to seed+b form
-
-    def record_keyswitch(self, *, modup_macs: int = 0, moddown_macs: int = 0,
-                         ntt_saved: int = 0, hoisted_rotations: int = 0) -> None:
-        self.ks_modup_macs += modup_macs
-        self.ks_moddown_macs += moddown_macs
-        self.ks_ntt_saved += ntt_saved
-        self.ks_hoisted_rotations += hoisted_rotations
-
-    def record_bconv_plan(self, hit: bool) -> None:
-        if hit:
-            self.bconv_plan_hits += 1
-        else:
-            self.bconv_plan_misses += 1
-
-    def record_fanout(self, *, dispatches: int = 0, retries: int = 0,
-                      redispatched_lwes: int = 0, pool_spinups: int = 0,
-                      pool_spinup_s: float = 0.0, worker_respawns: int = 0,
-                      shared_key_bytes: int = 0) -> None:
-        self.fanout_dispatches += dispatches
-        self.fanout_retries += retries
-        self.fanout_redispatched_lwes += redispatched_lwes
-        self.fanout_pool_spinups += pool_spinups
-        self.fanout_pool_spinup_s += pool_spinup_s
-        self.fanout_worker_respawns += worker_respawns
-        self.fanout_shared_key_bytes += shared_key_bytes
-
-    def record_lut_cache(self, hit: bool) -> None:
-        if hit:
-            self.lut_cache_hits += 1
-        else:
-            self.lut_cache_misses += 1
-
-    def record_service(self, *, requests: int = 0, rejected: int = 0,
-                       batch_fill: Optional[int] = None,
-                       coalesce_wait_s: float = 0.0,
-                       queue_depth: Optional[int] = None,
-                       cache_hits: int = 0, cache_misses: int = 0,
-                       cache_evictions: int = 0,
-                       cache_demotions: int = 0) -> None:
-        """Record coalescing-service activity: accepted/rejected
-        requests, one dispatched batch (``batch_fill`` = its LWE count,
-        ``queue_depth`` = pending requests at dispatch), queue wait, and
-        key-cache traffic."""
-        self.service_requests += requests
-        self.service_rejected += rejected
-        self.service_coalesce_wait_s += coalesce_wait_s
-        if batch_fill is not None:
-            self.service_batches += 1
-            self.service_coalesced_lwes += batch_fill
-            self.service_batch_fill_hist[batch_fill] = (
-                self.service_batch_fill_hist.get(batch_fill, 0) + 1)
-        if queue_depth is not None:
-            self.service_queue_depth_hist[queue_depth] = (
-                self.service_queue_depth_hist.get(queue_depth, 0) + 1)
-        self.service_key_cache_hits += cache_hits
-        self.service_key_cache_misses += cache_misses
-        self.service_key_cache_evictions += cache_evictions
-        self.service_key_cache_demotions += cache_demotions
 
     def merge(self, other: "OpStats") -> None:
         """Add another region's tally into this one (every scalar counter
@@ -157,34 +75,6 @@ class OpStats:
                     mine[key] = mine.get(key, 0) + value
             else:
                 setattr(self, f.name, mine + theirs)
-
-    def record_ntt(self, n: int, batch: int) -> None:
-        self.ntt_calls += batch
-        self.ntt_points += n * batch
-        self.by_size[n] = self.by_size.get(n, 0) + batch
-        self.ntt_batch_hist[batch] = self.ntt_batch_hist.get(batch, 0) + 1
-
-    def record_mul(self, count: int) -> None:
-        self.pointwise_mults += count
-
-    def record_external_product(self, batch: int = 1) -> None:
-        self.external_products += batch
-        self.ep_batch_hist[batch] = self.ep_batch_hist.get(batch, 0) + 1
-
-    def record_repack_level(self, level: int, keyswitches: int, *,
-                            phase: str, hoisted: int, fresh: int,
-                            ntt_saved: int) -> None:
-        if phase == "merge":
-            self.repack_merge_keyswitches += keyswitches
-        else:
-            self.repack_trace_keyswitches += keyswitches
-        self.repack_levels += 1
-        self.repack_hoisted_decomposes += hoisted
-        self.repack_fresh_decomposes += fresh
-        self.repack_ntt_saved += ntt_saved
-        self.repack_level_hist[level] = (
-            self.repack_level_hist.get(level, 0) + keyswitches
-        )
 
     @property
     def butterfly_mults(self) -> int:
@@ -203,86 +93,63 @@ _ACTIVE: Optional[OpStats] = None
 
 
 def record_ntt(n: int, batch: int = 1) -> None:
-    if _ACTIVE is not None:
-        _ACTIVE.record_ntt(n, batch)
+    """Record ``batch`` stacked ``n``-point transforms (one invocation)."""
+    stats = _ACTIVE
+    if stats is not None:
+        stats.ntt_calls += batch
+        stats.ntt_points += n * batch
+        stats.by_size[n] = stats.by_size.get(n, 0) + batch
+        stats.ntt_batch_hist[batch] = stats.ntt_batch_hist.get(batch, 0) + 1
 
 
 def record_mul(count: int) -> None:
-    if _ACTIVE is not None:
-        _ACTIVE.record_mul(count)
+    stats = _ACTIVE
+    if stats is not None:
+        stats.pointwise_mults += count
 
 
 def record_external_product(batch: int = 1) -> None:
     """Record ``batch`` external products executed as one fused operation."""
-    if _ACTIVE is not None:
-        _ACTIVE.record_external_product(batch)
+    stats = _ACTIVE
+    if stats is not None:
+        stats.external_products += batch
+        stats.ep_batch_hist[batch] = stats.ep_batch_hist.get(batch, 0) + 1
 
 
-def record_repack_level(level: int, keyswitches: int, *, phase: str = "merge",
-                        hoisted: int = 0, fresh: int = 0,
-                        ntt_saved: int = 0) -> None:
+def record_repack_level(level: int, keyswitches: int, *, phase: str,
+                        ntt_saved: int) -> None:
     """Record one batched repack level (``keyswitches`` merged into one pass)."""
-    if _ACTIVE is not None:
-        _ACTIVE.record_repack_level(level, keyswitches, phase=phase,
-                                    hoisted=hoisted, fresh=fresh,
-                                    ntt_saved=ntt_saved)
+    stats = _ACTIVE
+    if stats is not None:
+        if phase == "merge":
+            stats.repack_merge_keyswitches += keyswitches
+        else:
+            stats.repack_trace_keyswitches += keyswitches
+        stats.repack_levels += 1
+        stats.repack_ntt_saved += ntt_saved
+        stats.repack_level_hist[level] = (
+            stats.repack_level_hist.get(level, 0) + keyswitches)
 
 
 def record_keyswitch(*, modup_macs: int = 0, moddown_macs: int = 0,
                      ntt_saved: int = 0, hoisted_rotations: int = 0) -> None:
     """Record one hybrid-keyswitch pass (MAC counts are per limb element)."""
-    if _ACTIVE is not None:
-        _ACTIVE.record_keyswitch(modup_macs=modup_macs, moddown_macs=moddown_macs,
-                                 ntt_saved=ntt_saved,
-                                 hoisted_rotations=hoisted_rotations)
+    stats = _ACTIVE
+    if stats is not None:
+        stats.ks_modup_macs += modup_macs
+        stats.ks_moddown_macs += moddown_macs
+        stats.ks_ntt_saved += ntt_saved
+        stats.ks_hoisted_rotations += hoisted_rotations
 
 
 def record_bconv_plan(hit: bool) -> None:
     """Record a BconvPlan cache lookup (hit) or build (miss)."""
-    if _ACTIVE is not None:
-        _ACTIVE.record_bconv_plan(hit)
-
-
-def record_fanout(*, dispatches: int = 0, retries: int = 0,
-                  redispatched_lwes: int = 0, pool_spinups: int = 0,
-                  pool_spinup_s: float = 0.0, worker_respawns: int = 0,
-                  shared_key_bytes: int = 0) -> None:
-    """Record bootstrap fan-out activity (dispatches / recovery retries /
-    worker-pool lifecycle)."""
-    if _ACTIVE is not None:
-        _ACTIVE.record_fanout(dispatches=dispatches, retries=retries,
-                              redispatched_lwes=redispatched_lwes,
-                              pool_spinups=pool_spinups,
-                              pool_spinup_s=pool_spinup_s,
-                              worker_respawns=worker_respawns,
-                              shared_key_bytes=shared_key_bytes)
-
-
-def record_lut_cache(hit: bool) -> None:
-    """Record a LUT-registry lookup: served from cache (hit) or built
-    fresh (miss)."""
-    if _ACTIVE is not None:
-        _ACTIVE.record_lut_cache(hit)
-
-
-def record_service(*, requests: int = 0, rejected: int = 0,
-                   batch_fill: Optional[int] = None,
-                   coalesce_wait_s: float = 0.0,
-                   queue_depth: Optional[int] = None,
-                   cache_hits: int = 0, cache_misses: int = 0,
-                   cache_evictions: int = 0,
-                   cache_demotions: int = 0) -> None:
-    """Record bootstrap-service activity (request intake, one coalesced
-    batch dispatch, key-cache traffic) on the active collector."""
-    if _ACTIVE is not None:
-        _ACTIVE.record_service(requests=requests, rejected=rejected,
-                               batch_fill=batch_fill,
-                               coalesce_wait_s=coalesce_wait_s,
-                               queue_depth=queue_depth,
-                               cache_hits=cache_hits,
-                               cache_misses=cache_misses,
-                               cache_evictions=cache_evictions,
-                               cache_demotions=cache_demotions)
+    stats = _ACTIVE
+    if stats is not None:
+        if hit:
+            stats.bconv_plan_hits += 1
+        else:
+            stats.bconv_plan_misses += 1
 
 
 @contextlib.contextmanager

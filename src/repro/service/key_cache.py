@@ -50,7 +50,6 @@ from typing import Any, Callable, Dict, Optional, Set
 
 from ..ckks.context import CkksContext
 from ..math.rns import RnsPoly
-from ..profiling import record_service
 from ..switching.keys import brk_bytes, rns_poly_bytes
 
 
@@ -236,7 +235,6 @@ class LruKeyCache:
         ref = self._by_user.get(user_id)
         if ref is not None and ref in self._entries:
             self.hits += 1
-            record_service(cache_hits=1)
             entry = self._entries[ref]
             self._entries.move_to_end(ref)
             self._refresh(entry)
@@ -244,7 +242,6 @@ class LruKeyCache:
             return entry
 
         self.misses += 1
-        record_service(cache_misses=1)
         user_keys = self._provider(user_id)
         ref = id(user_keys)
         entry = self._entries.get(ref)
@@ -279,7 +276,6 @@ class LruKeyCache:
                 if entry.demote() > 0:
                     self._resident += entry.nbytes - before
                     self.demotions += 1
-                    record_service(cache_demotions=1)
         # Tier 2: full eviction (closes the executor).
         while self._resident > self.capacity_bytes:
             victim = next((r for r, e in self._entries.items()
@@ -294,7 +290,6 @@ class LruKeyCache:
         for user in entry.users:
             self._by_user.pop(user, None)
         self.evictions += 1
-        record_service(cache_evictions=1)
         entry.release()
 
     def close(self) -> None:

@@ -30,7 +30,9 @@ The moving parts:
 * **Backpressure.**  The queue is bounded by ``max_queue`` requests
   (pending + in flight); beyond it, submission fails fast with a typed
   :class:`~repro.errors.ServiceOverloadError` carrying a measured
-  ``retry_after`` instead of letting latency grow without bound.
+  ``retry_after`` instead of letting latency grow without bound.  A
+  request whose caller cancels while it is queued gives its room back
+  at once and takes no batch slot.
 * **Executors.**  Each key group's batches dispatch onto the executor
   built by ``executor_factory`` — in-process
   :class:`~repro.switching.pipeline.LocalExecutor` by default, or a
@@ -65,7 +67,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..ckks.ciphertext import CkksCiphertext
 from ..errors import ParameterError, ServiceClosedError, ServiceOverloadError
-from ..profiling import record_service
 from ..switching.pipeline import (PBS_OVER_NT, BootstrapPipeline,
                                   LocalExecutor, key_registry, run_batch)
 from ..tfhe.glwe import GlweCiphertext
@@ -84,6 +85,10 @@ class ServiceTrace:
     requests_rejected: int = 0
     requests_completed: int = 0
     requests_failed: int = 0
+    #: Requests whose caller went away (task cancelled) before a result
+    #: was delivered; after a drain ``accepted == completed + failed +
+    #: cancelled``.
+    requests_cancelled: int = 0
     batches: int = 0
     #: Total LWE blind-rotates dispatched across all coalesced batches.
     coalesced_lwes: int = 0
@@ -249,8 +254,10 @@ class BootstrapService:
         await self.stop()
 
     def queue_depth(self) -> int:
-        """Requests currently held by the service (queued + in flight)."""
-        return len(self._pending) + self._inflight
+        """Requests currently held by the service (queued + in flight);
+        a queued request stops counting the moment its caller cancels."""
+        return sum(not r.future.done() for r in self._pending) \
+            + self._inflight
 
     # -- submission -----------------------------------------------------------
 
@@ -286,7 +293,6 @@ class BootstrapService:
         depth = self.queue_depth()
         if depth >= self.max_queue:
             self.trace.requests_rejected += 1
-            record_service(rejected=1)
             raise ServiceOverloadError(
                 f"request queue is full ({depth} of {self.max_queue})",
                 retry_after=self._retry_after(depth))
@@ -335,7 +341,6 @@ class BootstrapService:
         self.trace.requests_accepted += 1
         self.trace.peak_queue_depth = max(self.trace.peak_queue_depth,
                                           self.queue_depth())
-        record_service(requests=1)
         self._wakeup.set()
         try:
             return await future
@@ -378,7 +383,11 @@ class BootstrapService:
         deadline, or draining — plus the earliest deadline among the
         not-yet-ready rest.  Algorithm-2 traffic (group ``None``) and
         each distinct PBS LUT batch separately: one fan-out tensor, one
-        test vector."""
+        test vector.  Requests cancelled while queued are dropped first,
+        so they take no batch slot."""
+        live = [r for r in self._pending if not r.future.done()]
+        self.trace.requests_cancelled += len(self._pending) - len(live)
+        self._pending = live
         groups: Dict[Tuple[int, Any], List[_Request]] = {}
         for req in self._pending:
             groups.setdefault((id(req.entry), req.group), []).append(req)
@@ -416,10 +425,10 @@ class BootstrapService:
         # One batch in flight per key entry: the pool executor is not
         # re-entrant, and serialising here keeps LocalExecutor identical.
         async with entry.lock:
-            depth = self.queue_depth()
             dispatch_t = time.monotonic()
             waits = [dispatch_t - r.arrival for r in batch]
             seconds = 0.0
+            resolved = 0  # futures still waiting when the batch finished
             try:
                 results, seconds = await asyncio.to_thread(
                     self._execute_batch, entry, batch)
@@ -427,18 +436,21 @@ class BootstrapService:
                 for req in batch:
                     if not req.future.done():
                         req.future.set_exception(exc)
-                self.trace.requests_failed += len(batch)
+                        resolved += 1
+                self.trace.requests_failed += resolved
             else:
                 for req, result in zip(batch, results):
                     if not req.future.done():
                         req.future.set_result(result)
-                self.trace.requests_completed += len(batch)
+                        resolved += 1
+                self.trace.requests_completed += resolved
                 per_request = seconds / len(batch)
                 self._ewma_request_s = per_request \
                     if self._ewma_request_s == 0.0 \
                     else 0.7 * self._ewma_request_s + 0.3 * per_request
             finally:
                 self._inflight -= len(batch)
+            self.trace.requests_cancelled += len(batch) - resolved
             waited = sum(waits)
             self.trace.batches += 1
             self.trace.coalesced_lwes += fill
@@ -448,8 +460,6 @@ class BootstrapService:
             self.trace.max_coalesce_wait_s = max(
                 self.trace.max_coalesce_wait_s, max(waits))
             self.trace.batch_seconds += seconds
-            record_service(batch_fill=fill, coalesce_wait_s=waited,
-                           queue_depth=depth)
 
     def _execute_batch(self, entry: KeyCacheEntry,
                        batch: List[_Request]) -> Tuple[List[Any], float]:

@@ -38,7 +38,6 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ClusterExecutionError
-from ..profiling import record_fanout
 from ..tfhe.glwe import GlweCiphertext
 from ..tfhe.lwe import LweCiphertext
 from .pipeline import BootstrapTrace
@@ -336,7 +335,6 @@ class FaultTolerantFanout:
             if assignment.count == 0:
                 continue
             wid = assignment.node_id
-            record_fanout(dispatches=1)
             if self._send(wid, healthy[wid], assignment.start,
                           assignment.stop, lwes, results, healthy, trace,
                           retry=False):
@@ -374,7 +372,6 @@ class FaultTolerantFanout:
                 target_id = pick_recovery_node(idle, loads, exclude=origin)
                 trace.fanout_retries += 1
                 trace.fanout_redispatched_lwes += stop - start
-                record_fanout(retries=1, redispatched_lwes=stop - start)
                 trace.notes.append(
                     f"re-dispatching LWEs [{start}, {stop}) from node "
                     f"{origin} to node {target_id}")

@@ -13,8 +13,8 @@ provided for that single LUT into a registry of *named* LUTs:
 * :class:`LutRegistry` owns the build cache — one per key set, living on
   ``SwitchingKeySet.luts`` — with the double-checked locking the
   ``BootstrapService`` thread pool requires
-  (requests resolve LUTs from ``asyncio.to_thread`` workers) and
-  hit/miss counters surfaced through :mod:`repro.profiling`;
+  (requests resolve LUTs from ``asyncio.to_thread`` workers);
+  :meth:`LutRegistry.built_ids` is the record of what was built;
 * the workload library at the bottom is the "functionally complete TFHE
   processor" op catalogue the ROADMAP targets: sign, threshold
   comparison, ReLU, and k-bit quantised activations.
@@ -40,7 +40,6 @@ from typing import Callable, Dict, Union
 
 from ..errors import ParameterError
 from ..math.rns import RnsBasis, RnsPoly
-from ..profiling import record_lut_cache
 from ..tfhe.blind_rotate import build_test_vector
 
 #: A real function evaluated per coefficient by the programmable bootstrap.
@@ -210,11 +209,8 @@ class LutRegistry:
         if self._built.get(lut_id) is None:        # lock-free hit path
             with self._lock:
                 if self._built.get(lut_id) is None:  # re-check under lock
-                    record_lut_cache(hit=False)
                     self._built[lut_id] = build_functional_lut(
                         spec.fn, n, q, delta, self.raised_basis)
-                    return lut_id
-        record_lut_cache(hit=True)
         return lut_id
 
     def switching_vector(self, n: int, q: int,
@@ -233,12 +229,9 @@ class LutRegistry:
                     # consumers, a top-level import would cycle.
                     from .pipeline import build_switching_test_vector
 
-                    record_lut_cache(hit=False)
                     poly = build_switching_test_vector(
                         n, q, self.raised_basis, fold_n_inv=fold_n_inv)
                     self._built[lut_id] = poly
-                    return poly
-        record_lut_cache(hit=True)
         return poly
 
     def vector(self, lut_id: str) -> RnsPoly:
@@ -252,7 +245,7 @@ class LutRegistry:
         return poly
 
     def built_ids(self) -> list:
-        """Ids of every tensor currently cached (diagnostics/tests)."""
+        """Ids of every tensor built so far (each is built exactly once)."""
         return sorted(self._built)
 
 

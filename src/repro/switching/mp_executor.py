@@ -85,7 +85,6 @@ from ..io import (
 )
 from ..math.gadget import GadgetVector
 from ..math.rns import RnsBasis, RnsPoly
-from ..profiling import record_fanout
 from ..tfhe.batch_engine import BatchBlindRotateEngine
 from ..tfhe.blind_rotate import BlindRotateKey
 from ..tfhe.glwe import GlweCiphertext
@@ -379,8 +378,6 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
             self.close()
             raise
         self.spinup_seconds = time.perf_counter() - t0
-        record_fanout(pool_spinups=1, pool_spinup_s=self.spinup_seconds,
-                      shared_key_bytes=self.shared_key_bytes)
 
     @classmethod
     def for_keys(cls, ctx, keys, num_workers: int = 2,
@@ -496,7 +493,6 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
         block, manifest = publish_shared_arrays(arrays, meta)
         self._lut_blocks[lut_id] = (block, manifest)
         self.shared_key_bytes += manifest.total_bytes
-        record_fanout(shared_key_bytes=manifest.total_bytes)
         return manifest
 
     def fanout(self, lwes: Sequence[LweCiphertext],
@@ -676,7 +672,6 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
                 f"worker {wid} not respawned (budget {self.max_respawns} "
                 f"exhausted)")
             return
-        t0 = time.perf_counter()
         try:
             fresh = self._spawn(wid, processed=handle.processed)
         except ClusterExecutionError as exc:
@@ -686,6 +681,4 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
         self._handles[wid] = fresh
         healthy[wid] = fresh
         trace.worker_respawns += 1
-        record_fanout(worker_respawns=1,
-                      pool_spinup_s=time.perf_counter() - t0)
         trace.notes.append(f"worker {wid} respawned")

@@ -95,7 +95,6 @@ from ..ckks.ciphertext import CkksCiphertext
 from ..ckks.context import CkksContext
 from ..errors import ParameterError
 from ..math.rns import RnsBasis, RnsPoly
-from ..profiling import record_fanout
 from ..tfhe import repack_with_counters
 from ..tfhe.blind_rotate import blind_rotate_batch, build_test_vector
 from ..tfhe.extract import RnsLweCiphertext, embed_lwe, extraction_vector
@@ -302,7 +301,6 @@ class LocalExecutor:
         t0 = time.perf_counter()
         accs = blind_rotate_batch(tv, lwes, self.keys.brk)
         trace.node_seconds[0] = time.perf_counter() - t0
-        record_fanout(dispatches=1)
         return accs
 
 

@@ -54,6 +54,7 @@ from ..errors import ParameterError
 from ..math.modular import crt_compose
 from ..math.ntt import fast_mod_u64, get_ntt_engine
 from ..math.rns import RnsBasis, RnsPoly
+from ..profiling import record_external_product
 from .blind_rotate import BlindRotateKey, get_monomial_cache
 from .glwe import GlweCiphertext, _shift_rns
 from .lwe import LweCiphertext
@@ -196,8 +197,6 @@ class BatchBlindRotateEngine:
         batch = len(cts)
         if batch == 0:
             return []
-
-        from ..profiling import record_external_product
 
         acc = self._initial_accumulators(test_vector, cts)
         # (batch, n_t) rotation amounts, already folded into [0, 2N).

@@ -22,22 +22,10 @@ This module executes the same arithmetic level-synchronously:
   ``out[k] = in[(t*(2k+1) mod 2N - 1)/2]`` — the state never leaves the
   evaluation domain for the permutation (the reference pays coefficient
   round-trips).  Tables come from :mod:`repro.math.automorphism`.
-* **Hoisted digit decomposition.**  In the decomposed domain the
-  automorphism is the same signed permutation, but balanced digits are
-  *not* negation-equivariant (the ``B/2`` boundary digit and the rounding
-  midpoint break under negation), so permuting one digit tensor is wrong.
-  The exact Halevi-Shoup-style variant decomposes both polarities — ``x``
-  and ``(-x) mod Q`` — of the *unpermuted* mask once, then gathers per
-  output position from the matching polarity
-  (``minus[src[j]]`` where the permutation flips the sign, ``plus[src[j]]``
-  otherwise), which equals fresh decompose-after-permute digit for digit
-  because decomposition is elementwise on values.  Note the honest
-  caveat: in this dataflow every mask feeds exactly *one* automorphism
-  per level, so classical hoisting (amortising one decompose across many
-  exponents, as ARK does) is degenerate — the engine keeps both paths,
-  counts them, and ``digit_path="auto"`` picks whichever is cheapest for
-  the ring (the double decompose is only worthwhile on the int64 fast
-  path where it is two vectorised passes).
+* **Decompose after permute.**  Each level's mask is gathered in the
+  evaluation domain, inverse-transformed and gadget-decomposed once.
+  Every mask feeds exactly *one* automorphism per level, so there is no
+  decomposition to hoist across exponents (as ARK does for rotations).
 * **Trace phase** ``ct <- ct + phi_{l+1}(ct)`` reuses the identical
   keyswitch machinery with a batch of one, still stacked across limbs.
 
@@ -59,6 +47,7 @@ from ..errors import ParameterError
 from ..math.automorphism import get_automorphism_perm
 from ..math.modular import crt_compose
 from ..math.ntt import get_ntt_engine
+from ..profiling import record_mul, record_repack_level
 from .blind_rotate import get_monomial_cache
 from .glwe import GlweCiphertext
 from .keyswitch import AutomorphismKeySet
@@ -116,7 +105,7 @@ class RepackEngine:
         (column 0 the row masks, column 1 the row bodies).
 
         Lifted through the process-wide key registry (owner: the key
-        set), so merge and trace digit paths share one tensor per
+        set), so merge and trace levels share one tensor per
         exponent, the bytes are accounted centrally, and demoting a
         key set to seed+``b`` form drops its lifted tensors too.
         ``_keys_lifted`` mirrors the registry for cheap engine-local
@@ -150,20 +139,8 @@ class RepackEngine:
 
     # -- execution ------------------------------------------------------------
 
-    def pack(self, cts: Sequence[GlweCiphertext],
-             digit_path: str = "auto") -> GlweCiphertext:
-        """Pack the batch into one RLWE ciphertext (eval domain).
-
-        ``digit_path`` selects how each level's keyswitch digits are
-        produced: ``"fresh"`` permutes the mask in the evaluation domain
-        and decomposes once; ``"hoisted"`` decomposes both polarities of
-        the unpermuted mask and applies the signed permutation in the
-        decomposed domain; ``"auto"`` picks ``"hoisted"`` on the
-        single-limb int64 fast path and ``"fresh"`` otherwise.  All three
-        are bit-identical.
-        """
-        from ..profiling import record_mul, record_repack_level
-
+    def pack(self, cts: Sequence[GlweCiphertext]) -> GlweCiphertext:
+        """Pack the batch into one RLWE ciphertext (eval domain)."""
         n_cts = len(cts)
         if n_cts & (n_cts - 1) or n_cts == 0:
             raise ParameterError("repack needs a power-of-two ciphertext count")
@@ -173,7 +150,6 @@ class RepackEngine:
             if (ct.h != 1 or ct.n != self.n
                     or ct.basis.moduli != self.basis.moduli):
                 raise ParameterError("repack inputs must be matching RLWE ciphertexts")
-        hoisted = self._resolve_digit_path(digit_path)
         counters = RepackCounters()
         n_limbs = len(self.engines)
 
@@ -196,18 +172,12 @@ class RepackEngine:
                 v_mask.append(v[:, :, 0])
                 v_body.append(v[:, :, 1])
             record_mul(self.n * p * 2 * n_limbs)
-            state = self._keyswitch(v_mask, v_body, t, addend, hoisted)
+            state = self._keyswitch(v_mask, v_body, t, addend)
             saved = self._ntt_calls_saved(p, n_limbs)
             counters.merge_keyswitches += p
             counters.levels += 1
             counters.ntt_calls_saved += saved
-            if hoisted:
-                counters.hoisted_decomposes += p
-            else:
-                counters.fresh_decomposes += p
-            record_repack_level(level, p, phase="merge",
-                                hoisted=p if hoisted else 0,
-                                fresh=0 if hoisted else p, ntt_saved=saved)
+            record_repack_level(level, p, phase="merge", ntt_saved=saved)
             m = p
             level += 1
 
@@ -216,18 +186,12 @@ class RepackEngine:
             t = l_sub + 1
             mask = [st[:, :, 0] for st in state]
             body = [st[:, :, 1] for st in state]
-            state = self._keyswitch(mask, body, t, state, hoisted)
+            state = self._keyswitch(mask, body, t, state)
             saved = self._ntt_calls_saved(1, n_limbs)
             counters.trace_keyswitches += 1
             counters.levels += 1
             counters.ntt_calls_saved += saved
-            if hoisted:
-                counters.hoisted_decomposes += 1
-            else:
-                counters.fresh_decomposes += 1
-            record_repack_level(level, 1, phase="trace",
-                                hoisted=1 if hoisted else 0,
-                                fresh=0 if hoisted else 1, ntt_saved=saved)
+            record_repack_level(level, 1, phase="trace", ntt_saved=saved)
             l_sub *= 2
             level += 1
 
@@ -235,15 +199,6 @@ class RepackEngine:
         return self._export(state)
 
     # -- stages ---------------------------------------------------------------
-
-    def _resolve_digit_path(self, digit_path: str) -> bool:
-        if digit_path == "hoisted":
-            return True
-        if digit_path == "fresh":
-            return False
-        if digit_path != "auto":
-            raise ParameterError(f"unknown digit path {digit_path!r}")
-        return len(self.engines) == 1 and self.engines[0].fast
 
     def _load(self, cts: Sequence[GlweCiphertext]) -> List[np.ndarray]:
         """Stack the batch into per-limb ``(N, n_cts, 2)`` eval tensors."""
@@ -258,8 +213,7 @@ class RepackEngine:
         return state
 
     def _keyswitch(self, mask_eval: List[np.ndarray], body_eval: List[np.ndarray],
-                   t: int, addend: List[np.ndarray],
-                   hoisted: bool) -> List[np.ndarray]:
+                   t: int, addend: List[np.ndarray]) -> List[np.ndarray]:
         """``addend + KS_t(phi_t(mask, body))`` for a whole level at once.
 
         ``mask_eval``/``body_eval`` are per-limb ``(N, p)`` eval tensors of
@@ -271,21 +225,9 @@ class RepackEngine:
         key_t = self._key_tensor(t)
         # The body needs no keyswitch: permute its eval slots (sign-free).
         body_perm = [b[perm.eval_src] for b in body_eval]
-        if hoisted:
-            # Decompose the unpermuted mask once per polarity, then apply
-            # the signed coefficient permutation digit-wise.
-            big = self._compose([eng.inverse_axis0(np.ascontiguousarray(m))
-                                 for eng, m in zip(self.ntts, mask_eval)])
-            big_q = self.basis.product
-            minus = np.where(big == 0, big, big_q - big)
-            plus_stack = np.stack(self.gadget.decompose_tensor(big), axis=2)
-            minus_stack = np.stack(self.gadget.decompose_tensor(minus), axis=2)
-            digit_stack = np.where(perm.src_flip[:, None, None],
-                                   minus_stack[perm.src], plus_stack[perm.src])
-        else:
-            big = self._compose([eng.inverse_axis0(m[perm.eval_src])
-                                 for eng, m in zip(self.ntts, mask_eval)])
-            digit_stack = np.stack(self.gadget.decompose_tensor(big), axis=2)
+        big = self._compose([eng.inverse_axis0(m[perm.eval_src])
+                             for eng, m in zip(self.ntts, mask_eval)])
+        digit_stack = np.stack(self.gadget.decompose_tensor(big), axis=2)
         out = []
         for li, (e, eng) in enumerate(zip(self.engines, self.ntts)):
             if e.fast and digit_stack.dtype == np.int64:
@@ -347,28 +289,27 @@ class RepackEngine:
 
 
 def repack_with_counters(
-        cts: Sequence[GlweCiphertext], keys: AutomorphismKeySet,
-        digit_path: str = "auto") -> Tuple[GlweCiphertext, RepackCounters]:
+        cts: Sequence[GlweCiphertext],
+        keys: AutomorphismKeySet) -> Tuple[GlweCiphertext, RepackCounters]:
     """:func:`repack` plus the executed-work counters (the bootstrap trace
     reads its true keyswitch counts from here)."""
     _validate(cts)
     eng = RepackEngine.for_keys(keys)
-    out = eng.pack(cts, digit_path=digit_path)
+    out = eng.pack(cts)
     return out, eng.last_counters
 
 
-def repack(cts: Sequence[GlweCiphertext], keys: AutomorphismKeySet,
-           digit_path: str = "auto") -> GlweCiphertext:
+def repack(cts: Sequence[GlweCiphertext],
+           keys: AutomorphismKeySet) -> GlweCiphertext:
     """Pack ``n`` RLWE ciphertexts (constant-coefficient payloads) into one.
 
     Output phase coefficient ``i * (N / n)`` equals ``N * v_i`` where
     ``v_i`` is input ``i``'s constant phase coefficient; every other
     coefficient is exactly cancelled (up to key-switch noise).
 
-    All keyswitches of one recursion level run as a single SoA pass,
-    automorphisms are eval-domain slot gathers, and ``digit_path``
-    selects fresh vs hoisted (decomposed-domain) digit permutation.
-    Bit-identical to :func:`~repro.tfhe.repack.repack_reference`, the
-    scalar oracle tests and ratio benchmarks call directly.
+    All keyswitches of one recursion level run as a single SoA pass and
+    automorphisms are eval-domain slot gathers.  Bit-identical to
+    :func:`~repro.tfhe.repack.repack_reference`, the scalar oracle tests
+    and ratio benchmarks call directly.
     """
-    return repack_with_counters(cts, keys, digit_path=digit_path)[0]
+    return repack_with_counters(cts, keys)[0]

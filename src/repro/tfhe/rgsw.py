@@ -22,6 +22,7 @@ from ..errors import ParameterError
 from ..math.gadget import GadgetVector
 from ..math.rns import RnsBasis, RnsPoly
 from ..math.sampling import Sampler
+from ..profiling import record_external_product
 from .glwe import GlweCiphertext, GlweSecretKey, draw_uniform_masks, glwe_encrypt
 
 
@@ -207,8 +208,6 @@ def external_product(rgsw: RgswCiphertext, glwe: GlweCiphertext) -> GlweCipherte
     """
     if rgsw.h != glwe.h or rgsw.basis.moduli != glwe.basis.moduli:
         raise ParameterError("external product operand mismatch")
-    from ..profiling import record_external_product
-
     record_external_product(1)
     basis = glwe.basis
     n = glwe.n

@@ -120,31 +120,46 @@ class TestTraceSemantics:
 
 
 class TestFanoutCounters:
+    """Dispatch and recovery facts live on the ``BootstrapTrace`` (one
+    ``node_seconds`` entry per dispatched-to node); a ``count_ops``
+    region holds the fan-out's arithmetic and nothing else."""
+
     def test_local_fanout_counted_in_opstats(self, stack):
         ctx, sk, ev, swk = stack
         boot = BootstrapPipeline(ctx, swk)
+        trace = BootstrapTrace()
         with count_ops() as stats:
-            boot.run(ev.encrypt(0.3, level=0))
-        assert stats.fanout_dispatches == 1
-        assert stats.fanout_retries == 0
-        assert stats.fanout_redispatched_lwes == 0
+            boot.run(ev.encrypt(0.3, level=0), trace)
+        assert len(trace.node_seconds) == 1
+        assert trace.fanout_retries == 0
+        assert trace.fanout_redispatched_lwes == 0
+        # The region saw the blind rotates themselves (zero mask
+        # coefficients skip their external product).
+        assert 0 < stats.external_products <= trace.num_blind_rotates * ctx.n
 
     def test_cluster_fanout_counted_in_opstats(self, stack):
         ctx, sk, ev, swk = stack
         cluster = SimulatedCluster(ctx, swk, num_nodes=4)
-        with count_ops() as stats:
-            cluster.pipeline.run(ev.encrypt(0.3, level=0))
-        assert stats.fanout_dispatches == 4  # one per node slice
+        trace = BootstrapTrace()
+        cluster.pipeline.run(ev.encrypt(0.3, level=0), trace)
+        assert len(trace.node_seconds) == 4  # one per node slice
 
     def test_recovery_counted_in_opstats(self, stack):
-        """The retry counters flow from the executor through count_ops —
-        a profiled region sees fault recovery as first-class work."""
+        """Fault recovery is first-class work on the trace, and the
+        region's arithmetic includes the re-dispatched slice."""
         ctx, sk, ev, swk = stack
+        ct = ev.encrypt(0.3, level=0)
+        with count_ops() as clean:
+            SimulatedCluster(ctx, swk, num_nodes=3).pipeline.run(ct)
         injector = FaultInjector([Fault.crash(2, after=1)])
         cluster = SimulatedCluster(ctx, swk, num_nodes=3,
                                    fault_injector=injector)
+        trace = BootstrapTrace()
         with count_ops() as stats:
-            cluster.pipeline.run(ev.encrypt(0.3, level=0))
-        assert stats.fanout_dispatches == 3
-        assert stats.fanout_retries == 1
-        assert stats.fanout_redispatched_lwes == 5  # node 2's slice of 16
+            cluster.pipeline.run(ct, trace)
+        assert len(trace.node_seconds) == 3
+        assert trace.fanout_retries == 1
+        assert trace.fanout_redispatched_lwes == 5  # node 2's slice of 16
+        assert trace.worker_respawns == 0
+        assert trace.failed_nodes == [2]
+        assert stats.external_products > clean.external_products

@@ -13,21 +13,26 @@ import asyncio
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 import repro.ckks
+import repro.profiling
 import repro.service
 import repro.switching
 import repro.switching.keys
 import repro.tfhe
+import repro.tfhe.repack
+import repro.tfhe.repack_engine
 from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.math.sampling import Sampler
 from repro.params import make_keyswitched_toy_params, make_toy_params
-from repro.profiling import count_ops
+from repro.profiling import OpStats, count_ops
 from repro.service import BootstrapService, UserKeys
 from repro.switching import SIGN, BootstrapPipeline, SwitchingKeySet, run_batch
 from repro.switching.cluster_sim import Fault, FaultInjector, SimulatedCluster
@@ -199,6 +204,19 @@ def _stack_modules(*pkgs):
             for info in pkgutil.iter_modules(pkg.__path__, pkg.__name__ + ".")]
 
 
+def _public_functions(mod):
+    """``(qualified name, function)`` for every public function, and
+    every method of a public class, defined in ``mod``."""
+    for name, obj in vars(mod).items():
+        if name.startswith("_") or getattr(obj, "__module__", "") != mod.__name__:
+            continue
+        fns = [fn for _, fn in inspect.getmembers(obj, inspect.isfunction)] \
+            if inspect.isclass(obj) else [obj]
+        for fn in fns:
+            if inspect.isfunction(fn):
+                yield f"{mod.__name__}.{name}.{fn.__name__}", fn
+
+
 def test_one_key_generator():
     """Seed+b is the representation: no second generator, no second
     encrypt, no second key-set class, and no seed field whose ``None``
@@ -237,18 +255,46 @@ def test_no_engine_name_parameters():
     mods += map(importlib.import_module,
                 ["repro.tfhe.blind_rotate", "repro.tfhe.repack",
                  "repro.tfhe.repack_engine"])
-    offenders = []
-    for mod in mods:
-        for name, obj in vars(mod).items():
-            if name.startswith("_") or getattr(obj, "__module__", "") != mod.__name__:
-                continue
-            fns = [fn for _, fn in inspect.getmembers(obj, inspect.isfunction)] \
-                if inspect.isclass(obj) else [obj]
-            offenders += [f"{mod.__name__}.{name}.{fn.__name__}({param})"
-                          for fn in fns if inspect.isfunction(fn)
-                          for param in inspect.signature(fn).parameters
-                          if param.endswith("engine")]
+    offenders = [f"{qualname}({param})"
+                 for mod in mods for qualname, fn in _public_functions(mod)
+                 for param in inspect.signature(fn).parameters
+                 if param.endswith("engine")]
     assert not offenders, offenders
+
+
+OPSTATS_FIELDS = {
+    "ntt_calls", "ntt_points", "pointwise_mults", "external_products",
+    "by_size", "ntt_batch_hist", "ep_batch_hist",
+    "repack_merge_keyswitches", "repack_trace_keyswitches", "repack_levels",
+    "repack_ntt_saved", "repack_level_hist",
+    "ks_modup_macs", "ks_moddown_macs", "ks_ntt_saved",
+    "ks_hoisted_rotations", "bconv_plan_hits", "bconv_plan_misses",
+}
+
+
+def test_opstats_counts_arithmetic_only():
+    """One owner per number: ``OpStats`` holds the arithmetic the
+    hardware model prices and nothing a trace, cache or registry already
+    records; each event has ONE ``record_*`` function, in
+    ``repro.profiling``; and repack has one digit path, not an option."""
+    assert {f.name for f in dataclasses.fields(OpStats)} == OPSTATS_FIELDS
+    assert not [a for a in dir(OpStats) if a.startswith("record_")]
+    recorders = {name: obj for name, obj in vars(repro.profiling).items()
+                 if name.startswith("record_")}
+    assert recorders and all(inspect.isfunction(fn)
+                             for fn in recorders.values())
+    src = pathlib.Path(repro.__file__).parent
+    elsewhere = [f"{path.relative_to(src)}:{node.name}"
+                 for path in src.rglob("*.py") if path.name != "profiling.py"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name.startswith("record_")]
+    assert not elsewhere, elsewhere
+    knobs = [qualname
+             for mod in (repro.tfhe.repack, repro.tfhe.repack_engine)
+             for qualname, fn in _public_functions(mod)
+             if "digit_path" in inspect.signature(fn).parameters]
+    assert not knobs, knobs
 
 
 def test_blind_rotate_dimension_is_not_a_parameter():

@@ -15,7 +15,6 @@ from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.errors import ClusterExecutionError, SharedBufferError
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
-from repro.profiling import count_ops
 from repro.switching import SwitchingKeySet
 from repro.switching.cluster_sim import SimulatedCluster
 from repro.switching.fanout import PRIMARY, Fault, FaultInjector
@@ -211,16 +210,19 @@ class TestAccounting:
             assert sum(util.values()) == ctx.n
 
     def test_opstats_pool_counters(self, stack, level0_ct):
+        """Pool lifecycle facts are read off the pool and the trace —
+        ``OpStats`` holds arithmetic only."""
         ctx, _, _, swk = stack
-        with count_ops() as stats:
-            pool_bootstrap(
-                ctx, swk, level0_ct,
-                fault_injector=FaultInjector([Fault.kill_worker(1)]))
-        assert stats.fanout_pool_spinups == 1
-        assert stats.fanout_pool_spinup_s > 0
-        assert stats.fanout_shared_key_bytes > 0
-        assert stats.fanout_worker_respawns == 1
-        assert stats.fanout_retries == 1
+        trace = BootstrapTrace()
+        with ProcessPoolFanoutExecutor.for_keys(
+                ctx, swk, num_workers=2,
+                fault_injector=FaultInjector([Fault.kill_worker(1)])) as pool:
+            BootstrapPipeline(ctx, swk, executor=pool).run(level0_ct, trace)
+            assert pool.spinup_seconds > 0
+            assert pool.shared_key_bytes > 0
+        assert trace.worker_respawns == 1
+        assert trace.fanout_retries == 1
+        assert trace.failed_nodes == [1]
 
     def test_retry_traffic_accounted_separately(self, stack, level0_ct):
         ctx, _, _, swk = stack

@@ -185,9 +185,7 @@ class TestFunctionalVsModel:
         assert estimate_hardware_seconds(stats) < 1e-2
 
     def test_hardware_estimate_scales_with_work(self):
-        a = OpStats()
-        a.record_ntt(1 << 13, 100)
-        b = OpStats()
-        b.record_ntt(1 << 13, 200)
+        a = OpStats(by_size={1 << 13: 100})
+        b = OpStats(by_size={1 << 13: 200})
         assert estimate_hardware_seconds(b) == pytest.approx(
             2 * estimate_hardware_seconds(a))

@@ -1,8 +1,8 @@
 """Property tests for the batched LWE->RLWE repack engine.
 
 The vectorized engine must be *bit-identical* to the scalar reference
-recursion (``repack_reference``) for every ring size, pack width, limb
-count, and digit path — the engine is a performance rewrite, not an
+recursion (``repack_reference``) for every ring size, pack width and
+limb count — the engine is a performance rewrite, not an
 approximation."""
 
 import numpy as np
@@ -68,25 +68,19 @@ def _assert_identical(got, want):
     (128, 4),    # deep trace tail
     (256, 16),   # largest tier-1 ring
 ])
-@pytest.mark.parametrize("digit_path", ["fresh", "hoisted"])
-def test_bit_identity_single_limb(n, n_cts, digit_path):
+def test_bit_identity_single_limb(n, n_cts):
     basis, sk, auto, s = _stack(n, seed=n + n_cts)
     cts = _encrypt_batch(n, basis, sk, s, n_cts)
-    want = repack_reference(cts, auto)
-    got = repack(cts, auto, digit_path=digit_path)
-    _assert_identical(got, want)
+    _assert_identical(repack(cts, auto), repack_reference(cts, auto))
 
 
 @pytest.mark.parametrize("n_cts", [4, 16])
-@pytest.mark.parametrize("digit_path", ["auto", "fresh", "hoisted"])
-def test_bit_identity_multi_limb(n_cts, digit_path):
+def test_bit_identity_multi_limb(n_cts):
     n = 16
     basis, sk, auto, s = _stack(n, limbs=3, limb_bits=30, base_bits=6,
                                 digits=15, seed=n_cts)
     cts = _encrypt_batch(n, basis, sk, s, n_cts)
-    want = repack_reference(cts, auto)
-    got = repack(cts, auto, digit_path=digit_path)
-    _assert_identical(got, want)
+    _assert_identical(repack(cts, auto), repack_reference(cts, auto))
 
 
 def test_bit_identity_wide_modulus():
@@ -96,9 +90,7 @@ def test_bit_identity_wide_modulus():
     basis, sk, auto, s = _stack(n, limb_bits=36, base_bits=9, digits=4,
                                 seed=99)
     cts = _encrypt_batch(n, basis, sk, s, 8)
-    want = repack_reference(cts, auto)
-    for path in ("auto", "fresh", "hoisted"):
-        _assert_identical(repack(cts, auto, digit_path=path), want)
+    _assert_identical(repack(cts, auto), repack_reference(cts, auto))
 
 
 def test_dispatcher_default_is_vectorized():
@@ -109,14 +101,16 @@ def test_dispatcher_default_is_vectorized():
 
 
 # ---------------------------------------------------------------------------
-# Hoisted decomposition regression
+# Decomposed-domain permutation identity
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("t", [3, 5, 9, 17])
 def test_hoisted_digits_equal_fresh_digits(t):
-    """The +/- double-decompose with a signed gather must reproduce the
+    """The +/- double-decompose with a signed gather reproduces the
     digits of decompose-after-permute exactly (balanced decomposition is
-    elementwise but not negation-equivariant, hence the two tensors)."""
+    elementwise but not negation-equivariant, hence the two tensors).
+    The engine only decomposes after permuting; this stays as a property
+    of the signed-permutation tables and the balanced gadget."""
     n = 16
     q = find_ntt_primes(28, n, 1)[0]
     gadget = GadgetVector(q=q, base_bits=7, digits=4)
@@ -152,20 +146,13 @@ def test_engine_counters(n_cts):
     n = 32
     basis, sk, auto, s = _stack(n, seed=n_cts)
     cts = _encrypt_batch(n, basis, sk, s, n_cts)
-    _, ctr = repack_with_counters(cts, auto, digit_path="hoisted")
+    _, ctr = repack_with_counters(cts, auto)
     assert ctr.total_keyswitches == repack_keyswitch_count(n_cts, n)
     assert ctr.merge_keyswitches == n_cts - 1
     assert ctr.trace_keyswitches == (n // n_cts).bit_length() - 1
     merge_levels = n_cts.bit_length() - 1
     assert ctr.levels == merge_levels + ctr.trace_keyswitches
-    # One digit tensor per keyswitch, attributed to the active path.
-    assert ctr.hoisted_decomposes == ctr.total_keyswitches
-    assert ctr.fresh_decomposes == 0
     assert ctr.ntt_calls_saved > 0
-
-    _, fresh_ctr = repack_with_counters(cts, auto, digit_path="fresh")
-    assert fresh_ctr.hoisted_decomposes == 0
-    assert fresh_ctr.fresh_decomposes == fresh_ctr.total_keyswitches
 
 
 def test_reference_counters_match_vectorized():
@@ -208,14 +195,6 @@ def test_engine_memoized_per_keyset():
     # are lifted once and reused).
     for _ in range(2):
         _assert_identical(eng.pack(cts), repack_reference(cts, auto))
-
-
-def test_unknown_digit_path_rejected():
-    n = 16
-    basis, sk, auto, s = _stack(n, seed=42)
-    cts = _encrypt_batch(n, basis, sk, s, 2)
-    with pytest.raises(ParameterError):
-        repack(cts, auto, digit_path="lazy")
 
 
 def test_non_power_of_two_rejected():

@@ -544,16 +544,92 @@ class TestBackpressureAndLifecycle:
             BootstrapService(lambda uid: uk, max_delay_s=-1.0)
 
     def test_service_activity_lands_in_opstats(self, lwe_stack):
+        """The service's own facts are on its trace and its key cache;
+        what lands in a caller's ``count_ops`` region is the arithmetic
+        its worker threads executed."""
+        _, _, _, brk, tv = lwe_stack
+        uk = UserKeys(_KeyBox(brk), tv)
         lwes = make_lwes(lwe_stack, 6)
+
+        async def main():
+            svc = BootstrapService(lambda uid: uk, max_batch=3,
+                                   max_delay_s=0.005)
+            async with svc:
+                await asyncio.gather(*[svc.submit("u", lw) for lw in lwes])
+            return svc
+
         with count_ops() as stats:
-            _, trace = serve_all(lwe_stack, lwes, ["u"] * 6,
-                                 max_batch=3, max_delay_s=0.005)
-        assert stats.service_requests == 6
-        assert stats.service_batches == trace.batches
-        assert stats.service_coalesced_lwes == 6
-        assert stats.service_key_cache_misses == 1
-        assert stats.service_key_cache_hits == 5
-        assert sum(stats.service_batch_fill_hist.values()) == trace.batches
+            svc = asyncio.run(main())
+        trace = svc.trace
+        assert trace.requests_accepted == trace.requests_completed == 6
+        assert trace.coalesced_lwes == 6
+        assert sum(trace.batch_fill.values()) == trace.batches
+        assert (svc.cache.hits, svc.cache.misses) == (5, 1)
+        assert (trace.key_cache_hits, trace.key_cache_misses) == (5, 1)
+        with count_ops() as solo:
+            solo_results(lwe_stack, lwes)
+        assert stats.external_products == solo.external_products > 0
+
+    def test_cancelled_requests_free_their_slots(self, lwe_stack):
+        """A request cancelled while queued leaves the queue, the batch
+        and the completed tally; the survivor is unaffected."""
+        _, _, _, brk, tv = lwe_stack
+        uk = UserKeys(_KeyBox(brk), tv)
+        lwes = make_lwes(lwe_stack, 4)
+
+        async def main():
+            svc = BootstrapService(lambda uid: uk, max_batch=8,
+                                   max_delay_s=0.2)
+            await svc.start()
+            tasks = [asyncio.ensure_future(svc.submit("u", lw))
+                     for lw in lwes]
+            await asyncio.sleep(0.01)  # all four queued, window open
+            assert svc.queue_depth() == 4
+            for task in tasks[1:]:
+                task.cancel()
+            await asyncio.sleep(0.01)
+            depth = svc.queue_depth()
+            survivor = await tasks[0]
+            pins = svc.cache.get("u").pins
+            await svc.stop()
+            return svc.trace, depth, pins, survivor
+
+        trace, depth, pins, survivor = asyncio.run(main())
+        assert (depth, pins) == (1, 0)
+        assert trace.batch_fill == {1: 1}
+        assert trace.coalesced_lwes == 1
+        assert trace.requests_completed == 1
+        assert trace.requests_cancelled == 3
+        assert trace.requests_accepted == (
+            trace.requests_completed + trace.requests_failed
+            + trace.requests_cancelled)
+        assert_glwe_equal(solo_results(lwe_stack, lwes[:1])[0], survivor)
+
+    def test_all_cancelled_dispatches_nothing(self, lwe_stack):
+        _, _, _, brk, tv = lwe_stack
+        uk = UserKeys(_KeyBox(brk), tv)
+        lwes = make_lwes(lwe_stack, 3)
+
+        async def main():
+            svc = BootstrapService(lambda uid: uk, max_batch=8,
+                                   max_delay_s=0.05)
+            await svc.start()
+            tasks = [asyncio.ensure_future(svc.submit("u", lw))
+                     for lw in lwes]
+            await asyncio.sleep(0.01)
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            await asyncio.sleep(0.1)  # past the coalescing deadline
+            await asyncio.wait_for(svc.stop(), timeout=5.0)
+            return svc.trace, svc.queue_depth()
+
+        trace, depth = asyncio.run(main())
+        assert depth == 0
+        assert trace.batches == 0
+        assert trace.requests_completed == 0
+        assert trace.requests_cancelled == trace.requests_accepted == 3
+        assert trace.drained
 
 
 class TestRunMany:
