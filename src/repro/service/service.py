@@ -67,8 +67,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..ckks.ciphertext import CkksCiphertext
 from ..errors import ParameterError, ServiceClosedError, ServiceOverloadError
-from ..switching.pipeline import (PBS_OVER_NT, BootstrapPipeline,
-                                  LocalExecutor, key_registry, run_batch)
+from ..switching.pipeline import BootstrapPipeline, LocalExecutor, key_registry, run_batch
 from ..tfhe.glwe import GlweCiphertext
 from ..tfhe.lwe import LweCiphertext
 from .key_cache import KeyCacheEntry, LruKeyCache, UserKeys
@@ -308,14 +307,9 @@ class BootstrapService:
                     f"(UserKeys.from_switching)")
             # Refuse here what ``prepare*`` would refuse inside the batch,
             # where the error would fail every co-batched request.
-            if payload.level != 0:
-                raise ParameterError(
-                    f"bootstrap requests consume a level-0 ciphertext, "
-                    f"got level {payload.level}")
+            entry.pipeline.validate(payload, pbs=kind == "pbs")
             weight = entry.pipeline.ctx.n
             if kind == "pbs":
-                if entry.pipeline.keyswitched:
-                    raise ParameterError(PBS_OVER_NT)
                 # Resolve to a named spec now (cheap — no LUT build);
                 # the N-point NTT build happens once, in the batch's
                 # worker thread, guarded by the registry's lock.

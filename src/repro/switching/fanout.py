@@ -1,43 +1,51 @@
 """Fault-tolerant BlindRotate fan-out, shared by every distributed executor.
 
-PR 5 built the primary-side failure story — CRC-framed wire blobs,
-deterministic fault injection, whole-slice re-dispatch to the least-
-loaded survivor under a retry budget — inside the *simulated* cluster.
-The real multiprocessing pool needs the identical loop, with "node"
-meaning an OS process instead of a :class:`SimulatedNode`.  This module
-is the unification: :class:`CommLog`, :class:`Fault` and
-:class:`FaultInjector` live here (``cluster_sim`` re-exports them for
-compatibility), and :class:`FaultTolerantFanout` owns the one recovery
-loop both executors run:
+HEAP §V has the primary send every secondary its contiguous batch of
+BlindRotates and collect the accumulators back.  Two transports run
+that here — the in-process :class:`~repro.switching.cluster_sim.
+ClusterExecutor` (the deterministic test double: simulated time, no
+sleeps) and the real :class:`~repro.switching.mp_executor.
+ProcessPoolFanoutExecutor` — and everything they have in common lives
+in this module, once:
+
+* :class:`CommLog`, :class:`Fault` and :class:`FaultInjector` — the
+  wire accounting and the deterministic, picklable fault schedule
+  (:meth:`FaultInjector.seeded`), so one schedule drives both
+  transports;
+* :func:`serve_slice` — the node side of one slice: unframe, realise
+  the slice's faults around the BlindRotate, frame the reply;
+* :class:`FaultTolerantFanout` — the primary side: framing each slice,
+  drawing its faults, the one recovery loop and the one reply check.
+
+The recovery loop:
 
 1. First pass: the paper's Section-V send policy — each worker's full
-   contiguous slice is dispatched before the next worker's.
+   contiguous slice is sent before the next worker's, and every slice
+   is in flight before any reply is awaited.
 2. Any slice whose reply fails validation (death, timeout, short reply,
    CRC mismatch) is queued and re-dispatched *whole* to the least-loaded
-   surviving worker (:func:`~repro.switching.scheduler.
+   idle survivor (:func:`~repro.switching.scheduler.
    pick_recovery_node`), under a retry budget.
 3. A typed :class:`~repro.errors.ClusterExecutionError` is raised only
    when no healthy worker remains or the budget is exhausted.
-
-Subclasses provide the transport: how a slice reaches a worker, how the
-reply comes back, and what "death" looks like (a raised
-``_NodeCrash`` in the simulation; ``SIGKILL`` / nonzero exit / reply
-timeout on a real process pool).
-
-Fault specs are plain picklable dataclasses and the injector's schedule
-can be generated deterministically from a seed
-(:meth:`FaultInjector.seeded`), so the *same* injection schedule can
-drive the simulated cluster in-process and the worker pool across
-process boundaries — the basis of the parity tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+import time
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Type, TypeVar
 
-from ..errors import ClusterExecutionError
+from ..errors import ClusterExecutionError, ParameterError, WireFormatError
+from ..io import (
+    deserialize_glwe,
+    deserialize_lwe,
+    frame_blob,
+    serialize_glwe,
+    serialize_lwe,
+    unframe_blob,
+)
 from ..tfhe.glwe import GlweCiphertext
 from ..tfhe.lwe import LweCiphertext
 from .pipeline import BootstrapTrace
@@ -93,23 +101,22 @@ class Fault:
     """One injected fault against a node/worker.
 
     ``kind`` is one of ``"crash"`` (die after ``after`` BlindRotates of
-    the incoming batch), ``"kill_worker"`` (the process-pool realisation
-    of a crash: the worker SIGKILLs itself — or ``os._exit``\\ s with
-    ``exit_code`` — after ``after`` BlindRotates; the simulated cluster
-    treats it exactly like ``crash``), ``"drop_reply"`` /
+    the incoming slice: a raised signal on the simulated cluster; on the
+    pool the worker SIGKILLs itself, or ``os._exit``\\ s with
+    ``exit_code`` when one is given), ``"drop_reply"`` /
     ``"corrupt_reply"`` (lose or bit-flip reply blob ``reply_index``),
-    or ``"straggle"`` (add ``delay_seconds`` of latency — simulated on
-    the cluster, a real ``sleep`` on the pool — a timeout failure if it
-    exceeds the executor's ``straggler_timeout``).  Non-persistent
-    faults fire exactly once, so recovery succeeds; ``persistent=True``
-    models a node that stays broken.
+    or ``"straggle"`` (add ``delay_seconds`` to the reply time —
+    simulated on the cluster, a real ``sleep`` on the pool — a timeout
+    failure if it exceeds the executor's ``reply_timeout``).
+    Non-persistent faults fire exactly once, so recovery succeeds;
+    ``persistent=True`` models a node that stays broken.
 
-    Faults are *per-slice*: a crash-family fault with ``after`` at or
-    beyond the slice length cannot fire on that slice, so the executors
-    leave it scheduled (:meth:`realisable` is the predicate the
-    injector's ``take`` applies) — it may still fire on a later, longer
-    slice, e.g. a re-dispatched one.  A consumed fault is therefore
-    always actually realised, never silently swallowed.
+    Faults are *per-slice*: a crash with ``after`` at or beyond the
+    slice length cannot fire on that slice, so it stays scheduled
+    (:meth:`realisable` is the predicate the injector's ``take``
+    applies) — it may still fire on a later, longer slice, e.g. a
+    re-dispatched one.  A consumed fault is therefore always actually
+    realised, never silently swallowed.
 
     Faults are plain picklable dataclasses: the pool ships them to the
     worker process that must realise them.
@@ -125,16 +132,9 @@ class Fault:
 
     @classmethod
     def crash(cls, node_id: int, after: int = 0,
+              exit_code: Optional[int] = None,
               persistent: bool = False) -> "Fault":
-        return cls("crash", node_id, after=after, persistent=persistent)
-
-    @classmethod
-    def kill_worker(cls, node_id: int, after: int = 0,
-                    exit_code: Optional[int] = None,
-                    persistent: bool = False) -> "Fault":
-        """Real worker death: SIGKILL by default, or a nonzero
-        ``exit_code`` for the orderly-crash flavour."""
-        return cls("kill_worker", node_id, after=after, exit_code=exit_code,
+        return cls("crash", node_id, after=after, exit_code=exit_code,
                    persistent=persistent)
 
     @classmethod
@@ -157,9 +157,9 @@ class Fault:
 
     def realisable(self, slice_len: int) -> bool:
         """Whether this fault can actually fire on a slice of
-        ``slice_len`` LWEs: crash-family faults need ``after`` inside
-        the slice; every other kind fires on any nonempty slice."""
-        if self.kind in ("crash", "kill_worker"):
+        ``slice_len`` LWEs: a crash needs ``after`` inside the slice;
+        every other kind fires on any nonempty slice."""
+        if self.kind == "crash":
             return self.after < slice_len
         return slice_len > 0
 
@@ -194,16 +194,6 @@ class FaultInjector:
                 return fault
         return None
 
-    def take_any(self, node_id: int, *kinds: str,
-                 slice_len: Optional[int] = None) -> Optional[Fault]:
-        """First matching fault of any listed kind (``crash`` and
-        ``kill_worker`` are interchangeable on most executors)."""
-        for kind in kinds:
-            fault = self.take(node_id, kind, slice_len=slice_len)
-            if fault is not None:
-                return fault
-        return None
-
     @classmethod
     def seeded(cls, seed: int, node_ids: Sequence[int],
                kinds: Sequence[str] = ("crash", "drop_reply", "corrupt_reply"),
@@ -218,7 +208,7 @@ class FaultInjector:
         for _ in range(count):
             kind = rng.choice(list(kinds))
             node_id = rng.choice(list(node_ids))
-            if kind in ("crash", "kill_worker"):
+            if kind == "crash":
                 faults.append(Fault(kind, node_id, after=rng.randrange(2)))
             elif kind == "straggle":
                 faults.append(Fault(kind, node_id,
@@ -235,81 +225,130 @@ class FaultInjector:
         return f"FaultInjector({self.faults!r})"
 
 
+def serve_slice(task: Dict[str, Any], tv: Any,
+                rotate: Callable[[Any, List[LweCiphertext]],
+                                 List[GlweCiphertext]],
+                die: Callable[[Fault], NoReturn],
+                sleep: Callable[[float], None]) -> Dict[str, Any]:
+    """The node side of one slice, for every transport: unframe the
+    task's LWEs, realise its faults around ``rotate(tv, lwes)``, and
+    build the reply.  The transport supplies only how to die (``die``
+    never returns) and how to straggle (``sleep``); the reply's
+    ``seconds`` is compute time plus any injected delay."""
+    faults = {fault.kind: fault for fault in task["faults"]}
+    lwes = [deserialize_lwe(unframe_blob(b)) for b in task["lwes"]]
+    t0 = time.perf_counter()
+    crash = faults.get("crash")
+    if crash is not None:
+        # The primary ships only realisable crashes: burn the partial
+        # work like a real mid-batch death, then die.
+        if crash.after:
+            rotate(tv, lwes[:crash.after])
+        die(crash)
+    accs = rotate(tv, lwes)
+    seconds = time.perf_counter() - t0
+    straggle = faults.get("straggle")
+    if straggle is not None:
+        sleep(straggle.delay_seconds)
+        seconds += straggle.delay_seconds
+    wire_out = [frame_blob(serialize_glwe(a)) for a in accs]
+    drop = faults.get("drop_reply")
+    if drop is not None and wire_out:
+        del wire_out[min(drop.reply_index, len(wire_out) - 1)]
+    corrupt = faults.get("corrupt_reply")
+    if corrupt is not None and wire_out:
+        i = min(corrupt.reply_index, len(wire_out) - 1)
+        blob = bytearray(wire_out[i])
+        blob[-1] ^= 0x41
+        wire_out[i] = bytes(blob)
+    return {"op": "result", "slice_id": task["slice_id"], "blobs": wire_out,
+            "seconds": seconds, "processed": len(accs)}
+
+
+_Fanout = TypeVar("_Fanout", bound="FaultTolerantFanout")
+
+
 class FaultTolerantFanout:
     """The shared dispatch + recovery loop (template-method base).
 
     Subclasses implement the transport:
 
     * :meth:`_workers` — ``{worker_id: handle}`` of currently-usable
-      workers (the loop mutates this dict as deaths are detected);
-    * :meth:`_load` — BlindRotates a handle has executed (recovery
-      targets the least-loaded survivor);
-    * a *synchronous* transport (the simulated cluster) implements
-      :meth:`_dispatch` — send one contiguous slice, block for the
-      reply, validate, splice results; return ``False`` on any detected
-      failure — and inherits the default :meth:`_send`/:meth:`_collect`
-      pair, which completes each dispatch inline;
-    * a transport with real concurrency (the process pool) overrides
-      :meth:`_send` (deliver the slice and return immediately) and
-      :meth:`_collect` (block until at least one outstanding slice
-      resolves), so **every worker's slice is in flight before any
-      reply is awaited** — the property that makes the fan-out actually
-      parallel in wall-clock time.
+      workers (the loop mutates this dict as deaths are detected); every
+      handle carries ``.processed``, the BlindRotates it has executed
+      (recovery targets the least-loaded survivor);
+    * :meth:`_send` — deliver one already framed task (slice id, LWE
+      blobs, fault list, LUT id) and return at once; ``False`` when it
+      never reached the worker;
+    * :meth:`_collect` — block until at least one in-flight slice
+      resolves and return its ``(wid, reply)``, ``reply`` ``None`` when
+      the worker died or timed out (the transport marks it dead).
+
+    Everything else — framing, drawing the slice's faults, traffic
+    accounting, validating and splicing replies — happens here.
     """
 
-    #: Re-dispatch budget per fan-out (``None`` = 4x the worker count);
-    #: exhausting it — only possible with persistent faults on healthy
-    #: workers — raises ClusterExecutionError instead of looping forever.
-    max_retries: Optional[int] = None
-    #: Outcome buffer for the synchronous default transport; reset at
-    #: the top of every :meth:`fanout`.
-    _sync_outcomes: List[Tuple[int, bool]]
-    #: LUT id for the current batch (set by :meth:`fanout`; ``None``
-    #: selects the Algorithm-2 switching vector).
-    _lut: Optional[str] = None
+    #: The id whose own slice never crosses a wire (the cluster's
+    #: computing node 0); the pool's coordinator is :data:`PRIMARY`.
+    _primary = PRIMARY
+
+    def __init__(self, keys: Any, test_vector: Any, num_workers: int = 2,
+                 fault_injector: Optional[FaultInjector] = None,
+                 reply_timeout: float = 30.0,
+                 max_retries: Optional[int] = None):
+        if num_workers < 1:
+            raise ParameterError("need at least one worker")
+        #: The key set programmable batches resolve their LUT against,
+        #: and the Algorithm-2 vector served when a batch names no LUT.
+        self.keys = keys
+        self.test_vector = test_vector
+        self.injector = fault_injector if fault_injector is not None \
+            else FaultInjector()
+        self.comm = CommLog()
+        #: Reply time (compute + injected delay) past which a worker is
+        #: presumed dead — simulated on the cluster, a real deadline on
+        #: the pool.
+        self.reply_timeout = reply_timeout
+        #: Re-dispatch budget per fan-out (``None`` = 4x the worker
+        #: count); exhausting it — only possible with persistent faults
+        #: on healthy workers — raises ClusterExecutionError instead of
+        #: looping forever.
+        self.max_retries = max_retries
+
+    @classmethod
+    def for_keys(cls: Type[_Fanout], ctx: Any, keys: Any,
+                 num_workers: int = 2,
+                 fault_injector: Optional[FaultInjector] = None,
+                 reply_timeout: float = 30.0,
+                 max_retries: Optional[int] = None,
+                 **kwargs: Any) -> _Fanout:
+        """Build the executor for a context + key set (the shared
+        Algorithm-2 test vector is derived exactly as the other
+        executors derive it)."""
+        test_vector = keys.test_vector(ctx.n, ctx.full_basis.moduli[0])
+        return cls(keys, test_vector, num_workers=num_workers,
+                   fault_injector=fault_injector, reply_timeout=reply_timeout,
+                   max_retries=max_retries, **kwargs)
+
+    def utilisation(self) -> Dict[int, int]:
+        """BlindRotates executed per worker: every reply's count, plus —
+        on the simulated cluster only, whose nodes know it — the partial
+        batch a crashed node burned."""
+        return {wid: h.processed for wid, h in self._workers().items()}
 
     # -- subclass contract ---------------------------------------------------
 
-    def _workers(self) -> Dict[int, object]:
+    def _workers(self) -> Dict[int, Any]:
         raise NotImplementedError
 
-    def _load(self, handle: object) -> int:
+    def _send(self, wid: int, handle: Any, task: Dict[str, Any], retry: bool,
+              healthy: Dict[int, Any], trace: BootstrapTrace) -> bool:
         raise NotImplementedError
 
-    def _dispatch(self, handle: object, start: int, stop: int,
-                  lwes: Sequence[LweCiphertext],
-                  results: List[Optional[GlweCiphertext]],
-                  healthy: Dict[int, object],
-                  trace: BootstrapTrace, retry: bool) -> bool:
+    def _collect(self, pending: Dict[int, Tuple[int, int, bool]],
+                 healthy: Dict[int, Any], trace: BootstrapTrace
+                 ) -> List[Tuple[int, Optional[Dict[str, Any]]]]:
         raise NotImplementedError
-
-    # -- default synchronous transport ---------------------------------------
-
-    def _send(self, wid: int, handle: object, start: int, stop: int,
-              lwes: Sequence[LweCiphertext],
-              results: List[Optional[GlweCiphertext]],
-              healthy: Dict[int, object],
-              trace: BootstrapTrace, retry: bool) -> bool:
-        """Synchronous default: the dispatch runs to completion inline
-        (via :meth:`_dispatch`) and its outcome is buffered for the next
-        :meth:`_collect`.  Returns ``False`` only when the slice never
-        reached a worker — impossible inline, so always ``True`` here."""
-        ok = self._dispatch(handle, start, stop, lwes, results, healthy,
-                            trace, retry)
-        self._sync_outcomes.append((wid, ok))
-        return True
-
-    def _collect(self, pending: Dict[int, Tuple[int, int]],
-                 lwes: Sequence[LweCiphertext],
-                 results: List[Optional[GlweCiphertext]],
-                 healthy: Dict[int, object],
-                 trace: BootstrapTrace) -> List[Tuple[int, bool]]:
-        """Synchronous default: drain the outcomes buffered by
-        :meth:`_send`.  Async transports block here until at least one
-        outstanding slice resolves and return its ``(wid, ok)``."""
-        outcomes = self._sync_outcomes
-        self._sync_outcomes = []
-        return outcomes
 
     # -- the one loop --------------------------------------------------------
 
@@ -320,33 +359,41 @@ class FaultTolerantFanout:
         num_workers = len(healthy)
         schedule = make_schedule(len(lwes), num_workers)
         results: List[Optional[GlweCiphertext]] = [None] * len(lwes)
-        self._sync_outcomes = []
-        # The batch-wide LUT selection, read by the transport's
-        # _dispatch/_send (None = the Algorithm-2 switching vector).
-        self._lut = lut
-        pending: Dict[int, Tuple[int, int]] = {}  # wid -> slice in flight
+        # wid -> (start, stop, retry) of the slice in flight there.
+        pending: Dict[int, Tuple[int, int, bool]] = {}
         failed: List[Tuple[int, int, int]] = []  # (start, stop, failed id)
+
+        def send(wid: int, start: int, stop: int, retry: bool) -> None:
+            wire_in = [frame_blob(serialize_lwe(lwe))
+                       for lwe in lwes[start:stop]]
+            # Drawn once, in one order; only a crash realisable on this
+            # slice is consumed.
+            drawn = (self.injector.take(wid, "crash", slice_len=stop - start),
+                     self.injector.take(wid, "straggle"),
+                     self.injector.take(wid, "drop_reply"),
+                     self.injector.take(wid, "corrupt_reply"))
+            task: Dict[str, Any] = {
+                "op": "task", "slice_id": (start, stop), "lwes": wire_in,
+                "faults": [f for f in drawn if f is not None], "lut": lut}
+            if self._send(wid, healthy[wid], task, retry, healthy, trace):
+                # Bytes that never left the primary are not traffic.
+                self._record(wid, wire_in, retry)
+                pending[wid] = (start, stop, retry)
+            else:
+                failed.append((start, stop, wid))
 
         # Send phase: the Section-V send policy, one worker's full
         # contiguous slice before the next — and *every* slice is sent
-        # before any reply is awaited, so an async transport has all
-        # workers computing concurrently.
+        # before any reply is awaited, so all workers compute at once.
         for assignment in schedule.nodes:
-            if assignment.count == 0:
-                continue
-            wid = assignment.node_id
-            if self._send(wid, healthy[wid], assignment.start,
-                          assignment.stop, lwes, results, healthy, trace,
-                          retry=False):
-                pending[wid] = (assignment.start, assignment.stop)
-            else:
-                failed.append((assignment.start, assignment.stop, wid))
+            if assignment.count:
+                send(assignment.node_id, assignment.start, assignment.stop,
+                     retry=False)
 
         # Collect + recovery: gather replies as they land; re-dispatch
         # each failed contiguous slice whole to the least-loaded *idle*
         # survivor.  A slice whose only idle candidate is the worker
-        # that just failed it waits for a busy worker to free up, so
-        # recovery targeting matches the synchronous loop's.
+        # that just failed it waits for a busy worker to free up.
         budget = self.max_retries if self.max_retries is not None \
             else 4 * num_workers
         while pending or failed:
@@ -368,36 +415,76 @@ class FaultTolerantFanout:
                 if not idle or (set(idle) == {origin} and len(healthy) > 1):
                     break  # a reply must free a better target first
                 failed.pop(0)
-                loads = {wid: self._load(healthy[wid]) for wid in idle}
+                loads = {wid: healthy[wid].processed for wid in idle}
                 target_id = pick_recovery_node(idle, loads, exclude=origin)
                 trace.fanout_retries += 1
                 trace.fanout_redispatched_lwes += stop - start
                 trace.notes.append(
                     f"re-dispatching LWEs [{start}, {stop}) from node "
                     f"{origin} to node {target_id}")
-                if self._send(target_id, healthy[target_id], start, stop,
-                              lwes, results, healthy, trace, retry=True):
-                    pending[target_id] = (start, stop)
-                else:
-                    failed.append((start, stop, target_id))
+                send(target_id, start, stop, retry=True)
             if not pending:
                 continue
-            for wid, ok in self._collect(pending, lwes, results, healthy,
-                                         trace):
-                start, stop = pending.pop(wid)
-                if not ok:
+            for wid, reply in self._collect(pending, healthy, trace):
+                start, stop, retry = pending.pop(wid)
+                if reply is None or not self._accept(
+                        wid, healthy[wid], reply, start, stop, retry,
+                        results, trace):
                     failed.append((start, stop, wid))
         # Recovery guarantees completeness: every slot is filled.
         return [acc for acc in results if acc is not None]
 
+    def _accept(self, wid: int, handle: Any, reply: Dict[str, Any],
+                start: int, stop: int, retry: bool,
+                results: List[Optional[GlweCiphertext]],
+                trace: BootstrapTrace) -> bool:
+        """Book one reply's time and work, validate it (slice id, count,
+        CRC) and splice its accumulators into ``results``; ``False``
+        queues the slice for re-dispatch (the worker stays healthy)."""
+        self._add_time(trace, wid, float(reply.get("seconds", 0.0)))
+        handle.processed += int(reply.get("processed", 0))
+        if reply.get("op") != "result" or \
+                tuple(reply.get("slice_id", ())) != (start, stop):
+            trace.notes.append(
+                f"node {wid}: unexpected reply {reply.get('op')!r} for "
+                f"slice {reply.get('slice_id')!r} — slice queued for "
+                f"re-dispatch")
+            return False
+        wire_out = list(reply["blobs"])
+        self._record(wid, wire_out, retry, reply=True)
+        if len(wire_out) != stop - start:
+            trace.notes.append(
+                f"node {wid}: short reply ({len(wire_out)} of "
+                f"{stop - start}) — slice queued for re-dispatch")
+            return False
+        try:
+            accs = [deserialize_glwe(unframe_blob(b)) for b in wire_out]
+        except WireFormatError:
+            trace.notes.append(
+                f"node {wid}: reply failed CRC check — slice queued for "
+                f"re-dispatch")
+            return False
+        results[start:stop] = accs
+        return True
+
     # -- shared helpers ------------------------------------------------------
+
+    def _record(self, wid: int, blobs: Sequence[bytes], retry: bool,
+                reply: bool = False) -> None:
+        """Log one direction of primary<->``wid`` traffic (the primary's
+        own slice never crosses a wire)."""
+        if wid == self._primary:
+            return
+        src, dst = (wid, self._primary) if reply else (self._primary, wid)
+        for blob in blobs:
+            self.comm.record(src, dst, blob, retry=retry)
 
     @staticmethod
     def _add_time(trace: BootstrapTrace, wid: int, seconds: float) -> None:
         trace.node_seconds[wid] = trace.node_seconds.get(wid, 0.0) + seconds
 
     @staticmethod
-    def _mark_dead(wid: int, healthy: Dict[int, object],
+    def _mark_dead(wid: int, healthy: Dict[int, Any],
                    trace: BootstrapTrace, why: str) -> None:
         healthy.pop(wid, None)
         if wid not in trace.failed_nodes:

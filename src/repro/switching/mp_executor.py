@@ -29,29 +29,26 @@ Design points, in the order they matter:
   hand-assembled key without mask seeds has no seed+``b`` form;
   publishing either raises :class:`~repro.errors.SharedBufferError` and
   callers fall back to the in-process executors.
-* **Ciphertexts travel framed.**  Task slices and replies are the PR-5
-  CRC wire format (:func:`~repro.io.frame_blob`), so the primary detects
-  corruption exactly as the simulated cluster does.
-* **Send and collect are separate phases.**  The primary sends *every*
-  worker's slice before awaiting any reply (the base loop's send
-  phase), then gathers replies as they land via
-  :func:`multiprocessing.connection.wait` over all in-flight pipes,
-  with a per-worker reply deadline — so all workers compute
-  concurrently and the fan-out's wall-clock is the slowest slice, not
-  the sum of slices.
-* **The recovery loop is the shared one.**  This class subclasses
-  :class:`~repro.switching.fanout.FaultTolerantFanout`; what it adds is
-  *real* failure detection — ``SIGKILL``, nonzero exit, reply timeout —
-  plus worker **respawn**: a dead worker is replaced (same id, fresh
-  process, re-attached keys) under a respawn budget, and the failed
-  slice is re-dispatched through the ordinary
+* **One transport contract.**  This class subclasses
+  :class:`~repro.switching.fanout.FaultTolerantFanout`, which frames
+  each slice, draws its faults, runs the recovery loop and validates
+  every reply exactly as it does for the simulated cluster.  ``_send``
+  ships the task down the worker's pipe and returns; ``_collect``
+  gathers replies as they land via
+  :func:`multiprocessing.connection.wait` over all in-flight pipes, with
+  a per-worker reply deadline — so every slice is in flight before any
+  reply is awaited and the fan-out's wall-clock is the slowest slice,
+  not the sum of slices.
+* **Real failures, and respawn.**  Death is observed, not decided:
+  ``SIGKILL``, nonzero exit, reply timeout.  A dead worker is replaced
+  (same id, fresh process, re-attached keys) under a respawn budget,
+  and the failed slice is re-dispatched through the ordinary
   :func:`~repro.switching.scheduler.pick_recovery_node` path.
-* **Faults are injected deterministically.**  The primary pops
-  :class:`~repro.switching.fanout.Fault` specs from its injector and
-  ships them *with the task*; the worker realises them
-  (``kill_worker`` → SIGKILL itself mid-batch, ``straggle`` → sleep,
-  ``drop_reply``/``corrupt_reply`` → mutate reply blobs).  The same
-  pickled schedule drives the simulated cluster and this pool.
+* **Faults are realised in the worker.**  The fault list rides in the
+  task and the worker serves it through the shared
+  :func:`~repro.switching.fanout.serve_slice`: a ``crash`` SIGKILLs the
+  worker (or calls ``os._exit`` with the fault's ``exit_code``) mid-batch,
+  a ``straggle`` sleeps.
 
 Output is bit-identical to :class:`~repro.switching.pipeline.
 LocalExecutor` — BlindRotate is exact modular arithmetic, and
@@ -66,32 +63,25 @@ import os
 import signal
 import time
 from multiprocessing import connection
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import (ClusterExecutionError, ParameterError,
-                      SharedBufferError, WireFormatError)
-from ..io import (
-    SharedBufferManifest,
-    attach_shared_arrays,
-    deserialize_glwe,
-    deserialize_lwe,
-    frame_blob,
-    publish_shared_arrays,
-    serialize_glwe,
-    serialize_lwe,
-    unframe_blob,
-)
+from ..errors import ClusterExecutionError, ParameterError, SharedBufferError
+from ..io import SharedBufferManifest, attach_shared_arrays, publish_shared_arrays
 from ..math.gadget import GadgetVector
 from ..math.rns import RnsBasis, RnsPoly
 from ..tfhe.batch_engine import BatchBlindRotateEngine
 from ..tfhe.blind_rotate import BlindRotateKey
 from ..tfhe.glwe import GlweCiphertext
 from ..tfhe.lwe import LweCiphertext
-from .fanout import PRIMARY, CommLog, Fault, FaultInjector, FaultTolerantFanout
+from .fanout import Fault, FaultInjector, FaultTolerantFanout, serve_slice
 from .keys import stack_brk_bodies
 from .pipeline import BootstrapTrace, key_registry
+
+#: Seconds a freshly spawned worker has to attach its keys and report
+#: ready before it counts as failed to come up.
+_READY_TIMEOUT = 60.0
 
 
 # -- key material <-> shared memory -----------------------------------------------
@@ -209,6 +199,15 @@ def _rebuild_key_material(manifest: SharedBufferManifest):
 # -- the worker process ------------------------------------------------------------
 
 
+def _die(fault: Fault) -> NoReturn:
+    """A crash fault, for real: ``os._exit(exit_code)`` when one is
+    given, else SIGKILL."""
+    if fault.exit_code is not None:
+        os._exit(int(fault.exit_code))
+    os.kill(os.getpid(), signal.SIGKILL)
+    raise AssertionError("unreachable: SIGKILL is not catchable")
+
+
 def _worker_main(conn, wid: int, manifest: SharedBufferManifest) -> None:
     """Worker loop: attach keys once, then serve task slices until told
     to stop (or until an injected fault kills the process).
@@ -248,41 +247,9 @@ def _worker_main(conn, wid: int, manifest: SharedBufferManifest) -> None:
                              [stack[li] for li in range(len(lbasis))],
                              str(lmeta["domain"]))
                 lut_cache[lut_id] = (lblock, tv)
-            faults: List[Fault] = list(msg.get("faults") or ())
-            kill = next((f for f in faults
-                         if f.kind in ("kill_worker", "crash")), None)
-            straggle = next((f for f in faults if f.kind == "straggle"), None)
-            drop = next((f for f in faults if f.kind == "drop_reply"), None)
-            corrupt = next((f for f in faults
-                            if f.kind == "corrupt_reply"), None)
-
-            lwes = [deserialize_lwe(unframe_blob(b)) for b in msg["lwes"]]
-            t0 = time.perf_counter()
-            # The primary only ships faults realisable on this slice
-            # (Fault.realisable), so a shipped kill always fires.
-            if kill is not None and kill.after < len(lwes):
-                if kill.after:
-                    # Burn the partial work like a real mid-batch death.
-                    engine.rotate_batch(tv, lwes[:kill.after])
-                if kill.exit_code is not None:
-                    os._exit(int(kill.exit_code))
-                os.kill(os.getpid(), signal.SIGKILL)
-            accs = engine.rotate_batch(tv, lwes)
-            if straggle is not None:
-                time.sleep(straggle.delay_seconds)
-            seconds = time.perf_counter() - t0
-            wire_out = [frame_blob(serialize_glwe(a)) for a in accs]
-            if drop is not None and wire_out:
-                del wire_out[min(drop.reply_index, len(wire_out) - 1)]
-            if corrupt is not None and wire_out:
-                i = min(corrupt.reply_index, len(wire_out) - 1)
-                blob = bytearray(wire_out[i])
-                blob[-1] ^= 0x41
-                wire_out[i] = bytes(blob)
             try:
-                conn.send({"op": "result", "slice_id": msg["slice_id"],
-                           "blobs": wire_out, "seconds": seconds,
-                           "processed": len(accs)})
+                conn.send(serve_slice(msg, tv, engine.rotate_batch, _die,
+                                      time.sleep))
             except (BrokenPipeError, OSError):
                 break
     finally:
@@ -298,12 +265,10 @@ def _worker_main(conn, wid: int, manifest: SharedBufferManifest) -> None:
 
 
 class _WorkerHandle:
-    """Primary-side bookkeeping for one pool worker.
+    """Primary-side bookkeeping for one pool worker (``deadline`` is the
+    reply deadline of the slice in flight, set by ``_send``)."""
 
-    ``deadline``/``retry`` describe the slice currently in flight on
-    the worker (set by ``_send``, read by ``_collect``)."""
-
-    __slots__ = ("wid", "process", "conn", "processed", "deadline", "retry")
+    __slots__ = ("wid", "process", "conn", "processed", "deadline")
 
     def __init__(self, wid: int, process, conn, processed: int = 0):
         self.wid = wid
@@ -311,7 +276,6 @@ class _WorkerHandle:
         self.conn = conn
         self.processed = processed
         self.deadline = 0.0
-        self.retry = False
 
 
 # -- the executor ------------------------------------------------------------------
@@ -326,30 +290,19 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
     manager; use ``with ProcessPoolFanoutExecutor.for_keys(...)`` or
     call :meth:`close` explicitly.
 
-    ``reply_timeout`` plays the simulated executor's
-    ``straggler_timeout`` role: a worker that has not replied within it
-    is presumed dead, killed, and (budget permitting) respawned.
+    A worker that has not replied within ``reply_timeout`` is presumed
+    dead, killed, and (``max_respawns`` permitting) respawned.
     """
 
     def __init__(self, keys, test_vector: RnsPoly, num_workers: int = 2,
                  fault_injector: Optional[FaultInjector] = None,
-                 comm: Optional[CommLog] = None,
                  reply_timeout: float = 30.0,
-                 ready_timeout: float = 60.0,
-                 start_method: Optional[str] = None,
                  max_retries: Optional[int] = None,
+                 start_method: Optional[str] = None,
                  max_respawns: Optional[int] = None):
-        if num_workers < 1:
-            raise ParameterError("need at least one worker")
-        self.keys = keys
-        self.test_vector = test_vector
-        self.num_workers = num_workers
-        self.injector = fault_injector if fault_injector is not None \
-            else FaultInjector()
-        self.comm = comm if comm is not None else CommLog()
-        self.reply_timeout = reply_timeout
-        self.ready_timeout = ready_timeout
-        self.max_retries = max_retries
+        super().__init__(keys, test_vector, num_workers=num_workers,
+                         fault_injector=fault_injector,
+                         reply_timeout=reply_timeout, max_retries=max_retries)
         #: Dead-worker replacement budget over the pool's lifetime.
         self.max_respawns = max_respawns if max_respawns is not None \
             else 2 * num_workers
@@ -363,9 +316,6 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
         #: worker (including respawns) on first use.
         self._lut_blocks: Dict[str, Tuple[object, SharedBufferManifest]] = {}
         self._handles: Dict[int, _WorkerHandle] = {}
-        #: Workers with a slice in flight (wid -> handle), mirrors the
-        #: base loop's ``pending`` map on the transport side.
-        self._inflight: Dict[int, _WorkerHandle] = {}
 
         arrays, meta = _pack_key_material(keys.brk, test_vector)
         self._block, self.manifest = publish_shared_arrays(arrays, meta)
@@ -379,14 +329,6 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
             raise
         self.spinup_seconds = time.perf_counter() - t0
 
-    @classmethod
-    def for_keys(cls, ctx, keys, num_workers: int = 2,
-                 **kwargs) -> "ProcessPoolFanoutExecutor":
-        """Build a pool for a context + key set (the shared Algorithm-2
-        test vector is derived exactly as the other executors derive it)."""
-        test_vector = keys.test_vector(ctx.n, ctx.full_basis.moduli[0])
-        return cls(keys, test_vector, num_workers=num_workers, **kwargs)
-
     # -- lifecycle ------------------------------------------------------------
 
     def _spawn(self, wid: int, processed: int = 0) -> _WorkerHandle:
@@ -397,7 +339,7 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
                                    name=f"fanout-worker-{wid}")
         process.start()
         child_conn.close()  # the child owns its end now
-        deadline = time.monotonic() + self.ready_timeout
+        deadline = time.monotonic() + _READY_TIMEOUT
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or (process.exitcode is not None
@@ -473,11 +415,6 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
         except Exception:
             pass
 
-    def utilisation(self) -> Dict[int, int]:
-        """BlindRotates confirmed per worker (a killed worker's burned
-        partial batch is invisible to the primary — no reply came back)."""
-        return {wid: h.processed for wid, h in self._handles.items()}
-
     # -- FaultTolerantFanout contract -----------------------------------------
 
     def _lut_manifest(self, lut_id: str) -> SharedBufferManifest:
@@ -505,9 +442,6 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
                 "no healthy worker remains in the pool")
         if lut is not None:
             self._lut_manifest(lut)  # published before any slice flies
-        # A previous fan-out that raised may have left slices in flight;
-        # their stale replies are rejected by the slice-id check below.
-        self._inflight = {}
         trace.pool_spinup_seconds = self.spinup_seconds
         trace.shared_key_bytes = self.shared_key_bytes
         return super().fanout(lwes, trace, lut=lut)
@@ -515,81 +449,50 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
     def _workers(self) -> Dict[int, _WorkerHandle]:
         return dict(self._handles)
 
-    def _load(self, handle: _WorkerHandle) -> int:
-        return handle.processed
-
-    def _send(self, wid: int, handle: _WorkerHandle, start: int, stop: int,
-              lwes: Sequence[LweCiphertext],
-              results: List[Optional[GlweCiphertext]],
-              healthy: Dict[int, _WorkerHandle],
-              trace: BootstrapTrace, retry: bool) -> bool:
-        """Deliver one slice and return immediately — replies are
-        gathered by :meth:`_collect`, so every worker's slice is on the
-        wire before any reply is awaited."""
-        wire_in = [frame_blob(serialize_lwe(lwe)) for lwe in lwes[start:stop]]
-        faults = [f for f in (self.injector.take_any(wid, "kill_worker",
-                                                     "crash",
-                                                     slice_len=stop - start),
-                              self.injector.take(wid, "straggle"),
-                              self.injector.take(wid, "drop_reply"),
-                              self.injector.take(wid, "corrupt_reply"))
-                  if f is not None]
-        lut = self._lut
+    def _send(self, wid: int, handle: _WorkerHandle, task: Dict[str, Any],
+              retry: bool, healthy: Dict[int, _WorkerHandle],
+              trace: BootstrapTrace) -> bool:
+        """Ship one task down the worker's pipe (with the LUT's manifest
+        when it names one), stamp its reply deadline, and return."""
+        lut = task["lut"]
+        task["lut_manifest"] = self._lut_manifest(lut) if lut is not None \
+            else None
         try:
-            handle.conn.send({"op": "task", "slice_id": (start, stop),
-                              "lwes": wire_in,
-                              "faults": faults,
-                              "lut": lut,
-                              "lut_manifest": self._lut_manifest(lut)
-                              if lut is not None else None})
+            handle.conn.send(task)
         except (BrokenPipeError, OSError):
             self._fail_worker(handle, healthy, trace,
                               "died before dispatch (send failed)")
             return False
-        # Traffic is accounted only once the send actually succeeded —
-        # bytes that never left the primary are not wire traffic.
-        for blob in wire_in:
-            self.comm.record(PRIMARY, wid, blob, retry=retry)
         handle.deadline = time.monotonic() + self.reply_timeout
-        handle.retry = retry
-        self._inflight[wid] = handle
         return True
 
-    def _collect(self, pending: Dict[int, Tuple[int, int]],
-                 lwes: Sequence[LweCiphertext],
-                 results: List[Optional[GlweCiphertext]],
-                 healthy: Dict[int, _WorkerHandle],
-                 trace: BootstrapTrace) -> List[Tuple[int, bool]]:
+    def _collect(self, pending, healthy: Dict[int, _WorkerHandle],
+                 trace: BootstrapTrace
+                 ) -> List[Tuple[int, Optional[Dict[str, Any]]]]:
         """Block until at least one in-flight slice resolves: a reply
         lands (:func:`multiprocessing.connection.wait` over every
-        pending pipe), a pipe hits EOF (worker death), or a per-worker
+        in-flight pipe), a pipe hits EOF (worker death), or a per-worker
         reply deadline expires (worker presumed dead: killed + reaped).
-        """
-        outcomes: List[Tuple[int, bool]] = []
-        while not outcomes and self._inflight:
-            conns = {h.conn: h for h in self._inflight.values()}
-            timeout = max(0.0, min(h.deadline
-                                   for h in self._inflight.values())
+        A reply left over from an earlier fan-out that raised is
+        rejected by the base's slice-id check."""
+        inflight = {healthy[wid].conn: healthy[wid] for wid in pending}
+        while True:
+            timeout = max(0.0, min(h.deadline for h in inflight.values())
                           - time.monotonic())
-            ready = connection.wait(list(conns), timeout)
+            ready = connection.wait(list(inflight), timeout)
+            outcomes: List[Tuple[int, Optional[Dict[str, Any]]]] = []
             for conn in ready:
-                handle = conns[conn]
-                wid = handle.wid
-                start, stop = pending[wid]
-                del self._inflight[wid]
+                handle = inflight[conn]
                 try:
-                    reply = conn.recv()
+                    outcomes.append((handle.wid, conn.recv()))
                 except (EOFError, OSError):
                     self._fail_worker(handle, healthy, trace,
                                       self._death_reason(handle.process))
-                    outcomes.append((wid, False))
-                    continue
-                outcomes.append((wid, self._accept_reply(
-                    handle, reply, start, stop, results, trace)))
+                    outcomes.append((handle.wid, None))
             if ready:
-                continue
+                return outcomes
             now = time.monotonic()
-            for wid, handle in list(self._inflight.items()):
+            for handle in inflight.values():
                 if handle.deadline > now:
                     continue
                 try:
@@ -597,48 +500,13 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
                         continue  # a reply raced the deadline; take it
                 except (EOFError, OSError):
                     pass  # next wait() returns the EOF'd pipe as ready
-                del self._inflight[wid]
                 self._fail_worker(
                     handle, healthy, trace,
                     f"timed out (> {self.reply_timeout:.3f}s "
                     f"without a reply)")
-                outcomes.append((wid, False))
-        return outcomes
-
-    def _accept_reply(self, handle: _WorkerHandle, reply,
-                      start: int, stop: int,
-                      results: List[Optional[GlweCiphertext]],
-                      trace: BootstrapTrace) -> bool:
-        """Validate one reply and splice its accumulators into
-        ``results``; ``False`` queues the slice for re-dispatch."""
-        wid = handle.wid
-        retry = handle.retry
-        self._add_time(trace, wid, float(reply.get("seconds", 0.0)))
-        handle.processed += int(reply.get("processed", 0))
-        if reply.get("op") != "result" or \
-                tuple(reply.get("slice_id", ())) != (start, stop):
-            trace.notes.append(
-                f"worker {wid}: unexpected reply {reply.get('op')!r} for "
-                f"slice {reply.get('slice_id')!r} — slice queued for "
-                f"re-dispatch")
-            return False
-        wire_out = list(reply["blobs"])
-        for blob in wire_out:
-            self.comm.record(wid, PRIMARY, blob, retry=retry)
-        if len(wire_out) != stop - start:
-            trace.notes.append(
-                f"worker {wid}: short reply ({len(wire_out)} of "
-                f"{stop - start}) — slice queued for re-dispatch")
-            return False
-        try:
-            accs = [deserialize_glwe(unframe_blob(b)) for b in wire_out]
-        except WireFormatError:
-            trace.notes.append(
-                f"worker {wid}: reply failed CRC check — slice queued for "
-                f"re-dispatch")
-            return False
-        results[start:stop] = accs
-        return True
+                outcomes.append((handle.wid, None))
+            if outcomes:
+                return outcomes
 
     # -- failure detection + respawn ------------------------------------------
 
@@ -657,7 +525,6 @@ class ProcessPoolFanoutExecutor(FaultTolerantFanout):
         replacement under the same id if the budget allows (the fresh
         worker rejoins ``healthy`` and can take recovery slices)."""
         wid = handle.wid
-        self._inflight.pop(wid, None)
         self._mark_dead(wid, healthy, trace, why)
         if handle.process.is_alive():
             handle.process.kill()

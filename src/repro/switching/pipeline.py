@@ -267,12 +267,6 @@ class Executor(Protocol):
         ...
 
 
-#: Why PBS requests are refused on an n_t key set (``prepare_pbs`` and the
-#: service's submit-time check raise it as a :class:`ParameterError`).
-PBS_OVER_NT = ("programmable bootstrapping over an n_t key set is not "
-               "implemented — use a dimension-N SwitchingKeySet")
-
-
 def key_registry(keys) -> LutRegistry:
     """The LUT registry of a key set (shared by every programmable
     path: the executors' lookups, ``resolve_lut`` and the service)."""
@@ -407,12 +401,26 @@ class BootstrapPipeline:
         self.executor: Executor = executor if executor is not None else \
             LocalExecutor(keys, self.test_vector)
 
+    def validate(self, ct: CkksCiphertext, pbs: bool = False) -> None:
+        """The one input check, run by :meth:`prepare`, :meth:`prepare_pbs`
+        and the service before it queues a request (inside a coalesced
+        batch a bad input would fail every request batched with it):
+        level 0, this context's ring size and base modulus, and no PBS
+        over an n_t key set."""
+        if pbs and self.keyswitched:
+            raise ParameterError(
+                "programmable bootstrapping over an n_t key set is not "
+                "implemented — use a dimension-N SwitchingKeySet")
+        n, q = self.ctx.n, self.ctx.full_basis.moduli[0]
+        if ct.level != 0 or ct.n != n or ct.basis.moduli[0] != q:
+            raise ParameterError(
+                f"bootstrap consumes a level-0 ciphertext of ring size {n} "
+                f"mod {q}, got level {ct.level}, ring size {ct.n} mod "
+                f"{ct.basis.moduli[0]}")
+
     def prepare(self, ct: CkksCiphertext) -> PreparedRequest:
         """Stages ModSwitch + Extract (steps 1-3a) for one ciphertext."""
-        if ct.level != 0:
-            raise ParameterError(
-                f"scheme-switching bootstrap consumes a level-0 ciphertext, "
-                f"got level {ct.level}")
+        self.validate(ct)
         two_n = 2 * self.ctx.n
         q = ct.basis.moduli[0]
         t0 = time.perf_counter()
@@ -433,12 +441,7 @@ class BootstrapPipeline:
         coefficient-wise LWEs of ``ct`` under the *rounding* modswitch to
         ``Z_2N`` (``(a*2N + q/2) // q``), which keeps no mod-``q``
         remainder — the LUT's Finish has no step-4 addition to make."""
-        if self.keyswitched:
-            raise ParameterError(PBS_OVER_NT)
-        if ct.level != 0:
-            raise ParameterError(
-                f"programmable bootstrap consumes a level-0 ciphertext, "
-                f"got level {ct.level}")
+        self.validate(ct, pbs=True)
         t0 = time.perf_counter()
         lwes = pbs_extract(ct)
         return PreparedRequest(ms=None, lwes=lwes, scale=ct.scale,

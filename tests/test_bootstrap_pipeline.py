@@ -10,7 +10,8 @@ from repro.params import make_toy_params
 from repro.profiling import count_ops
 from repro.service import BootstrapService, UserKeys
 from repro.switching import BootstrapPipeline, LocalExecutor, SwitchingKeySet
-from repro.switching.cluster_sim import Fault, FaultInjector, SimulatedCluster
+from repro.switching.cluster_sim import ClusterExecutor
+from repro.switching.fanout import Fault, FaultInjector
 from repro.switching.pipeline import BootstrapTrace, mod_switch
 
 PARAMS = make_toy_params(n=16, limbs=3, limb_bits=30, scale_bits=23,
@@ -57,13 +58,12 @@ class TestStages:
         assert pipeline.executor.test_vector is pipeline.test_vector
 
     def test_shells_share_the_pipeline_class(self, stack):
-        """The cluster and the service's key-cache entries hold the one
-        BootstrapPipeline class — the algorithm's arithmetic lives once."""
+        """The service's key-cache entries hold the one BootstrapPipeline
+        class — the algorithm's arithmetic lives once (the cluster is an
+        executor plugged into it, with no shell of its own)."""
         ctx, sk, ev, swk = stack
-        cluster = SimulatedCluster(ctx, swk, num_nodes=2)
         service = BootstrapService(
             lambda uid: UserKeys.from_switching(ctx, swk))
-        assert type(cluster.pipeline) is BootstrapPipeline
         assert type(service.cache.get("user").pipeline) is BootstrapPipeline
 
 
@@ -139,9 +139,10 @@ class TestFanoutCounters:
 
     def test_cluster_fanout_counted_in_opstats(self, stack):
         ctx, sk, ev, swk = stack
-        cluster = SimulatedCluster(ctx, swk, num_nodes=4)
+        cluster = ClusterExecutor.for_keys(ctx, swk, num_workers=4)
         trace = BootstrapTrace()
-        cluster.pipeline.run(ev.encrypt(0.3, level=0), trace)
+        BootstrapPipeline(ctx, swk, executor=cluster).run(
+            ev.encrypt(0.3, level=0), trace)
         assert len(trace.node_seconds) == 4  # one per node slice
 
     def test_recovery_counted_in_opstats(self, stack):
@@ -149,14 +150,16 @@ class TestFanoutCounters:
         region's arithmetic includes the re-dispatched slice."""
         ctx, sk, ev, swk = stack
         ct = ev.encrypt(0.3, level=0)
+        def cluster(**kwargs):
+            return BootstrapPipeline(ctx, swk, executor=ClusterExecutor.for_keys(
+                ctx, swk, num_workers=3, **kwargs))
+
         with count_ops() as clean:
-            SimulatedCluster(ctx, swk, num_nodes=3).pipeline.run(ct)
+            cluster().run(ct)
         injector = FaultInjector([Fault.crash(2, after=1)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=3,
-                                   fault_injector=injector)
         trace = BootstrapTrace()
         with count_ops() as stats:
-            cluster.pipeline.run(ct, trace)
+            cluster(fault_injector=injector).run(ct, trace)
         assert len(trace.node_seconds) == 3
         assert trace.fanout_retries == 1
         assert trace.fanout_redispatched_lwes == 5  # node 2's slice of 16

@@ -9,17 +9,21 @@ from repro.errors import ClusterExecutionError, ParameterError
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
 from repro.switching import BootstrapPipeline, SwitchingKeySet
-from repro.switching.cluster_sim import (
-    Fault,
-    FaultInjector,
-    SimulatedCluster,
-)
+from repro.switching.cluster_sim import ClusterExecutor
+from repro.switching.fanout import Fault, FaultInjector
 from repro.switching.pipeline import BootstrapTrace
 
 from .oracle import assert_ct_equal as assert_bit_identical
 
 PARAMS = make_toy_params(n=16, limbs=3, limb_bits=30, scale_bits=23,
                          special_limbs=2)
+
+
+def cluster_run(ctx, swk, ct, trace=None, **kwargs):
+    """Bootstrap ``ct`` on a fresh simulated cluster; returns the output
+    and the executor (for its ``comm`` and ``utilisation()``)."""
+    cluster = ClusterExecutor.for_keys(ctx, swk, **kwargs)
+    return BootstrapPipeline(ctx, swk, executor=cluster).run(ct, trace), cluster
 
 
 @pytest.fixture(scope="module")
@@ -41,21 +45,19 @@ class TestDistributedBootstrap:
         z = np.random.default_rng(0).uniform(-1, 1, ctx.slots)
         ct = ev.encrypt(z, level=0)
         reference = BootstrapPipeline(ctx, swk).run(ct)
-        cluster = SimulatedCluster(ctx, swk, num_nodes=4)
-        distributed = cluster.pipeline.run(ct)
+        distributed, _ = cluster_run(ctx, swk, ct, num_workers=4)
         assert_bit_identical(reference, distributed)
 
     def test_decrypts_correctly(self, stack):
         ctx, sk, ev, swk = stack
         z = np.random.default_rng(1).uniform(-1, 1, ctx.slots)
-        cluster = SimulatedCluster(ctx, swk, num_nodes=2)
-        out = cluster.pipeline.run(ev.encrypt(z, level=0))
+        out, _ = cluster_run(ctx, swk, ev.encrypt(z, level=0), num_workers=2)
         assert np.allclose(ev.decrypt(out, sk).real, z, atol=0.05)
 
     def test_work_distribution(self, stack):
         ctx, sk, ev, swk = stack
-        cluster = SimulatedCluster(ctx, swk, num_nodes=4)
-        cluster.pipeline.run(ev.encrypt(0.2, level=0))
+        _, cluster = cluster_run(ctx, swk, ev.encrypt(0.2, level=0),
+                                 num_workers=4)
         util = cluster.utilisation()
         assert sum(util.values()) == ctx.n
         assert max(util.values()) - min(util.values()) <= 1  # balanced
@@ -67,24 +69,24 @@ class TestDistributedBootstrap:
         ctx, sk, ev, swk = stack
         ct = ev.encrypt(0.3, level=0)
         reference = BootstrapPipeline(ctx, swk).run(ct)
-        cluster = SimulatedCluster(ctx, swk, num_nodes=num_nodes)
-        assert_bit_identical(reference, cluster.pipeline.run(ct))
+        out, cluster = cluster_run(ctx, swk, ct, num_workers=num_nodes)
+        assert_bit_identical(reference, out)
         util = cluster.utilisation()
         assert sum(util.values()) == ctx.n
         assert max(util.values()) - min(util.values()) <= 1
 
     def test_single_node_has_no_traffic(self, stack):
         ctx, sk, ev, swk = stack
-        cluster = SimulatedCluster(ctx, swk, num_nodes=1)
-        cluster.pipeline.run(ev.encrypt(0.2, level=0))
+        _, cluster = cluster_run(ctx, swk, ev.encrypt(0.2, level=0),
+                                 num_workers=1)
         assert cluster.comm.total_bytes() == 0
 
     def test_comm_log_structure(self, stack):
         """Every secondary receives its LWE batch from the primary and
         returns one accumulator per BlindRotate."""
         ctx, sk, ev, swk = stack
-        cluster = SimulatedCluster(ctx, swk, num_nodes=4)
-        cluster.pipeline.run(ev.encrypt(0.2, level=0))
+        _, cluster = cluster_run(ctx, swk, ev.encrypt(0.2, level=0),
+                                 num_workers=4)
         per_node = ctx.n // 4
         for node_id in (1, 2, 3):
             assert cluster.comm.messages[(0, node_id)] == per_node
@@ -98,9 +100,8 @@ class TestDistributedBootstrap:
 
     def test_trace_reports_per_node_fanout_timing(self, stack):
         ctx, sk, ev, swk = stack
-        cluster = SimulatedCluster(ctx, swk, num_nodes=4)
         trace = BootstrapTrace()
-        cluster.pipeline.run(ev.encrypt(0.2, level=0), trace)
+        cluster_run(ctx, swk, ev.encrypt(0.2, level=0), trace, num_workers=4)
         assert sorted(trace.node_seconds) == [0, 1, 2, 3]
         assert all(t >= 0.0 for t in trace.node_seconds.values())
         assert trace.fanout_retries == 0
@@ -110,10 +111,9 @@ class TestDistributedBootstrap:
     def test_invalid_config(self, stack):
         ctx, sk, ev, swk = stack
         with pytest.raises(ParameterError):
-            SimulatedCluster(ctx, swk, num_nodes=0)
-        cluster = SimulatedCluster(ctx, swk, num_nodes=2)
+            ClusterExecutor.for_keys(ctx, swk, num_workers=0)
         with pytest.raises(ParameterError):
-            cluster.pipeline.run(ev.encrypt(0.1))  # not level 0
+            cluster_run(ctx, swk, ev.encrypt(0.1), num_workers=2)  # not level 0
 
 
 class TestFaultRecovery:
@@ -126,17 +126,22 @@ class TestFaultRecovery:
         ct = ev.encrypt(z, level=0)
         return ct, BootstrapPipeline(ctx, swk).run(ct)
 
+    def _faulty_run(self, stack, ct, faults, num_workers, **kwargs):
+        ctx, sk, ev, swk = stack
+        trace = BootstrapTrace()
+        out, cluster = cluster_run(ctx, swk, ct, trace,
+                                   num_workers=num_workers,
+                                   fault_injector=FaultInjector(faults),
+                                   **kwargs)
+        return out, trace, cluster
+
     def test_crash_mid_batch_recovers(self, stack):
         """Node 2 dies after one BlindRotate; its whole 5-LWE slice is
         re-sent to the least-loaded survivor (node 1, load 5 < the
         primary's 6) and the output is unchanged."""
-        ctx, sk, ev, swk = stack
         ct, reference = self._reference(stack)
-        injector = FaultInjector([Fault.crash(2, after=1)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=3,
-                                   fault_injector=injector)
-        trace = BootstrapTrace()
-        out = cluster.pipeline.run(ct, trace)
+        out, trace, cluster = self._faulty_run(
+            stack, ct, [Fault.crash(2, after=1)], 3)
         assert_bit_identical(reference, out)
         assert trace.fanout_retries == 1
         assert trace.fanout_redispatched_lwes == 5  # node 2's slice of 16
@@ -148,79 +153,61 @@ class TestFaultRecovery:
     def test_primary_crash_recovers(self, stack):
         """Node 0 computes as well as coordinates; its own slice can be
         re-dispatched like any other."""
-        ctx, sk, ev, swk = stack
         ct, reference = self._reference(stack, seed=8)
-        injector = FaultInjector([Fault.crash(0)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=4,
-                                   fault_injector=injector)
-        trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
+        out, trace, cluster = self._faulty_run(stack, ct, [Fault.crash(0)], 4)
+        assert_bit_identical(reference, out)
         assert trace.failed_nodes == [0]
         assert trace.fanout_retries == 1
         # The slice that used to stay on the primary now crosses a wire.
         assert cluster.comm.total_retry_bytes() > 0
 
     def test_corrupt_reply_detected_by_crc(self, stack):
-        ctx, sk, ev, swk = stack
         ct, reference = self._reference(stack, seed=9)
-        injector = FaultInjector([Fault.corrupt_reply(1, index=2)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=4,
-                                   fault_injector=injector)
-        trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
+        out, trace, _ = self._faulty_run(
+            stack, ct, [Fault.corrupt_reply(1, index=2)], 4)
+        assert_bit_identical(reference, out)
         assert trace.fanout_retries == 1
         # A corrupt link is transient: the node is not declared dead.
         assert trace.failed_nodes == []
         assert any("CRC" in note for note in trace.notes)
 
     def test_dropped_reply_detected_by_count(self, stack):
-        ctx, sk, ev, swk = stack
         ct, reference = self._reference(stack, seed=10)
-        injector = FaultInjector([Fault.drop_reply(3, index=0)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=4,
-                                   fault_injector=injector)
-        trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
+        out, trace, _ = self._faulty_run(
+            stack, ct, [Fault.drop_reply(3, index=0)], 4)
+        assert_bit_identical(reference, out)
         assert trace.fanout_retries == 1
         assert trace.failed_nodes == []
         assert any("short reply" in note for note in trace.notes)
 
     def test_straggler_below_timeout_is_tolerated(self, stack):
-        ctx, sk, ev, swk = stack
         ct, reference = self._reference(stack, seed=11)
-        injector = FaultInjector([Fault.straggler(1, delay_seconds=0.5)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=4,
-                                   fault_injector=injector,
-                                   straggler_timeout=30.0)
-        trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
+        out, trace, _ = self._faulty_run(
+            stack, ct, [Fault.straggler(1, delay_seconds=0.5)], 4,
+            reply_timeout=30.0)
+        assert_bit_identical(reference, out)
         assert trace.fanout_retries == 0
         # The injected delay is visible in the per-node fan-out timing.
         assert trace.node_seconds[1] >= 0.5
         assert max(trace.node_seconds, key=trace.node_seconds.get) == 1
 
     def test_straggler_past_timeout_is_redispatched(self, stack):
-        ctx, sk, ev, swk = stack
         ct, reference = self._reference(stack, seed=12)
-        injector = FaultInjector([Fault.straggler(1, delay_seconds=120.0)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=4,
-                                   fault_injector=injector,
-                                   straggler_timeout=1.0)
-        trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
+        out, trace, _ = self._faulty_run(
+            stack, ct, [Fault.straggler(1, delay_seconds=120.0)], 4,
+            reply_timeout=1.0)
+        assert_bit_identical(reference, out)
         assert trace.fanout_retries == 1
         assert trace.failed_nodes == [1]
         assert any("timed out" in note for note in trace.notes)
 
     def test_multiple_concurrent_faults(self, stack):
         """Two nodes fail in the same fan-out; both slices recover."""
-        ctx, sk, ev, swk = stack
+        ctx = stack[0]
         ct, reference = self._reference(stack, seed=13)
-        injector = FaultInjector([Fault.crash(1), Fault.crash(2, after=2)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=4,
-                                   fault_injector=injector)
-        trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
+        out, trace, _ = self._faulty_run(
+            stack, ct, [Fault.crash(1), Fault.crash(2, after=2)], 4)
+        assert_bit_identical(reference, out)
         assert trace.fanout_retries == 2
         assert sorted(trace.failed_nodes) == [1, 2]
         assert trace.fanout_redispatched_lwes == 2 * (ctx.n // 4)
@@ -228,27 +215,22 @@ class TestFaultRecovery:
     def test_fault_during_recovery(self, stack):
         """The recovery target can itself fail; the slice is queued again
         and lands on a third node."""
-        ctx, sk, ev, swk = stack
         ct, reference = self._reference(stack, seed=14)
         # Node 2's slice fails; the first recovery target (node 0, the
         # least-loaded-tie winner) drops its reply, forcing a second hop
         # that lands on node 1.
-        injector = FaultInjector([Fault.crash(2), Fault.drop_reply(0)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=4,
-                                   fault_injector=injector)
-        trace = BootstrapTrace()
-        assert_bit_identical(reference, cluster.pipeline.run(ct, trace))
+        out, trace, _ = self._faulty_run(
+            stack, ct, [Fault.crash(2), Fault.drop_reply(0)], 4)
+        assert_bit_identical(reference, out)
         assert trace.fanout_retries == 2
         assert trace.failed_nodes == [2]  # drops are transient, not deaths
 
     def test_all_nodes_dead_raises_typed_error(self, stack):
-        ctx, sk, ev, swk = stack
-        injector = FaultInjector([Fault.crash(i, persistent=True)
-                                  for i in range(3)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=3,
-                                   fault_injector=injector)
+        ev = stack[2]
         with pytest.raises(ClusterExecutionError) as excinfo:
-            cluster.pipeline.run(ev.encrypt(0.2, level=0))
+            self._faulty_run(stack, ev.encrypt(0.2, level=0),
+                             [Fault.crash(i, persistent=True)
+                              for i in range(3)], 3)
         assert sorted(excinfo.value.failed_nodes) == [0, 1, 2]
         assert excinfo.value.pending_slices  # at least one slice unplaced
 
@@ -256,21 +238,14 @@ class TestFaultRecovery:
         """Persistently corrupted links keep every node 'healthy' but no
         reply ever validates — the retry budget converts the livelock
         into the typed error."""
-        ctx, sk, ev, swk = stack
-        injector = FaultInjector([Fault.corrupt_reply(i, persistent=True)
-                                  for i in range(2)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=2,
-                                   fault_injector=injector, max_retries=4)
         with pytest.raises(ClusterExecutionError, match="retry budget"):
-            cluster.pipeline.run(stack[2].encrypt(0.2, level=0))
+            self._faulty_run(stack, stack[2].encrypt(0.2, level=0),
+                             [Fault.corrupt_reply(i, persistent=True)
+                              for i in range(2)], 2, max_retries=4)
 
     def test_retry_traffic_accounted_separately(self, stack):
-        ctx, sk, ev, swk = stack
-        ct = ev.encrypt(0.25, level=0)
-        injector = FaultInjector([Fault.crash(1)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=3,
-                                   fault_injector=injector)
-        cluster.pipeline.run(ct)
+        ct = stack[2].encrypt(0.25, level=0)
+        _, _, cluster = self._faulty_run(stack, ct, [Fault.crash(1)], 3)
         comm = cluster.comm
         # Node 1's slice lands on node 2 (load 5 < the primary's 6): the
         # retry traffic is a strict subset of the totals and sits on the

@@ -25,6 +25,7 @@ import repro.ckks
 import repro.profiling
 import repro.service
 import repro.switching
+import repro.switching.cluster_sim
 import repro.switching.keys
 import repro.tfhe
 import repro.tfhe.repack
@@ -35,7 +36,8 @@ from repro.params import make_keyswitched_toy_params, make_toy_params
 from repro.profiling import OpStats, count_ops
 from repro.service import BootstrapService, UserKeys
 from repro.switching import SIGN, BootstrapPipeline, SwitchingKeySet, run_batch
-from repro.switching.cluster_sim import Fault, FaultInjector, SimulatedCluster
+from repro.switching.cluster_sim import ClusterExecutor
+from repro.switching.fanout import Fault, FaultInjector, FaultTolerantFanout
 from repro.switching.mp_executor import ProcessPoolFanoutExecutor
 from repro.switching.pipeline import BootstrapTrace, Executor
 from repro.tfhe.blind_rotate import blind_rotate
@@ -122,12 +124,13 @@ def local(ctx, swk, kind, payload):
 
 def faulty_cluster(ctx, swk, kind, payload):
     """Node 1 crashes mid-slice and node 2's reply is corrupted."""
-    cluster = SimulatedCluster(
-        ctx, swk, num_nodes=3,
+    cluster = ClusterExecutor.for_keys(
+        ctx, swk, num_workers=3,
         fault_injector=FaultInjector([Fault.crash(1, after=1),
                                       Fault.corrupt_reply(2)]))
     trace = BootstrapTrace()
-    out = run_on(cluster.pipeline, kind, payload, trace)
+    out = run_on(BootstrapPipeline(ctx, swk, executor=cluster), kind,
+                 payload, trace)
     assert trace.fanout_retries == 2 and trace.failed_nodes == [1]
     return out
 
@@ -137,7 +140,7 @@ def sigkilled_pool(ctx, swk, kind, payload):
     with ProcessPoolFanoutExecutor.for_keys(
             ctx, swk, num_workers=2,
             fault_injector=FaultInjector(
-                [Fault.kill_worker(0, after=1)])) as pool:
+                [Fault.crash(0, after=1)])) as pool:
         trace = BootstrapTrace()
         out = run_on(BootstrapPipeline(ctx, swk, executor=pool), kind,
                      payload, trace)
@@ -260,6 +263,27 @@ def test_no_engine_name_parameters():
                  for param in inspect.signature(fn).parameters
                  if param.endswith("engine")]
     assert not offenders, offenders
+
+
+def test_one_fault_tolerant_fanout():
+    """One transport contract, one crash kind, no cluster shell: the
+    synchronous dispatch path stays deleted and both transports are
+    built the same way."""
+    for gone in ("_dispatch", "_sync_outcomes", "_load"):
+        assert not hasattr(FaultTolerantFanout, gone), gone
+    kinds = {Fault.crash(0).kind, Fault.drop_reply(0).kind,
+             Fault.corrupt_reply(0).kind, Fault.straggler(0, 1.0).kind}
+    assert kinds == {"crash", "drop_reply", "corrupt_reply", "straggle"}
+    constructors = {name for name, attr in vars(Fault).items()
+                    if isinstance(attr, classmethod)}
+    assert constructors == {"crash", "drop_reply", "corrupt_reply",
+                            "straggler"}
+    assert not hasattr(FaultInjector, "take_any")
+    assert not hasattr(repro.switching.cluster_sim, "SimulatedCluster")
+    shared = ["num_workers", "fault_injector", "reply_timeout", "max_retries"]
+    for cls in (ClusterExecutor, ProcessPoolFanoutExecutor):
+        params = list(inspect.signature(cls.for_keys).parameters)
+        assert params[2:6] == shared, (cls, params)
 
 
 OPSTATS_FIELDS = {

@@ -22,7 +22,7 @@ from repro.math.sampling import Sampler
 from repro.params import CkksParams
 from repro.profiling import count_ops
 from repro.switching import BootstrapPipeline, SwitchingKeySet
-from repro.switching.cluster_sim import SimulatedCluster
+from repro.switching.cluster_sim import ClusterExecutor
 from repro.switching.functional import (
     pbs_extract_reference,
     pbs_extract_vectorized,
@@ -69,14 +69,14 @@ class TestDeForkedBitIdentity:
 
     def test_cluster_ships_lut_once_per_node(self, stack):
         ctx, _, _, swk, ct = stack
-        clus = SimulatedCluster(ctx, swk, num_nodes=3)
-        clus.pipeline.run_pbs(ct, sign_fn)
+        clus = ClusterExecutor.for_keys(ctx, swk, num_workers=3)
+        pipe = BootstrapPipeline(ctx, swk, executor=clus)
+        pipe.run_pbs(ct, sign_fn)
         after_first = clus.comm.link_bytes(0, 1)
-        clus.pipeline.run_pbs(ct, sign_fn)
+        pipe.run_pbs(ct, sign_fn)
         # Second batch re-sends LWEs but NOT the LUT tensor.
-        lut_id = clus.pipeline.resolve_lut(sign_fn, ct.scale)
-        assert all((nid, lut_id) in clus.executor._lut_shipped
-                   for nid in (0, 1, 2))
+        lut_id = pipe.resolve_lut(sign_fn, ct.scale)
+        assert all(lut_id in node.luts for node in clus.nodes)
         assert clus.comm.link_bytes(0, 1) < 2 * after_first
 
     def test_pool_publishes_lut_into_shared_memory(self, stack):

@@ -16,7 +16,7 @@ from repro.errors import ClusterExecutionError, SharedBufferError
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
 from repro.switching import SwitchingKeySet
-from repro.switching.cluster_sim import SimulatedCluster
+from repro.switching.cluster_sim import ClusterExecutor
 from repro.switching.fanout import PRIMARY, Fault, FaultInjector
 from repro.switching.keys import brk_bytes
 from repro.switching.mp_executor import ProcessPoolFanoutExecutor
@@ -83,7 +83,7 @@ class TestWorkerDeath:
         trace = BootstrapTrace()
         out = pool_bootstrap(
             ctx, swk, level0_ct, trace,
-            fault_injector=FaultInjector([Fault.kill_worker(1, after=2)]))
+            fault_injector=FaultInjector([Fault.crash(1, after=2)]))
         assert_bit_identical(reference, out)
         assert trace.failed_nodes == [1]
         assert trace.fanout_retries == 1
@@ -96,7 +96,7 @@ class TestWorkerDeath:
         out = pool_bootstrap(
             ctx, swk, level0_ct, trace,
             fault_injector=FaultInjector(
-                [Fault.kill_worker(0, after=0, exit_code=3)]))
+                [Fault.crash(0, after=0, exit_code=3)]))
         assert_bit_identical(reference, out)
         assert any("exitcode=3" in note for note in trace.notes)
 
@@ -118,8 +118,8 @@ class TestWorkerDeath:
         trace = BootstrapTrace()
         out = pool_bootstrap(
             ctx, swk, level0_ct, trace,
-            fault_injector=FaultInjector([Fault.kill_worker(0, after=1),
-                                          Fault.kill_worker(1, after=0)]))
+            fault_injector=FaultInjector([Fault.crash(0, after=1),
+                                          Fault.crash(1, after=0)]))
         assert_bit_identical(reference, out)
         assert sorted(trace.failed_nodes) == [0, 1]
         assert trace.worker_respawns == 2
@@ -128,8 +128,8 @@ class TestWorkerDeath:
         """Persistent kill faults with no respawn budget exhaust the pool:
         a typed ClusterExecutionError, not a hang or garbage."""
         ctx, _, _, swk = stack
-        inj = FaultInjector([Fault.kill_worker(0, persistent=True),
-                             Fault.kill_worker(1, persistent=True)])
+        inj = FaultInjector([Fault.crash(0, persistent=True),
+                             Fault.crash(1, persistent=True)])
         with pytest.raises(ClusterExecutionError) as err:
             pool_bootstrap(ctx, swk, level0_ct, fault_injector=inj,
                            max_respawns=0)
@@ -216,7 +216,7 @@ class TestAccounting:
         trace = BootstrapTrace()
         with ProcessPoolFanoutExecutor.for_keys(
                 ctx, swk, num_workers=2,
-                fault_injector=FaultInjector([Fault.kill_worker(1)])) as pool:
+                fault_injector=FaultInjector([Fault.crash(1)])) as pool:
             BootstrapPipeline(ctx, swk, executor=pool).run(level0_ct, trace)
             assert pool.spinup_seconds > 0
             assert pool.shared_key_bytes > 0
@@ -270,7 +270,7 @@ class TestInjectorDeterminism:
     one schedule drives both the simulated cluster and the real pool."""
 
     def test_fault_and_injector_pickle_roundtrip(self):
-        inj = FaultInjector([Fault.kill_worker(1, after=2, exit_code=5),
+        inj = FaultInjector([Fault.crash(1, after=2, exit_code=5),
                              Fault.straggler(0, 0.25, persistent=True)])
         clone = pickle.loads(pickle.dumps(inj))
         assert clone == inj
@@ -284,22 +284,63 @@ class TestInjectorDeterminism:
         assert a != FaultInjector.seeded(43, node_ids=[0, 1, 2], count=4)
         assert pickle.loads(pickle.dumps(a)) == b
 
-    def test_same_schedule_drives_both_executors(self, stack, level0_ct, reference):
-        """An identically-seeded schedule recovers bit-identically on the
-        simulated cluster and on the worker pool (crash == kill_worker)."""
-        ctx, _, _, swk = stack
-        kinds = ("crash", "drop_reply", "corrupt_reply")
-        sim_trace, pool_trace = BootstrapTrace(), BootstrapTrace()
-        sim = SimulatedCluster(
-            ctx, swk, num_nodes=2,
-            fault_injector=FaultInjector.seeded(11, [0, 1], kinds=kinds))
-        sim_out = sim.pipeline.run(level0_ct, sim_trace)
-        pool_out = pool_bootstrap(
-            ctx, swk, level0_ct, pool_trace,
-            fault_injector=FaultInjector.seeded(11, [0, 1], kinds=kinds))
-        assert_bit_identical(reference, sim_out)
-        assert_bit_identical(reference, pool_out)
-        assert sim_trace.fanout_retries == pool_trace.fanout_retries
+
+#: Hand schedules for a 2-worker fan-out of 16 LWEs (slices [0, 8) and
+#: [8, 16)); each must tell the same recovery story on both transports.
+PARITY_SCHEDULES = {
+    "crash_mid_slice": [Fault.crash(1, after=2)],
+    "crash_and_drop_same_node": [Fault.crash(0, after=1),
+                                 Fault.drop_reply(0)],
+    "crash_and_corrupt": [Fault.crash(1, after=1), Fault.corrupt_reply(0)],
+    "primary_crash_and_straggle": [Fault.crash(0), Fault.straggler(1, 0.05)],
+    "corrupt_and_drop": [Fault.corrupt_reply(0, index=1),
+                         Fault.drop_reply(1)],
+    "persistent_corrupt": [Fault.corrupt_reply(0, persistent=True),
+                           Fault.corrupt_reply(1, persistent=True)],
+}
+
+
+def _story(run, reference):
+    """What a fan-out did: output bytes (or the typed error) plus its
+    recovery counters."""
+    trace = BootstrapTrace()
+    try:
+        out = run(trace)
+    except ClusterExecutionError as exc:
+        return "error", str(exc).split(" with ")[0]
+    assert_bit_identical(reference, out)
+    return (trace.fanout_retries, trace.fanout_redispatched_lwes,
+            trace.failed_nodes)
+
+
+@pytest.mark.parametrize("schedule", list(PARITY_SCHEDULES))
+def test_cluster_and_pool_tell_the_same_story(stack, level0_ct, reference,
+                                              schedule):
+    """One hand schedule on the simulated cluster and on the 2-worker
+    pool: byte-equal outputs (or the same typed error) and equal
+    ``(fanout_retries, fanout_redispatched_lwes, failed_nodes)``.  Both
+    transports share the send order, the fault draw and the reply check;
+    what differs — the pool respawns a dead worker, the cluster does not
+    within a fan-out — no schedule here depends on."""
+    ctx, _, _, swk = stack
+    kwargs = {"num_workers": 2, "max_retries": 4}
+
+    def on_cluster(trace):
+        cluster = ClusterExecutor.for_keys(
+            ctx, swk, fault_injector=FaultInjector(PARITY_SCHEDULES[schedule]),
+            **kwargs)
+        return BootstrapPipeline(ctx, swk, executor=cluster).run(level0_ct,
+                                                                 trace)
+
+    def on_pool(trace):
+        return pool_bootstrap(
+            ctx, swk, level0_ct, trace,
+            fault_injector=FaultInjector(PARITY_SCHEDULES[schedule]), **kwargs)
+
+    cluster_story = _story(on_cluster, reference)
+    assert cluster_story == _story(on_pool, reference)
+    if schedule == "persistent_corrupt":
+        assert cluster_story[0] == "error"
 
 
 class TestSeededKeyStreaming:

@@ -10,7 +10,8 @@ from repro.errors import ParameterError
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
 from repro.switching import BootstrapPipeline, SwitchingKeySet
-from repro.switching.cluster_sim import Fault, FaultInjector, SimulatedCluster
+from repro.switching.cluster_sim import ClusterExecutor
+from repro.switching.fanout import Fault, FaultInjector
 from repro.switching.pipeline import BootstrapTrace
 from repro.switching.scheduler import make_schedule, pick_recovery_node
 
@@ -89,9 +90,10 @@ class TestRecoveryNodeFailsToo:
         # one; the slice hops again to node 2, which finishes it.
         inj = FaultInjector([Fault.crash(0),
                              Fault.crash(1, after=5, persistent=True)])
-        cluster = SimulatedCluster(ctx, swk, num_nodes=3, fault_injector=inj)
+        cluster = ClusterExecutor.for_keys(ctx, swk, num_workers=3,
+                                           fault_injector=inj)
         trace = BootstrapTrace()
-        out = cluster.pipeline.run(ct, trace)
+        out = BootstrapPipeline(ctx, swk, executor=cluster).run(ct, trace)
         for ref_l, got_l in zip(reference.c0.to_coeff().limbs,
                                 out.c0.to_coeff().limbs):
             assert ref_l.tolist() == got_l.tolist()

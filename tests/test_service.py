@@ -370,6 +370,43 @@ class TestCiphertextRequests:
         assert trace.requests_failed == 0
         assert (trace.requests_accepted, trace.requests_completed) == (1, 1)
 
+    @pytest.mark.parametrize("n, limb_bits", [(8, 30), (32, 30), (16, 28)],
+                             ids=["ring8", "ring32", "limbs28"])
+    def test_foreign_context_request_fails_alone(self, ckks_stack, n,
+                                                 limb_bits):
+        """A level-0 ciphertext of another ring size or base modulus is
+        refused at submit; the valid request it would have ridden with
+        stays byte-equal to its solo run."""
+        ctx, _, ev, swk = ckks_stack
+        good = ev.encrypt(np.random.default_rng(17).uniform(-1, 1, ctx.slots),
+                          level=0)
+        reference = BootstrapPipeline(ctx, swk).run(good)
+        other = CkksContext(make_toy_params(n=n, limbs=3, limb_bits=limb_bits,
+                                            scale_bits=23,
+                                            special_limbs=2).ckks, dnum=2)
+        other_gen = CkksKeyGenerator(other, Sampler(71))
+        bad = CkksEvaluator(other, other_gen.keyset(other_gen.secret_key()),
+                            Sampler(72)).encrypt(np.zeros(other.slots),
+                                                 level=0)
+        uk = UserKeys.from_switching(ctx, swk)
+
+        async def main():
+            svc = BootstrapService(lambda uid: uk, max_batch=4 * ctx.n,
+                                   max_delay_s=0.05)
+            async with svc:
+                results = await asyncio.gather(
+                    svc.submit_ciphertext("alice", good),
+                    svc.submit_ciphertext("bob", bad),
+                    return_exceptions=True)
+            return results, svc.trace
+
+        (out, refused), trace = asyncio.run(main())
+        assert isinstance(refused, ParameterError), refused
+        assert "ring size" in str(refused)
+        assert_ct_equal(reference, out)
+        assert trace.requests_failed == 0
+        assert (trace.requests_accepted, trace.requests_completed) == (1, 1)
+
     def test_ciphertext_requires_ctx(self, lwe_stack):
         _, _, _, brk, tv = lwe_stack
         uk = UserKeys(_KeyBox(brk), tv)  # no ctx
