@@ -34,10 +34,8 @@ from .resources import PAPER_UTILIZED, U280_AVAILABLE, ResourceModel, ResourceRe
 from .simulator import BootstrapEventSimulator, SimulationResult, TimelineEvent
 from .traffic import (
     ConventionalKeyTraffic,
-    bootstrap_hbm_seconds,
     key_traffic_reduction,
     scheme_switching_key_bytes,
-    seeded_scheme_switching_key_bytes,
 )
 
 __all__ = [
@@ -87,8 +85,6 @@ __all__ = [
     "ResourceModel",
     "ResourceReport",
     "ConventionalKeyTraffic",
-    "bootstrap_hbm_seconds",
     "key_traffic_reduction",
     "scheme_switching_key_bytes",
-    "seeded_scheme_switching_key_bytes",
 ]

@@ -50,24 +50,8 @@ def scheme_switching_key_bytes(tfhe: TfheParams, log_q_total: int) -> float:
     return tfhe.n_t * pair_bytes
 
 
-def seeded_scheme_switching_key_bytes(tfhe: TfheParams,
-                                      log_q_total: int) -> float:
-    """At-rest bytes of the ARK-style seed+``b`` brk form: only each
-    row's body polynomial is stored; the ``h`` uniform mask polynomials
-    replay from a per-key 8-byte seed at expansion time.  At the
-    paper's ``h = 1`` this halves the 1.76 GB resident set."""
-    body_fraction = 1.0 / (tfhe.glwe_mask + 1)
-    seeds = tfhe.n_t * 2 * 8.0  # one derived seed per RGSW(s+)/RGSW(s-)
-    return scheme_switching_key_bytes(tfhe, log_q_total) * body_fraction + seeds
-
-
 def key_traffic_reduction(tfhe: TfheParams, log_q_total: int,
                           conventional: ConventionalKeyTraffic = ConventionalKeyTraffic(),
                           ) -> float:
     """The paper's ~18x claim."""
     return conventional.total_bytes / scheme_switching_key_bytes(tfhe, log_q_total)
-
-
-def bootstrap_hbm_seconds(bytes_moved: float, bandwidth_bytes_per_s: float) -> float:
-    """Lower bound on bootstrap time from key streaming alone."""
-    return bytes_moved / bandwidth_bytes_per_s

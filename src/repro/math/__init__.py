@@ -12,7 +12,7 @@ from .modular import (
     primitive_root,
     root_of_unity,
 )
-from .ntt import NttEngine, get_ntt_engine, naive_dft, naive_negacyclic_mul
+from .ntt import NttEngine, get_ntt_engine
 from .poly import RingPoly
 from .rns import RnsBasis, RnsPoly, basis_convert, concat_bases
 from .sampling import Sampler, DEFAULT_ERROR_STD
@@ -29,8 +29,6 @@ __all__ = [
     "root_of_unity",
     "NttEngine",
     "get_ntt_engine",
-    "naive_dft",
-    "naive_negacyclic_mul",
     "RingPoly",
     "RnsBasis",
     "RnsPoly",

@@ -528,39 +528,6 @@ def get_stacked_ntt_engine(n: int, moduli: Sequence[int]) -> StackedNttEngine:
     return engine
 
 
-def naive_negacyclic_mul(a, b, q: int) -> np.ndarray:
-    """Schoolbook ``O(N^2)`` negacyclic convolution — test reference only."""
-    a = np.asarray(a, dtype=object)  # heaplint: disable=HL001 exact big-int test reference, never on a hot path
-    b = np.asarray(b, dtype=object)  # heaplint: disable=HL001 exact big-int test reference, never on a hot path
-    n = a.shape[-1]
-    out = np.zeros(n, dtype=object)  # heaplint: disable=HL001 exact big-int test reference, never on a hot path
-    for i in range(n):
-        ai = int(a[i])
-        if ai == 0:
-            continue
-        for j in range(n):
-            k = i + j
-            term = ai * int(b[j])
-            if k >= n:
-                out[k - n] -= term
-            else:
-                out[k] += term
-    return np.mod(out, q)
-
-
-def naive_dft(a, q: int, root: int) -> np.ndarray:
-    """Quadratic-time cyclic DFT used to validate the fast transform."""
-    a = np.asarray(a, dtype=object)  # heaplint: disable=HL001 exact big-int test reference, never on a hot path
-    n = len(a)
-    out = np.zeros(n, dtype=object)  # heaplint: disable=HL001 exact big-int test reference, never on a hot path
-    for k in range(n):
-        acc = 0
-        for j in range(n):
-            acc += int(a[j]) * pow(root, j * k, q)
-        out[k] = acc % q
-    return out
-
-
 def _profile_ntt(n: int, arr: np.ndarray) -> None:
     """Report transforms to the profiler (batch = product of lead dims).
 

@@ -4,9 +4,10 @@ Every bootstrap request is useless without its user's key material —
 the blind-rotate key, the repack automorphism keys, the Algorithm-2
 test vector — and that material is the binding resource when many
 tenants are served from one process: ARK measures 3.52 MB per brk entry
-and 1.76 GB per user at paper parameters (``bench_keysizes.py`` audits
-the formula; :meth:`~repro.switching.keys.SwitchingKeySet.
-resident_bytes` counts the actual resident arrays).  This module bounds
+and 1.76 GB per user at paper parameters
+(:func:`repro.analysis.key_size_table` audits the formula;
+:meth:`~repro.switching.keys.SwitchingKeySet.resident_bytes` counts
+the actual resident arrays).  This module bounds
 it: :class:`LruKeyCache` keeps at most ``capacity_bytes`` of key
 material resident, evicting the least-recently-used user's entry —
 *including its executor*: an evicted :class:`~repro.switching.

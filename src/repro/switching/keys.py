@@ -324,11 +324,12 @@ class SwitchingKeySet:
     def resident_bytes(self) -> int:
         """Measured bytes of this key set in its current storage states:
         the seed+``b`` material when held, every expanded component (the
-        quantities §III-C audits by formula; ``bench_keysizes.py``
-        checks the formula against the paper, this counts the *actual*
-        resident arrays) and the lifted tensors the key registry holds
-        for them.  The service's LRU key cache charges each user this
-        amount (ARK direction: bound the resident key working set).
+        quantities §III-C audits by formula;
+        :func:`repro.analysis.key_size_table` checks the formula against
+        the paper, this counts the *actual* resident arrays) and the
+        lifted tensors the key registry holds for them.  The service's
+        LRU key cache charges each user this amount (ARK direction:
+        bound the resident key working set).
 
         Machine-dtype limbs are priced at ``ndarray.nbytes``; wide
         (``object``-dtype) limbs at the §III-C coefficient width

@@ -75,11 +75,11 @@ over simulated message-passing nodes with fault detection and recovery;
 the process pool (:mod:`repro.switching.mp_executor`) over real cores.
 There is one datapath: the batched engines of
 :func:`~repro.tfhe.blind_rotate.blind_rotate_batch` and
-:func:`~repro.tfhe.repack_with_counters`.  The scalar oracles
-(``blind_rotate_batch_reference``, ``repack_reference``,
-``pbs_extract_reference``) are plain functions that tests and ratio
-benchmarks compose directly; every executor is bit-identical to that
-composition (``tests/test_conformance.py``).
+:func:`~repro.tfhe.repack_with_counters`.  The scalar oracles are plain
+functions that ``tests/oracle.py`` composes (only those production
+also calls, such as the wide-``q`` fallback ``pbs_extract_reference``,
+live in ``src``); every executor is bit-identical to that composition
+(``tests/test_conformance.py``).
 """
 
 from __future__ import annotations

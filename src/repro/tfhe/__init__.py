@@ -6,7 +6,6 @@ from .blind_rotate import (
     MonomialCache,
     blind_rotate,
     blind_rotate_batch,
-    blind_rotate_batch_reference,
     build_test_vector,
     get_monomial_cache,
     get_rgsw_one,
@@ -20,7 +19,7 @@ from .extract import (
 )
 from .gates import TfheKeySet, TfheScheme
 from .glwe import GlweCiphertext, GlweSecretKey, glwe_decrypt_coeffs, glwe_encrypt, glwe_phase
-from .keyswitch import AutomorphismKeySet, GlweKeySwitchKey, eval_automorphism, glwe_keyswitch
+from .keyswitch import AutomorphismKeySet, GlweKeySwitchKey, glwe_keyswitch
 from .lwe import (
     LweCiphertext,
     LweKeySwitchKey,
@@ -31,7 +30,7 @@ from .lwe import (
     lwe_phase,
     modulus_switch,
 )
-from .repack import repack_exponents, repack_reference
+from .repack import repack_exponents
 from .repack_engine import repack, repack_with_counters
 from .rgsw import (
     RgswCiphertext,
@@ -48,7 +47,6 @@ __all__ = [
     "MonomialCache",
     "blind_rotate",
     "blind_rotate_batch",
-    "blind_rotate_batch_reference",
     "build_test_vector",
     "get_monomial_cache",
     "get_rgsw_one",
@@ -66,7 +64,6 @@ __all__ = [
     "glwe_phase",
     "AutomorphismKeySet",
     "GlweKeySwitchKey",
-    "eval_automorphism",
     "glwe_keyswitch",
     "LweCiphertext",
     "LweKeySwitchKey",
@@ -78,7 +75,6 @@ __all__ = [
     "modulus_switch",
     "repack",
     "repack_exponents",
-    "repack_reference",
     "repack_with_counters",
     "RgswCiphertext",
     "cmux",

@@ -282,8 +282,7 @@ def blind_rotate_batch(test_vector: RnsPoly, cts: Sequence[LweCiphertext],
     external-product MAC.
 
     Bit-identical to mapping :func:`blind_rotate` over the batch and to
-    :func:`blind_rotate_batch_reference` — the scalar oracles tests and
-    ratio benchmarks call directly.
+    the brk_i-outer scalar schedule in ``tests/oracle.py``.
     """
     from .batch_engine import BatchBlindRotateEngine
 
@@ -291,34 +290,6 @@ def blind_rotate_batch(test_vector: RnsPoly, cts: Sequence[LweCiphertext],
         return []
     engine = BatchBlindRotateEngine.for_key(brk, test_vector.n, test_vector.basis)
     return engine.rotate_batch(test_vector, cts)
-
-
-def blind_rotate_batch_reference(test_vector: RnsPoly, cts: Sequence[LweCiphertext],
-                                 brk: BlindRotateKey) -> List[GlweCiphertext]:
-    """Scalar reference schedule: brk_i outer loop, one ciphertext at a time."""
-    if not cts:
-        return []
-    n = test_vector.n
-    basis = test_vector.basis
-    cache = get_monomial_cache(n, basis)
-    for ct in cts:
-        if ct.q != 2 * n or ct.dim != brk.n_t:
-            raise ParameterError("batch contains an incompatible LWE ciphertext")
-    accs = [GlweCiphertext.trivial(_shift(test_vector, int(ct.b)).to_eval(), h=brk.h)
-            for ct in cts]
-    one = get_rgsw_one(brk.h, n, basis, brk.gadget)
-    for i in range(brk.n_t):
-        plus_i, minus_i = brk.plus[i], brk.minus[i]  # fetched once per batch
-        for j, ct in enumerate(cts):
-            a_i = int(ct.a[i]) % (2 * n)
-            if a_i == 0:
-                continue
-            combined = one + plus_i.mul_eval_vector(cache.monomial_minus_one(a_i))
-            combined = combined + minus_i.mul_eval_vector(
-                cache.monomial_minus_one((2 * n - a_i) % (2 * n))
-            )
-            accs[j] = external_product(combined, accs[j])
-    return accs
 
 
 def _shift(poly: RnsPoly, k: int) -> RnsPoly:

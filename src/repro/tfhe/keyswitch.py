@@ -126,15 +126,6 @@ class AutomorphismKeySet:
         return key
 
 
-def eval_automorphism(ct: GlweCiphertext, t: int,
-                      keys: AutomorphismKeySet) -> GlweCiphertext:
-    """Homomorphic ``m(X) -> m(X^t)`` on an RLWE ciphertext."""
-    if ct.h != 1:
-        raise ParameterError("eval_automorphism expects an RLWE ciphertext")
-    rotated = ct.automorphism(t)
-    return glwe_keyswitch(rotated.mask[0], rotated.body, keys.key_for(t))
-
-
 def _int_automorphism(coeffs: np.ndarray, t: int) -> np.ndarray:
     """``X -> X^t`` on exact integer coefficients as one signed gather.
 

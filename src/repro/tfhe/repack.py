@@ -28,9 +28,9 @@ Each level doubles the wanted coefficients, hence the final factor
 phase performs one keyswitch per internal tree node — ``n - 1`` in total
 — plus one per trace level (:func:`repack_keyswitch_count`).
 
-:func:`repack_reference` is the scalar recursion above — the
-bit-identity oracle for the level-batched tensor engine behind
-:func:`repro.tfhe.repack`.
+The level-batched tensor engine behind :func:`repro.tfhe.repack` runs
+this recursion; its bit-identity oracle, the same recursion one
+ciphertext object per tree node, lives in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import List, Sequence
 
 from ..errors import ParameterError
 from .glwe import GlweCiphertext
-from .keyswitch import AutomorphismKeySet, eval_automorphism
 
 
 def repack_exponents(ring_n: int) -> List[int]:
@@ -90,20 +89,6 @@ class RepackCounters:
         return self.merge_keyswitches + self.trace_keyswitches
 
 
-def repack_reference(cts: Sequence[GlweCiphertext],
-                     keys: AutomorphismKeySet) -> GlweCiphertext:
-    """Scalar reference recursion — one ciphertext object per tree node."""
-    _validate(cts)
-    n_cts = len(cts)
-    ring_n = cts[0].n
-    out = _pack(list(cts), ring_n, keys)
-    lv = 2 * n_cts
-    while lv <= ring_n:
-        out = out + eval_automorphism(out, lv + 1, keys)
-        lv *= 2
-    return out
-
-
 def _validate(cts: Sequence[GlweCiphertext]) -> None:
     n_cts = len(cts)
     if n_cts & (n_cts - 1) or n_cts == 0:
@@ -114,16 +99,3 @@ def _validate(cts: Sequence[GlweCiphertext]) -> None:
     for ct in cts:
         if ct.h != 1 or ct.n != ring_n or ct.basis.moduli != cts[0].basis.moduli:
             raise ParameterError("repack inputs must be matching RLWE ciphertexts")
-
-
-def _pack(cts: List[GlweCiphertext], ring_n: int,
-          keys: AutomorphismKeySet) -> GlweCiphertext:
-    num = len(cts)
-    if num == 1:
-        return cts[0]
-    even = _pack(cts[0::2], ring_n, keys)
-    odd = _pack(cts[1::2], ring_n, keys)
-    odd_shifted = odd.negacyclic_shift(ring_n // num)
-    u = even + odd_shifted
-    v = even - odd_shifted
-    return u + eval_automorphism(v, num + 1, keys)

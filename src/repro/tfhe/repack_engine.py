@@ -1,6 +1,6 @@
 """Vectorized LWE -> RLWE repacking: level-batched keyswitches on tensors.
 
-The reference :func:`repro.tfhe.repack.repack_reference` walks Chen et al.'s
+The scalar oracle in ``tests/oracle.py`` walks Chen et al.'s
 merge+trace recursion one keyswitch at a time: ``n - 1`` merge nodes plus
 ``log2(N/n)`` trace folds, each doing an object-dtype big-int gadget
 decompose, ``d`` one-row NTTs, a body lift, and two alignment transforms
@@ -33,8 +33,7 @@ Bit-identity with the scalar oracle holds because every step is exact
 modular arithmetic on canonical residues — monomial multiply, add/sub,
 slot gather, decomposition and MAC are all value-preserving reorderings
 of the reference's operations, and the NTT is an exact bijection
-(``benchmarks/bench_repack.py`` and ``tests/test_repack_engine.py``
-assert equality limb by limb).
+(``tests/test_repack_engine.py`` asserts equality limb by limb).
 """
 
 from __future__ import annotations
@@ -308,8 +307,7 @@ def repack(cts: Sequence[GlweCiphertext],
     coefficient is exactly cancelled (up to key-switch noise).
 
     All keyswitches of one recursion level run as a single SoA pass and
-    automorphisms are eval-domain slot gathers.  Bit-identical to
-    :func:`~repro.tfhe.repack.repack_reference`, the scalar oracle tests
-    and ratio benchmarks call directly.
+    automorphisms are eval-domain slot gathers.  Bit-identical to the
+    scalar recursion in ``tests/oracle.py``.
     """
     return repack_with_counters(cts, keys)[0]

@@ -1,15 +1,20 @@
-"""The bootstrap composed from the scalar oracles only.
+"""The scalar oracles no production path calls, and the bootstrap
+composed from scalar oracles only.
 
-``blind_rotate_batch_reference``, ``repack_reference``,
-``pbs_extract_reference``, ``lwe_keyswitch`` and ``glwe_keyswitch`` are
-plain functions; these helpers chain them through the pipeline's own
-(engine-free) ModSwitch / Extract / Finish stages.  No batched engine
-runs here, so byte-equality against these outputs pins every production
-executor to the reference arithmetic (``tests/test_conformance.py``).
+``blind_rotate_batch_reference``, ``repack_reference`` and
+``naive_negacyclic_mul`` are the bit-identity references of the batched
+blind-rotate engine, the level-batched repack engine and the NTT.
+``oracle_*`` chain them — with ``pbs_extract_reference``,
+``lwe_keyswitch`` and ``glwe_keyswitch`` from ``src`` — through the
+pipeline's own (engine-free) ModSwitch / Extract / Finish stages.  No
+batched engine runs here, so byte-equality against these outputs pins
+every production executor to the reference arithmetic
+(``tests/test_conformance.py``).
 """
 
 import numpy as np
 
+from repro.errors import ParameterError
 from repro.switching.functional import pbs_extract_reference
 from repro.switching.luts import LutSpec, build_functional_lut
 from repro.switching.pipeline import (
@@ -21,11 +26,95 @@ from repro.switching.pipeline import (
     mod_switch,
     mod_switch_lwe,
 )
-from repro.tfhe.blind_rotate import blind_rotate_batch_reference
+from repro.tfhe.blind_rotate import get_monomial_cache, get_rgsw_one
 from repro.tfhe.extract import extraction_vector
+from repro.tfhe.glwe import GlweCiphertext, _shift_rns
 from repro.tfhe.keyswitch import glwe_keyswitch
 from repro.tfhe.lwe import LweCiphertext, lwe_keyswitch
-from repro.tfhe.repack import repack_reference
+from repro.tfhe.repack import _validate
+from repro.tfhe.rgsw import external_product
+
+
+def naive_negacyclic_mul(a, b, q):
+    """Schoolbook ``O(N^2)`` negacyclic convolution over exact integers."""
+    a = np.asarray(a, dtype=object)
+    b = np.asarray(b, dtype=object)
+    n = a.shape[-1]
+    out = np.zeros(n, dtype=object)
+    for i in range(n):
+        ai = int(a[i])
+        if ai == 0:
+            continue
+        for j in range(n):
+            k = i + j
+            term = ai * int(b[j])
+            if k >= n:
+                out[k - n] -= term
+            else:
+                out[k] += term
+    return np.mod(out, q)
+
+
+def blind_rotate_batch_reference(test_vector, cts, brk):
+    """Scalar reference schedule: brk_i outer loop, one ciphertext at a time."""
+    if not cts:
+        return []
+    n = test_vector.n
+    basis = test_vector.basis
+    cache = get_monomial_cache(n, basis)
+    for ct in cts:
+        if ct.q != 2 * n or ct.dim != brk.n_t:
+            raise ParameterError("batch contains an incompatible LWE ciphertext")
+    accs = [GlweCiphertext.trivial(_shift_rns(test_vector, int(ct.b)).to_eval(),
+                                   h=brk.h)
+            for ct in cts]
+    one = get_rgsw_one(brk.h, n, basis, brk.gadget)
+    for i in range(brk.n_t):
+        plus_i, minus_i = brk.plus[i], brk.minus[i]  # fetched once per batch
+        for j, ct in enumerate(cts):
+            a_i = int(ct.a[i]) % (2 * n)
+            if a_i == 0:
+                continue
+            combined = one + plus_i.mul_eval_vector(cache.monomial_minus_one(a_i))
+            combined = combined + minus_i.mul_eval_vector(
+                cache.monomial_minus_one((2 * n - a_i) % (2 * n))
+            )
+            accs[j] = external_product(combined, accs[j])
+    return accs
+
+
+def eval_automorphism(ct, t, keys):
+    """Homomorphic ``m(X) -> m(X^t)`` on an RLWE ciphertext."""
+    if ct.h != 1:
+        raise ParameterError("eval_automorphism expects an RLWE ciphertext")
+    rotated = ct.automorphism(t)
+    return glwe_keyswitch(rotated.mask[0], rotated.body, keys.key_for(t))
+
+
+def repack_reference(cts, keys):
+    """Scalar reference recursion of :mod:`repro.tfhe.repack` — one
+    ciphertext object per tree node, then the trace levels."""
+    _validate(cts)
+    n_cts = len(cts)
+    ring_n = cts[0].n
+    out = _pack(list(cts), ring_n, keys)
+    lv = 2 * n_cts
+    while lv <= ring_n:
+        out = out + eval_automorphism(out, lv + 1, keys)
+        lv *= 2
+    return out
+
+
+def _pack(cts, ring_n, keys):
+    num = len(cts)
+    if num == 1:
+        return cts[0]
+    even = _pack(cts[0::2], ring_n, keys)
+    odd = _pack(cts[1::2], ring_n, keys)
+    odd_shifted = odd.negacyclic_shift(ring_n // num)
+    u = even + odd_shifted
+    v = even - odd_shifted
+    return u + eval_automorphism(v, num + 1, keys)
 
 
 def oracle_bootstrap(ctx, keys, ct):

@@ -18,7 +18,6 @@ from repro.tfhe.blind_rotate import (
     BlindRotateKey,
     blind_rotate,
     blind_rotate_batch,
-    blind_rotate_batch_reference,
     build_test_vector,
     get_monomial_cache,
     get_rgsw_one,
@@ -26,6 +25,8 @@ from repro.tfhe.blind_rotate import (
 from repro.tfhe.glwe import GlweSecretKey
 from repro.tfhe.lwe import LweCiphertext, LweSecretKey, lwe_encrypt
 from repro.tfhe.rgsw import RgswCiphertext
+
+from .oracle import blind_rotate_batch_reference
 
 N = 32
 Q = find_ntt_primes(28, N, 1)[0]

@@ -5,7 +5,8 @@ pool with a SIGKILLed worker, the coalescing service — must return, for
 every request kind, exactly the bytes of the scalar-oracle composition
 in ``tests/oracle.py``, whether the key set is as generated or rebuilt
 from its seed+b material.  Plus the guards that keep implementation-
-choice knobs and a second key generator from growing back.
+choice knobs, a second key generator and test-only scalar twins in
+``src`` from growing back.
 """
 
 import ast
@@ -22,6 +23,7 @@ import pytest
 
 import repro
 import repro.ckks
+import repro.math
 import repro.profiling
 import repro.service
 import repro.switching
@@ -284,6 +286,34 @@ def test_one_fault_tolerant_fanout():
     for cls in (ClusterExecutor, ProcessPoolFanoutExecutor):
         params = list(inspect.signature(cls.for_keys).parameters)
         assert params[2:6] == shared, (cls, params)
+
+
+def test_no_scalar_twin_in_production():
+    """A scalar oracle stays in ``src`` only while production calls it
+    (an overflow or wide-modulus fallback); the test-only ones live in
+    ``tests/oracle.py``."""
+    moved = {"blind_rotate_batch_reference", "repack_reference",
+             "eval_automorphism", "naive_negacyclic_mul", "naive_dft"}
+    for mod in [repro.tfhe, repro.math] + _stack_modules(repro.tfhe,
+                                                         repro.math):
+        assert not moved & set(vars(mod)), mod.__name__
+    src = pathlib.Path(repro.__file__).parent
+    defined, called = set(), set()
+    for path in src.rglob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if fn.name.endswith("_reference"):
+                defined.add(fn.name)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "attr",
+                                     getattr(node.func, "id", None))
+                    if callee != fn.name:
+                        called.add(callee)
+    assert defined, "no scalar oracle left to check"
+    assert defined <= called, sorted(defined - called)
+    assert "heaplint: disable=HL001" not in (src / "math" / "ntt.py").read_text()
 
 
 OPSTATS_FIELDS = {

@@ -8,7 +8,7 @@ from repro.errors import ParameterError
 from repro.math.modular import find_ntt_primes
 from repro.math.sampling import Sampler
 from repro.params import CkksParams
-from repro.switching import BootstrapPipeline, SwitchingKeySet
+from repro.switching import BootstrapPipeline, SwitchingKeySet, quantized, threshold
 from repro.switching.functional import (
     max_abs_input,
     quantisation_step,
@@ -83,6 +83,25 @@ class TestNonLinearFunctions:
         got = ev.decrypt_coeffs_scaled(fev.run_pbs(ct, sigmoid_fn), sk)
         want = 1.0 / (1.0 + np.exp(-z))
         assert np.allclose(got, want, atol=0.3)
+
+    @pytest.mark.parametrize("lut", [threshold(0.25), quantized(sigmoid_fn, 3)],
+                             ids=["threshold", "quantized_sigmoid"])
+    def test_library_lut(self, stack, lut):
+        """The parametrised library workloads decode end to end.  Inputs
+        sit on phase-bucket centres >= 0.22 from the discontinuities at 0
+        and 0.25: an input at a jump measures the quantiser, not the
+        pipeline.  The envelope adds the 3-bit staircase's half-level to
+        the 0.3 of the other workloads."""
+        ctx, sk, ev, fev = stack
+        step = quantisation_step(ctx)
+        centres = np.arange(-int(0.9 / step), int(0.9 / step) + 1) * step
+        centres = centres[(np.abs(centres) >= 0.22)
+                          & (np.abs(centres - 0.25) >= 0.22)]
+        z = np.random.default_rng(4).choice(centres, ctx.n)
+        ct = ev.encrypt_coeffs(z, level=0)
+        got = ev.decrypt_coeffs_scaled(fev.run_pbs(ct, lut), sk)
+        want = np.asarray([lut.fn(x) for x in z])
+        assert np.max(np.abs(got - want)) < 0.45
 
     def test_output_is_top_level(self, stack):
         """LUT evaluation doubles as a bootstrap: output at the top level,

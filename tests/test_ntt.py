@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.math.modular import find_ntt_primes
-from repro.math.ntt import NttEngine, get_ntt_engine, naive_negacyclic_mul
+from repro.math.ntt import NttEngine, get_ntt_engine
+
+from .oracle import naive_negacyclic_mul
 
 
 @pytest.fixture(params=[8, 64, 256], ids=lambda n: f"N={n}")

@@ -7,8 +7,9 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.math.modular import find_ntt_primes
-from repro.math.ntt import naive_negacyclic_mul
 from repro.math.poly import COEFF, EVAL, RingPoly
+
+from .oracle import naive_negacyclic_mul
 
 N = 32
 Q = find_ntt_primes(26, N, 1)[0]

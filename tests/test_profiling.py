@@ -11,6 +11,8 @@ from repro.params import make_toy_params
 from repro.profiling import OpStats, count_ops, estimate_hardware_seconds
 from repro.switching import BootstrapPipeline, SwitchingKeySet
 
+from .oracle import blind_rotate_batch_reference
+
 
 class TestCounters:
     def test_single_ntt_counted(self):
@@ -132,10 +134,7 @@ class TestExternalProductCounters:
         assert sum(b * c for b, c in stats.ep_batch_hist.items()) == stats.external_products
 
     def test_engines_record_equal_totals(self):
-        from repro.tfhe.blind_rotate import (
-            blind_rotate_batch,
-            blind_rotate_batch_reference,
-        )
+        from repro.tfhe.blind_rotate import blind_rotate_batch
 
         f, cts, brk = self._blind_rotate_setup()
         with count_ops() as vec_stats:

@@ -17,12 +17,10 @@ from repro.math.sampling import Sampler
 from repro.profiling import count_ops
 from repro.tfhe.glwe import GlweSecretKey, glwe_encrypt
 from repro.tfhe.keyswitch import AutomorphismKeySet
-from repro.tfhe.repack import (
-    repack_exponents,
-    repack_keyswitch_count,
-    repack_reference,
-)
+from repro.tfhe.repack import repack_exponents, repack_keyswitch_count
 from repro.tfhe.repack_engine import RepackEngine, repack, repack_with_counters
+
+from .oracle import repack_reference
 
 
 def _stack(n, limbs=1, limb_bits=28, base_bits=7, digits=4, seed=5):

@@ -7,8 +7,9 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.math.modular import find_ntt_primes
-from repro.math.ntt import naive_negacyclic_mul
 from repro.math.rns import RnsBasis, RnsPoly, basis_convert, concat_bases
+
+from .oracle import naive_negacyclic_mul
 
 N = 16
 PRIMES = find_ntt_primes(22, N, 6)

@@ -5,11 +5,6 @@ eviction order and byte accounting, backpressure, graceful drain, and
 the shared ``run_batch`` loop's trace accounting."""
 
 import asyncio
-import datetime
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -39,10 +34,6 @@ from repro.tfhe.glwe import GlweSecretKey
 from repro.tfhe.lwe import LweSecretKey, lwe_encrypt
 
 from .oracle import assert_ct_equal, assert_glwe_equal
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "benchmarks"))
-import _timing  # noqa: E402
 
 PARAMS = make_toy_params(n=16, limbs=3, limb_bits=30, scale_bits=23,
                          special_limbs=2)
@@ -725,50 +716,6 @@ class TestRunMany:
         assert trace.modswitch_ops == 2 * ctx.n
         assert set(trace.step_seconds) == {"extract", "blind_rotate",
                                            "repack", "finish"}
-
-
-class TestTrajectoryStamp:
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        # git_commit() memoises per process; each test resolves afresh.
-        _timing._git_commit_cache = _timing._GIT_UNRESOLVED
-        yield
-        _timing._git_commit_cache = _timing._GIT_UNRESOLVED
-
-    def _write(self, tmp_path, monkeypatch):
-        out_dir = tmp_path / "out"
-        monkeypatch.setattr(_timing, "OUT_DIR", str(out_dir))
-        monkeypatch.setattr(_timing, "TRAJECTORY_PATH",
-                            str(out_dir / "trajectory.jsonl"))
-        bench_path = tmp_path / "BENCH_test.json"
-        _timing.write_bench_json(str(bench_path), "stamp_test",
-                                 [{"seconds": 1.0}])
-        with open(out_dir / "trajectory.jsonl") as fh:
-            (record,) = [json.loads(line) for line in fh]
-        return bench_path, record
-
-    def test_record_stamped_with_commit_and_timestamp(self, tmp_path,
-                                                      monkeypatch):
-        _, record = self._write(tmp_path, monkeypatch)
-        head = subprocess.run(["git", "rev-parse", "HEAD"],
-                              cwd=_timing.REPO_ROOT, capture_output=True,
-                              text=True).stdout.strip()
-        assert record["git_commit"] == head
-        assert len(record["git_commit"]) == 40
-        # ISO-8601 UTC; strptime raises if malformed.
-        datetime.datetime.strptime(record["timestamp"], "%Y-%m-%dT%H:%M:%SZ")
-        assert record["benchmark"] == "stamp_test"
-
-    def test_degrades_to_none_without_git(self, tmp_path, monkeypatch):
-        def no_git(*args, **kwargs):
-            raise FileNotFoundError("git not installed")
-
-        monkeypatch.setattr(_timing.subprocess, "run", no_git)
-        bench_path, record = self._write(tmp_path, monkeypatch)
-        assert record["git_commit"] is None
-        # The bench output itself must still be written.
-        assert bench_path.exists()
-        assert _timing.git_commit() is None
 
 
 class TestProgrammableBootstrapRequests:
