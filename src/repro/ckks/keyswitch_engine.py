@@ -11,8 +11,8 @@ same mathematics as a handful of stacked uint64 passes:
 * **ModUp** — all digit groups are decomposed at once: verbatim limbs are
   gathered, the cross-basis limbs come from one cached
   :class:`~repro.math.rns.BconvPlan` matrix-MAC per group, and the whole
-  ``(L_ext, dnum, N)`` digit tensor goes through ONE stacked NTT
-  (:class:`~repro.math.ntt.StackedNttEngine`) instead of
+  ``(L_ext, dnum, N)`` digit tensor goes through ONE multi-limb NTT
+  (:class:`~repro.math.ntt.NttEngine` over the extended basis) instead of
   ``dnum * L_ext`` per-limb transforms.
 * **Inner product** — the switching key's components are lifted once per
   ``SwitchKey`` into an eval-domain ``(L_ext, dnum, 2, N)`` tensor
@@ -41,13 +41,13 @@ digit-group count.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..errors import ParameterError
 from ..math.automorphism import get_automorphism_perm
-from ..math.ntt import StackedNttEngine, get_stacked_ntt_engine
+from ..math.ntt import get_ntt_engine
 from ..math.rns import BconvPlan, RnsBasis, RnsPoly, get_bconv_plan
 from ..profiling import record_keyswitch, record_mul
 from .context import CkksContext
@@ -84,10 +84,8 @@ class _LevelPlan:
         self.ext_moduli: Tuple[int, ...] = self.target_moduli + self.special_moduli
         self.rows_ext = len(self.ext_moduli)
         self.rows_target = num_limbs
-        self.ntt_target: StackedNttEngine = get_stacked_ntt_engine(
-            ctx.n, self.target_moduli)
-        self.ntt_ext: StackedNttEngine = get_stacked_ntt_engine(
-            ctx.n, self.ext_moduli)
+        self.ntt_target = get_ntt_engine(ctx.n, self.target_moduli)
+        self.ntt_ext = get_ntt_engine(ctx.n, self.ext_moduli)
         pos_in_ext = {q: i for i, q in enumerate(self.ext_moduli)}
         self.groups: List[_GroupPlan] = []
         level = num_limbs - 1

@@ -25,7 +25,7 @@ from ..errors import ParameterError
 from ..profiling import record_bconv_plan, record_mul
 from .automorphism import get_automorphism_perm
 from .modular import ModulusEngine, crt_compose
-from .ntt import get_ntt_engine, get_stacked_ntt_engine
+from .ntt import get_ntt_engine
 
 COEFF = "coeff"
 EVAL = "eval"
@@ -110,17 +110,14 @@ class RnsPoly:
     # -- domain management -----------------------------------------------------------
 
     def _stackable(self):
-        """Int64 limb stack when every modulus has a fast stacked NTT."""
-        if not all(
+        """One multi-limb engine and the int64 limb stack, when every limb
+        is int64 and every modulus is fast; else ``None``."""
+        if not all(e.fast for e in self.basis.engines) or not all(
             isinstance(limb, np.ndarray) and limb.dtype == np.int64
             for limb in self.limbs
         ):
             return None
-        try:
-            engine = get_stacked_ntt_engine(self.n, self.basis.moduli)
-        except ParameterError:
-            return None
-        return engine, np.stack(self.limbs)
+        return get_ntt_engine(self.n, self.basis.moduli), np.stack(self.limbs)
 
     def to_eval(self) -> "RnsPoly":
         if self.domain == EVAL:

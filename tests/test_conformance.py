@@ -316,6 +316,27 @@ def test_no_scalar_twin_in_production():
     assert "heaplint: disable=HL001" not in (src / "math" / "ntt.py").read_text()
 
 
+def test_one_ntt_kernel():
+    """One NTT class with one fast butterfly serves one modulus and limb
+    stacks alike; the stacked twin, its cache and the twiddle knob stay
+    gone."""
+    import repro.math.ntt as ntt
+
+    gone = {"StackedNttEngine", "get_stacked_ntt_engine", "_STACKED_CACHE",
+            "_cyclic_fast"}
+    assert not gone & (set(vars(ntt)) | set(vars(ntt.NttEngine)))
+    assert "twiddle_mode" not in inspect.signature(ntt.NttEngine).parameters
+    tree = ast.parse(pathlib.Path(ntt.__file__).read_text())
+    butterflies = [fn for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "_butterfly"]
+    assert len(butterflies) == 1
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {alias.name for alias in node.names} \
+                if isinstance(node, (ast.Import, ast.ImportFrom)) else set()
+            assert not gone & names, path
+
+
 OPSTATS_FIELDS = {
     "ntt_calls", "ntt_points", "pointwise_mults", "external_products",
     "by_size", "ntt_batch_hist", "ep_batch_hist",

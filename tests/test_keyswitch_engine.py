@@ -27,8 +27,9 @@ from repro.ckks.keyswitch import KeySwitcher
 from repro.ckks.keyswitch_engine import CkksKeyswitchEngine
 from repro.ckks.linear_transform import apply_matrix
 from repro.errors import ParameterError
-from repro.math.modular import find_ntt_primes
-from repro.math.ntt import get_ntt_engine, get_stacked_ntt_engine
+from repro.math import ntt as ntt_mod
+from repro.math.modular import find_ntt_primes, root_of_unity
+from repro.math.ntt import get_ntt_engine
 from repro.math.rns import (
     RnsBasis,
     RnsPoly,
@@ -82,36 +83,99 @@ def _setup(n=16, limbs=4, special=4, dnum=2, rotations=(), conjugate=False,
     return ctx, sk, keys
 
 
-class TestStackedNtt:
-    def test_matches_per_limb_engines(self):
-        n = 64
-        moduli = find_ntt_primes(24, n, 4)
-        eng = get_stacked_ntt_engine(n, moduli)
-        rng = np.random.default_rng(0)
-        x = np.stack([rng.integers(0, q, (3, n)).astype(np.int64)
-                      for q in moduli])
-        fwd = eng.forward(x)
-        for i, q in enumerate(moduli):
-            ref = get_ntt_engine(n, q).forward(x[i])
-            assert np.array_equal(fwd[i], ref)
-        assert np.array_equal(eng.inverse(fwd), x)
+def _each_regime(monkeypatch, run):
+    """Run ``run()`` with the module thresholds steering the one NTT kernel
+    into each regime: the whole stack with broadcast ``%`` (and the default
+    mix), with row-wise ``fast_mod_u64``, and limb by limb through the
+    one-modulus engines."""
+    for regime in ({"_ROW_MOD_MIN": 1 << 40}, {},
+                   {"_ROW_MOD_MIN": 1}, {"_ROW_MOD_MIN": 1, "_BLOCK_MIN": 1}):
+        with monkeypatch.context() as mp:
+            for name, value in regime.items():
+                mp.setattr(ntt_mod, name, value)
+            run()
 
-    def test_multi_axis_batch(self):
-        n = 32
-        moduli = find_ntt_primes(24, n, 3)
-        eng = get_stacked_ntt_engine(n, moduli)
-        rng = np.random.default_rng(1)
-        x = np.stack([rng.integers(0, q, (2, 5, n)).astype(np.int64)
-                      for q in moduli])
-        fwd = eng.forward(x)
-        for i, q in enumerate(moduli):
-            ref = get_ntt_engine(n, q).forward(
-                x[i].reshape(-1, n)).reshape(2, 5, n)
-            assert np.array_equal(fwd[i], ref)
+
+def _naive_ntt(x, q):
+    """Direct O(N^2) negacyclic evaluation ``sum_j x_j psi^(j(2k+1))``."""
+    n = len(x)
+    psi = root_of_unity(q, 2 * n)
+    return [sum(int(v) * pow(psi, j * (2 * k + 1), q) for j, v in enumerate(x)) % q
+            for k in range(n)]
+
+
+def _limb_stack(moduli, batch, n, seed):
+    """``(L, *batch, N)`` canonical residues, each row holding 0 and q - 1."""
+    rng = np.random.default_rng(seed)
+    x = np.stack([rng.integers(0, q, batch + (n,)) for q in moduli])
+    x = x.astype(np.int64).reshape(len(moduli), -1, n)
+    x[:, 0, 0] = 0
+    x[:, -1, -1] = np.asarray(moduli) - 1
+    return x.reshape((len(moduli),) + batch + (n,))
+
+
+def _each_stack(check):
+    """Run ``check(eng, moduli, x)`` over L, batch shapes and ring sizes.
+
+    A one-limb engine has no limb axis, so its stack is passed as ``x[0]``.
+    """
+    for n in (16, 32, 1024):
+        primes = find_ntt_primes(24, n, 6)
+        for rows in (1, 2, 4, 6):
+            for batch in ((), (1,), (3,), (2, 5)):
+                moduli = primes[:rows]
+                check(get_ntt_engine(n, moduli), moduli,
+                      _limb_stack(moduli, batch, n, seed=rows * n))
+
+
+class TestStackedNtt:
+    """The one engine over a limb stack: every row byte-equal to the
+    one-modulus engine on that row, in every regime and both layouts."""
+
+    def test_matches_per_limb_engines(self, monkeypatch):
+        refs = {}
+
+        def reference(eng, moduli, x):
+            n = x.shape[-1]
+            rows = [x[i].reshape(-1, n) for i in range(len(moduli))]
+            fwd = [get_ntt_engine(n, q).forward(r) for q, r in zip(moduli, rows)]
+            inv = [get_ntt_engine(n, q).inverse(r) for q, r in zip(moduli, rows)]
+            if n == 16:
+                assert [int(v) for v in fwd[0][0]] == _naive_ntt(rows[0][0], moduli[0])
+            refs[(n, len(moduli), x.shape)] = (np.stack(fwd).reshape(x.shape),
+                                               np.stack(inv).reshape(x.shape))
+
+        def check(eng, moduli, x):
+            fwd, inv = refs[(x.shape[-1], len(moduli), x.shape)]
+            one = (lambda v: v[0]) if len(moduli) == 1 else (lambda v: v)
+            assert one(fwd).tobytes() == eng.forward(one(x)).tobytes()
+            assert one(inv).tobytes() == eng.inverse(one(x)).tobytes()
+            assert np.array_equal(eng.inverse(eng.forward(one(x))), one(x))
+
+        _each_stack(reference)
+        _each_regime(monkeypatch, lambda: _each_stack(check))
+
+    def test_multi_axis_batch(self, monkeypatch):
+        """The axis-0 layout ``(L, N, *batch)`` is the last-axis layout
+        with the transform axis moved, byte for byte."""
+
+        def check(eng, moduli, x):
+            if len(moduli) == 1:
+                x, axis = x[0], 0  # no limb axis: (*batch, N) / (N, *batch)
+            else:
+                axis = 1
+            x0 = np.ascontiguousarray(np.moveaxis(x, -1, axis))
+            for last, axis0 in ((eng.forward, eng.forward_axis0),
+                                (eng.inverse, eng.inverse_axis0)):
+                want = np.ascontiguousarray(np.moveaxis(last(x), -1, axis))
+                assert want.tobytes() == axis0(x0).tobytes()
+            assert np.array_equal(eng.inverse_axis0(eng.forward_axis0(x0)), x0)
+
+        _each_regime(monkeypatch, lambda: _each_stack(check))
 
     def test_wide_moduli_rejected(self):
         with pytest.raises(ParameterError):
-            get_stacked_ntt_engine(16, [(1 << 36) - 5])
+            get_ntt_engine(16, [find_ntt_primes(24, 16, 1)[0], (1 << 36) - 5])
 
 
 class TestBconvPlan:

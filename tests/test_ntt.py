@@ -121,13 +121,12 @@ class TestWideModulus:
 class TestStackedMultiLimb:
     """Regression for the batched blind-rotate engine: a 3-D stacked
     transform (e.g. ``(batch, h+1, N)`` accumulators) must be element-wise
-    identical to transforming each row on its own, in both twiddle modes."""
+    identical to transforming each row on its own."""
 
-    @pytest.mark.parametrize("twiddle_mode", ["cached", "on_the_fly"])
-    def test_forward_3d_matches_per_row(self, twiddle_mode):
+    def test_forward_3d_matches_per_row(self):
         n = 64
         q = find_ntt_primes(26, n, 1)[0]
-        eng = NttEngine(n, q, twiddle_mode=twiddle_mode)
+        eng = NttEngine(n, q)
         rng = np.random.default_rng(20)
         a = eng.mod.asarray(rng.integers(0, q, (4, 3, n)))
         stacked = eng.forward(a)
@@ -136,11 +135,10 @@ class TestStackedMultiLimb:
             for j in range(3):
                 assert np.array_equal(stacked[i, j], eng.forward(a[i, j]))
 
-    @pytest.mark.parametrize("twiddle_mode", ["cached", "on_the_fly"])
-    def test_inverse_3d_matches_per_row(self, twiddle_mode):
+    def test_inverse_3d_matches_per_row(self):
         n = 32
         q = find_ntt_primes(26, n, 1)[0]
-        eng = NttEngine(n, q, twiddle_mode=twiddle_mode)
+        eng = NttEngine(n, q)
         rng = np.random.default_rng(21)
         a = eng.mod.asarray(rng.integers(0, q, (2, 5, n)))
         stacked = eng.inverse(a)
@@ -177,7 +175,7 @@ class TestEngineCache:
 
         n = 128
         q = find_ntt_primes(25, n, 2)[1]  # unlikely to be cached already
-        ntt_mod._ENGINE_CACHE.pop((n, q), None)  # force the cold path
+        ntt_mod._ENGINE_CACHE.pop((n, (q,)), None)  # force the cold path
         workers = 8
         barrier = threading.Barrier(workers)
 
@@ -190,29 +188,3 @@ class TestEngineCache:
                        for f in [pool.submit(grab) for _ in range(workers)]]
         assert all(e is engines[0] for e in engines)
 
-
-class TestOnTheFlyTwiddles:
-    """Section IV-D: cached vs regenerated twiddles are bit-identical."""
-
-    def test_forward_matches_cached(self):
-        n = 64
-        q = find_ntt_primes(26, n, 1)[0]
-        cached = NttEngine(n, q, twiddle_mode="cached")
-        otf = NttEngine(n, q, twiddle_mode="on_the_fly")
-        rng = np.random.default_rng(11)
-        a = cached.mod.asarray(rng.integers(0, q, n))
-        assert np.array_equal(cached.forward(a), otf.forward(a))
-
-    def test_roundtrip(self):
-        n = 32
-        q = find_ntt_primes(24, n, 1)[0]
-        otf = NttEngine(n, q, twiddle_mode="on_the_fly")
-        rng = np.random.default_rng(12)
-        a = otf.mod.asarray(rng.integers(0, q, n))
-        assert np.array_equal(otf.inverse(otf.forward(a)), a)
-
-    def test_unknown_mode_rejected(self):
-        from repro.errors import ParameterError
-        q = find_ntt_primes(24, 16, 1)[0]
-        with pytest.raises(ParameterError):
-            NttEngine(16, q, twiddle_mode="telepathy")
