@@ -17,7 +17,9 @@ same mathematics as a handful of stacked uint64 passes:
 * **Inner product** — the switching key's components are lifted once per
   ``SwitchKey`` into an eval-domain ``(L_ext, dnum, 2, N)`` tensor
   (cached on the key, ARK's key-reuse insight) and the digit inner
-  product is a single lazy uint64 multiply-sum over the ``dnum`` axis.
+  product is a lazy uint64 multiply-sum over the ``dnum`` axis, one
+  reduction per chunk of :func:`~repro.math.modular.mac_rows` digits
+  (one chunk at every practical ``dnum``).
 * **ModDown** — the ``P``-limbs of both accumulator polynomials are
   converted back with a cached plan and the ``* P^{-1}`` correction is
   one fused stacked pass; for hoisted rotation sets, ALL rotations'
@@ -47,13 +49,13 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..math.automorphism import get_automorphism_perm
+from ..math.modular import mac_rows
 from ..math.ntt import get_ntt_engine
 from ..math.rns import BconvPlan, RnsBasis, RnsPoly, get_bconv_plan
 from ..profiling import record_keyswitch, record_mul
 from .context import CkksContext
 from .keys import SwitchKey
 
-_U64_MAX = (1 << 64) - 1
 _FAST_BOUND = 1 << 31
 
 
@@ -115,10 +117,9 @@ class _LevelPlan:
         self._p_inv_u = np.asarray(
             [pow(p_prod % q, -1, q) for q in self.target_moduli],
             dtype=np.uint64)
-        # Exact bound for the lazy digit inner product: ``dnum_active``
-        # products of canonical residues below the largest extended prime.
-        max_q = max(self.ext_moduli)
-        self.mac_lazy = self.dnum_active * (max_q - 1) ** 2 <= _U64_MAX
+        #: Digit rows the inner product sums per reduction (the largest
+        #: extended prime sets the lane bound for every row).
+        self.mac_rows = mac_rows(max(self.ext_moduli))
         # Per-switch BConv MAC tallies (limb elements), for profiling.
         self.modup_macs = sum(
             len(g.present_rows) * len(g.other_rows) * ctx.n for g in self.groups)
@@ -253,19 +254,17 @@ class CkksKeyswitchEngine:
         d_u = dig.view(np.uint64)[..., None, :]
         k_u = key_t.view(np.uint64)
         record_mul(dig.size * 2)
-        if plan.mac_lazy:
-            # lazy-bound: each product of canonical residues is below
-            # (max_q - 1)^2 and dnum_active of them are summed; the exact
-            # worst case was checked against 2^64 - 1 at plan build
-            # (plan.mac_lazy), so the deferred sum cannot wrap.
-            acc = (d_u * k_u).sum(axis=1)
-            acc %= plan.qv_ext(*range(acc.ndim - 1))
-        else:
-            shape = np.broadcast_shapes(d_u.shape, k_u.shape)
-            acc = np.zeros((shape[0],) + shape[2:], dtype=np.uint64)
-            qv = plan.qv_ext(*range(acc.ndim - 1))
-            for j in range(dig.shape[1]):
-                acc = (acc + (d_u[:, j] * k_u[:, j]) % qv) % qv
+        qv = plan.qv_ext(*range(dig.ndim - 1))
+        # lazy-bound: plan.mac_rows = mac_rows(max q) (math/modular.py)
+        # sizes each chunk so its products plus the reduced running sum
+        # fit a uint64 lane.
+        r = plan.mac_rows
+        acc = (d_u[:, :r] * k_u[:, :r]).sum(axis=1)
+        acc %= qv
+        for lo in range(r, dig.shape[1], r):
+            part = (d_u[:, lo:lo + r] * k_u[:, lo:lo + r]).sum(axis=1)
+            part += acc
+            np.remainder(part, qv, out=acc)
         return acc.view(np.int64)
 
     # -- ModDown --------------------------------------------------------------------

@@ -121,7 +121,7 @@ class LazyBoundProofRule(Rule):
 
     _ARITH_CALLS = frozenset(
         {"matmul", "multiply", "add", "subtract", "sum", "dot", "einsum"})
-    _LAZY_HELPERS = frozenset({"lazy_mac_sum", "lazy_sum"})
+    _LAZY_HELPERS = frozenset({"matmul_mod"})
 
     # -- detection helpers --------------------------------------------------
 
@@ -237,7 +237,7 @@ class NttDomainDisciplineRule(Rule):
     _TO_EVAL = frozenset({"forward", "forward_axis0", "to_eval"})
     _TO_COEFF = frozenset({"inverse", "inverse_axis0", "to_coeff"})
     _ARITH_HELPERS = frozenset(
-        {"add", "sub", "mul", "mac", "pointwise", "lazy_mac_sum"})
+        {"add", "sub", "mul", "mac", "pointwise", "matmul_mod"})
 
     def _tag_of_call(self, node: ast.Call) -> Optional[str]:
         name = _call_name(node)

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..profiling import record_mul, record_ntt
-from .modular import ModulusEngine, root_of_unity
+from .modular import ModulusEngine, fast_mod_u64, root_of_unity
 
 #: Largest value an unsigned 64-bit lane can hold; the fast-path butterfly
 #: tracks an exact per-stage bound against this to decide when a deferred
@@ -54,26 +54,6 @@ _ROW_MOD_MIN = 1024
 #: B)`` workspaces (three stack-sized arrays) would no longer fit a 2 MiB
 #: L2 cache, while a single limb's still may.
 _BLOCK_MIN = 1 << 16
-
-
-def fast_mod_u64(src: np.ndarray, qu: np.uint64, out: np.ndarray,
-                 div: np.ndarray = None) -> np.ndarray:
-    """``out = src % qu`` for uint64 arrays via ``src - (src // qu) * qu``.
-
-    numpy routes ``//`` by a scalar through a vectorised reciprocal
-    division but ``%`` through per-element hardware remainder, so three
-    cheap passes beat one ``np.mod`` about 3x on the reduction-heavy
-    butterfly path.  Exact for the full uint64 range.  ``div`` is the
-    quotient workspace; when ``src`` and ``out`` are distinct arrays it
-    may be omitted and ``out`` doubles as the workspace (``src`` is only
-    read again by the final subtraction).
-    """
-    if div is None:
-        div = out
-    np.floor_divide(src, qu, out=div)
-    np.multiply(div, qu, out=div)
-    np.subtract(src, div, out=out)
-    return out
 
 
 def _moduli(q: Union[int, Sequence[int]]) -> Tuple[int, ...]:

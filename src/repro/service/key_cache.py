@@ -45,7 +45,6 @@ iteration, which made eviction quadratic in resident users.
 
 from __future__ import annotations
 
-import asyncio
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Set
 
@@ -101,7 +100,7 @@ class KeyCacheEntry:
     them, with the pin count that guards the executor's lifetime."""
 
     __slots__ = ("user_keys", "executor", "pipeline", "nbytes",
-                 "nbytes_fn", "users", "pins", "defunct", "closed", "lock")
+                 "nbytes_fn", "users", "pins", "defunct", "closed")
 
     def __init__(self, user_keys: UserKeys, executor: Any,
                  pipeline: Any, nbytes: int,
@@ -119,9 +118,6 @@ class KeyCacheEntry:
         #: Evicted while pinned: close deferred to the last unpin.
         self.defunct = False
         self.closed = False
-        #: Serialises dispatches onto this entry's executor (a worker
-        #: pool is not re-entrant; one batch in flight per entry).
-        self.lock = asyncio.Lock()
 
     def pin(self) -> None:
         self.pins += 1
@@ -273,9 +269,13 @@ class LruKeyCache:
                 entry = self._entries.get(ref)
                 if entry is None or entry.pins > 0 or ref == keep:
                     continue
+                # demote() re-measures the entry even when it frees
+                # nothing (the keys may have shrunk since the last
+                # touch), so the delta is folded in either way.
                 before = entry.nbytes
-                if entry.demote() > 0:
-                    self._resident += entry.nbytes - before
+                freed = entry.demote()
+                self._resident += entry.nbytes - before
+                if freed > 0:
                     self.demotions += 1
         # Tier 2: full eviction (closes the executor).
         while self._resident > self.capacity_bytes:

@@ -15,7 +15,9 @@ The moving parts:
   batch per key group up to ``max_batch`` LWEs *or* until the oldest
   member has waited ``max_delay_s`` — whichever comes first — then
   dispatches the composed batch as ONE ``executor.fanout`` call and
-  slices the accumulators back into per-request replies.  Correctness
+  slices the accumulators back into per-request replies.  A key entry
+  runs one batch at a time; its next batch forms from everything queued
+  while the current one runs, and dispatches when that one ends.  Correctness
   gate: the engines are bit-identical to deterministic oracles and every
   BlindRotate is independent, so a request's result is **byte-equal no
   matter which other requests it was batched with** (tests assert this
@@ -206,6 +208,10 @@ class BootstrapService:
                                  key_cache_bytes)
         self._pending: List[_Request] = []
         self._inflight = 0
+        #: Key entries (by id) with a batch in flight: one batch per
+        #: entry at a time — a worker pool is not re-entrant — and the
+        #: entry's next batch forms from everything queued meanwhile.
+        self._busy: Set[int] = set()
         self._batch_tasks: Set["asyncio.Future[None]"] = set()
         self._wakeup = asyncio.Event()
         self._dispatcher: Optional["asyncio.Task[None]"] = None
@@ -387,11 +393,15 @@ class BootstrapService:
             groups.setdefault((id(req.entry), req.group), []).append(req)
         ready: List[List[_Request]] = []
         next_deadline: Optional[float] = None
+        busy = set(self._busy)
         for reqs in groups.values():
+            if id(reqs[0].entry) in busy:
+                continue  # woken when the entry's batch finishes
             fill = sum(r.weight for r in reqs)
             deadline = reqs[0].arrival + self.max_delay_s
             if self._stopping or fill >= self.max_batch or now >= deadline:
                 ready.append(reqs)
+                busy.add(id(reqs[0].entry))
             elif next_deadline is None or deadline < next_deadline:
                 next_deadline = deadline
         return ready, next_deadline
@@ -410,50 +420,50 @@ class BootstrapService:
         taken = set(map(id, batch))
         self._pending = [r for r in self._pending if id(r) not in taken]
         self._inflight += len(batch)
+        self._busy.add(id(batch[0].entry))
         task = asyncio.create_task(self._run_batch(batch, fill))
         self._batch_tasks.add(task)
         task.add_done_callback(self._batch_tasks.discard)
 
     async def _run_batch(self, batch: List[_Request], fill: int) -> None:
         entry = batch[0].entry
-        # One batch in flight per key entry: the pool executor is not
-        # re-entrant, and serialising here keeps LocalExecutor identical.
-        async with entry.lock:
-            dispatch_t = time.monotonic()
-            waits = [dispatch_t - r.arrival for r in batch]
-            seconds = 0.0
-            resolved = 0  # futures still waiting when the batch finished
-            try:
-                results, seconds = await asyncio.to_thread(
-                    self._execute_batch, entry, batch)
-            except Exception as exc:
-                for req in batch:
-                    if not req.future.done():
-                        req.future.set_exception(exc)
-                        resolved += 1
-                self.trace.requests_failed += resolved
-            else:
-                for req, result in zip(batch, results):
-                    if not req.future.done():
-                        req.future.set_result(result)
-                        resolved += 1
-                self.trace.requests_completed += resolved
-                per_request = seconds / len(batch)
-                self._ewma_request_s = per_request \
-                    if self._ewma_request_s == 0.0 \
-                    else 0.7 * self._ewma_request_s + 0.3 * per_request
-            finally:
-                self._inflight -= len(batch)
-            self.trace.requests_cancelled += len(batch) - resolved
-            waited = sum(waits)
-            self.trace.batches += 1
-            self.trace.coalesced_lwes += fill
-            self.trace.batch_fill[fill] = \
-                self.trace.batch_fill.get(fill, 0) + 1
-            self.trace.coalesce_wait_s += waited
-            self.trace.max_coalesce_wait_s = max(
-                self.trace.max_coalesce_wait_s, max(waits))
-            self.trace.batch_seconds += seconds
+        dispatch_t = time.monotonic()
+        waits = [dispatch_t - r.arrival for r in batch]
+        seconds = 0.0
+        resolved = 0  # futures still waiting when the batch finished
+        try:
+            results, seconds = await asyncio.to_thread(
+                self._execute_batch, entry, batch)
+        except Exception as exc:
+            for req in batch:
+                if not req.future.done():
+                    req.future.set_exception(exc)
+                    resolved += 1
+            self.trace.requests_failed += resolved
+        else:
+            for req, result in zip(batch, results):
+                if not req.future.done():
+                    req.future.set_result(result)
+                    resolved += 1
+            self.trace.requests_completed += resolved
+            per_request = seconds / len(batch)
+            self._ewma_request_s = per_request \
+                if self._ewma_request_s == 0.0 \
+                else 0.7 * self._ewma_request_s + 0.3 * per_request
+        finally:
+            self._inflight -= len(batch)
+            self._busy.discard(id(entry))
+            self._wakeup.set()  # the entry's next batch may form now
+        self.trace.requests_cancelled += len(batch) - resolved
+        waited = sum(waits)
+        self.trace.batches += 1
+        self.trace.coalesced_lwes += fill
+        self.trace.batch_fill[fill] = \
+            self.trace.batch_fill.get(fill, 0) + 1
+        self.trace.coalesce_wait_s += waited
+        self.trace.max_coalesce_wait_s = max(
+            self.trace.max_coalesce_wait_s, max(waits))
+        self.trace.batch_seconds += seconds
 
     def _execute_batch(self, entry: KeyCacheEntry,
                        batch: List[_Request]) -> Tuple[List[Any], float]:

@@ -29,11 +29,13 @@ This module executes the same schedule on dense tensors instead:
   domain, so its term is just the digit recomposition, and the monomial
   factors scale the two key contractions after the row sum — exact
   modular algebra, no ``combined`` tensor ever materialises.
-* On the int64 fast path the contraction is a single lazily-reduced
-  ``np.matmul`` per limb (``rows * (q-1)^2 < 2^64`` holds for every fast
-  modulus at practical digit counts), with one reduction per accumulator
-  drain — the software analogue of the paper's 512 modular units all busy
-  on one BlindRotate wavefront, lazy Barrett reduction included.
+* Each contraction is one :func:`~repro.math.modular.matmul_mod` per
+  limb: on the int64 fast path uint64 ``np.matmul`` over chunks of as
+  many digit rows as a lane can sum unreduced (one chunk for a few rows,
+  several for the 60-row raised basis), reduced once per chunk, and the
+  monomial-scaled terms drain with one more reduction — the software
+  analogue of the paper's 512 modular units all busy on one BlindRotate
+  wavefront, lazy Barrett reduction included.
 
 The engine is **bit-identical** to mapping the scalar
 :func:`repro.tfhe.blind_rotate.blind_rotate` oracle over the batch
@@ -51,15 +53,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ParameterError
-from ..math.modular import crt_compose
-from ..math.ntt import fast_mod_u64, get_ntt_engine
+from ..math.modular import crt_compose, matmul_mod, reduce_mod
+from ..math.ntt import get_ntt_engine
 from ..math.rns import RnsBasis, RnsPoly
 from ..profiling import record_external_product
 from .blind_rotate import BlindRotateKey, get_monomial_cache
 from .glwe import GlweCiphertext, _shift_rns
 from .lwe import LweCiphertext
-
-_U64_MAX = (1 << 64) - 1
 
 
 class BatchBlindRotateEngine:
@@ -104,19 +104,15 @@ class BatchBlindRotateEngine:
             self.key_pm = self._lift(brk.plus, brk.minus)
         self.n_t = self.key_pm[0].shape[0]
         # RGSW(1) never needs a tensor: its rows are the gadget factors as
-        # constants, so its MAC term is the digit recomposition below.
-        self.g_mod = [e.asarray(self.gadget.factors()) for e in self.engines]
+        # constants, so its MAC term is the digit recomposition below (one
+        # (d, 1) column per limb, the right operand of a matmul).
+        self.g_mod = [e.asarray(self.gadget.factors())[:, None]
+                      for e in self.engines]
         # When the gadget covers every bit of q (shift = 0) decomposition
         # is exact, so the recomposition equals the accumulator itself and
         # the RGSW(1) term needs no contraction at all.
         self._exact_gadget = (
             self.gadget.q.bit_length() == self.d * self.gadget.base_bits)
-        # Whether the fast-path contraction may defer every reduction to
-        # the drain: both the row sum of unreduced digit*key products and
-        # the three-term accumulator update (recomposition plus two
-        # monomial-scaled products) must fit in a uint64 lane.
-        self._lazy = [e.fast and (self.rows + 2) * (e.q - 1) ** 2 <= _U64_MAX
-                      for e in self.engines]
         #: Quotient workspaces for the drain reductions, keyed by shape —
         #: the i-loop reuses them so the fast floordiv-based reduction
         #: allocates nothing steady-state.  Thread-local because the
@@ -227,48 +223,28 @@ class BatchBlindRotateEngine:
                           for li in range(len(self.engines))]
                 mats_m = [np.stack([m[li] for m in mono_m], axis=1)
                           for li in range(len(self.engines))]
+            cols = self.cols
             for li, e in enumerate(self.engines):
-                deval = digits[li]                      # (N, bsel, rows)
-                key_i = self.key_pm[li][i]              # (N, rows, 2*cols)
-                mp = mats_p[li]                         # (N, bsel)
-                mm = mats_m[li]
-                # recomp = sum_k digits[c*d+k] * g_k: the RGSW(1) term.
-                dv4 = deval.reshape(n, sel.size, self.cols, self.d)
-                if self._lazy[li]:
-                    # lazy-bound: (rows + 2) * (q - 1)^2 <= 2^64 - 1 is
-                    # checked per limb in __init__ (self._lazy gates this
-                    # branch), covering the row sum and the three-term
-                    # accumulator drain below.
-                    qu = np.uint64(e.q)
-                    du = deval.view(np.uint64)
-                    ep = np.matmul(du, key_i.view(np.uint64))
-                    fast_mod_u64(ep, qu, ep, self._quot(ep.shape))
-                    # Scale each contraction by its monomial in place, then
-                    # accumulate both onto the recomposition: recomp < d*q^2
-                    # and each scaled product < q^2, so the three-term sum
-                    # still fits a uint64 lane and one reduction drains it.
-                    ep[..., :self.cols] *= mp.view(np.uint64)[:, :, None]
-                    ep[..., self.cols:] *= mm.view(np.uint64)[:, :, None]
-                    if self._exact_gadget:
-                        # Exact decomposition: sum_k d_k g_k == ACC mod q,
-                        # so the RGSW(1) term is the accumulator unchanged.
-                        out = ep[..., :self.cols] + ep[..., self.cols:]
-                        out += acc[li][:, idx, :].view(np.uint64)
-                    else:
-                        out = np.matmul(dv4.view(np.uint64),
-                                        self.g_mod[li].view(np.uint64))
-                        out += ep[..., :self.cols]
-                        out += ep[..., self.cols:]
-                    fast_mod_u64(out, qu, out, self._quot(out.shape))
-                    acc[li][:, idx, :] = out.view(np.int64)
+                # lazy-bound: matmul_mod (math/modular.py) returns
+                # canonical residues, so after the monomial scaling the
+                # three-term drain is below 2(q - 1)^2 + q < 2^63 for
+                # every fast modulus, whatever the row count.
+                ep = matmul_mod(digits[li], self.key_pm[li][i], e.q,
+                                self._quot((n, sel.size, 2 * cols)))
+                ep[..., :cols] *= mats_p[li][:, :, None]
+                ep[..., cols:] *= mats_m[li][:, :, None]
+                if self._exact_gadget:
+                    # Exact decomposition: sum_k d_k g_k == ACC mod q,
+                    # so the RGSW(1) term is the accumulator unchanged.
+                    out = ep[..., :cols] + ep[..., cols:]
+                    out += acc[li][:, idx, :]
                 else:
-                    ep = e.lazy_mac_sum(deval[:, :, :, None],
-                                        key_i[:, None, :, :], axis=2)
-                    recomp = e.lazy_mac_sum(dv4, self.g_mod[li], axis=3)
-                    out = e.add(recomp,
-                                e.add(e.mul(ep[..., :self.cols], mp[:, :, None]),
-                                      e.mul(ep[..., self.cols:], mm[:, :, None])))
-                    acc[li][:, idx, :] = out
+                    # recomp = sum_k digits[c*d+k] * g_k: the RGSW(1) term.
+                    dv4 = digits[li].reshape(n, sel.size, cols, self.d)
+                    out = matmul_mod(dv4, self.g_mod[li], e.q)[..., 0]
+                    out += ep[..., :cols]
+                    out += ep[..., cols:]
+                acc[li][:, idx, :] = reduce_mod(out, e.q, self._quot(out.shape))
         return self._export(acc, batch)
 
     def _quot(self, shape: Tuple[int, ...]) -> np.ndarray:

@@ -44,15 +44,13 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..math.automorphism import get_automorphism_perm
-from ..math.modular import crt_compose
+from ..math.modular import crt_compose, matmul_mod, reduce_mod
 from ..math.ntt import get_ntt_engine
 from ..profiling import record_mul, record_repack_level
 from .blind_rotate import get_monomial_cache
 from .glwe import GlweCiphertext
 from .keyswitch import AutomorphismKeySet
 from .repack import RepackCounters, _validate
-
-_U64_MAX = (1 << 64) - 1
 
 
 class RepackEngine:
@@ -79,11 +77,6 @@ class RepackEngine:
         self.mono = get_monomial_cache(self.n, self.basis)
         self.gadget = sample.gadget
         self.d = self.gadget.digits
-        # Whether the fused matmul may defer every reduction to the drain:
-        # the d-term digit*key row sum plus the body and the merge addend
-        # must fit in a uint64 lane.
-        self._lazy = [e.fast and self.d * (e.q - 1) ** 2 + 2 * (e.q - 1) <= _U64_MAX
-                      for e in self.engines]
         self._keys_lifted = {}
         #: Counters of the most recent :meth:`pack` call.
         self.last_counters: Optional[RepackCounters] = None
@@ -237,23 +230,13 @@ class RepackEngine:
             else:
                 reduced = e.asarray(digit_stack)
             digits = eng.forward_axis0(reduced)            # (N, p, d)
-            if self._lazy[li]:
-                # lazy-bound: d * (q - 1)^2 + 2 * (q - 1) <= 2^64 - 1 is
-                # checked per limb in __init__ (self._lazy gates this
-                # branch): the d-term row sum plus the body and merge
-                # addends all drain in one reduction.
-                qu = np.uint64(e.q)
-                acc = np.matmul(digits.view(np.uint64), key_t[li].view(np.uint64))
-                acc[:, :, 1] += body_perm[li].view(np.uint64)
-                acc += addend[li].view(np.uint64)
-                acc %= qu
-                out.append(acc.view(np.int64))
-            else:
-                ep = e.lazy_mac_sum(digits[:, :, :, None],
-                                    key_t[li][:, None, :, :], axis=2)
-                res = e.add(ep, addend[li])
-                res[:, :, 1] = e.add(res[:, :, 1], body_perm[li])
-                out.append(res)
+            # lazy-bound: matmul_mod (math/modular.py) returns canonical
+            # residues, so adding the merge addend and the body (each < q)
+            # stays below 3q < 2^33 before the one drain reduction.
+            acc = matmul_mod(digits, key_t[li], e.q)
+            acc += addend[li]
+            acc[:, :, 1] += body_perm[li]
+            out.append(reduce_mod(acc, e.q))
         return out
 
     def _compose(self, coeff: List[np.ndarray]) -> np.ndarray:

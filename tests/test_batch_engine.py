@@ -84,14 +84,21 @@ class TestBitIdentity:
         for v, r in zip(vec, ref):
             _assert_ciphertexts_identical(v, r)
 
-    @pytest.mark.parametrize("bits,limbs", [(28, 3), (36, 1), (36, 2)],
-                             ids=["fast-L3", "wide-L1", "wide-L2"])
-    def test_multi_limb_and_wide_moduli(self, bits, limbs):
-        """Every dtype path: int64 fast, object wide, and CRT-composed RNS."""
+    @pytest.mark.parametrize("bits,limbs,base_bits,digits", [
+        (28, 3, 8, 3), (36, 1, 8, 3), (36, 2, 8, 3),
+        # More digit rows than one uint64 lane sums unreduced (4 at 31
+        # bits, 16 at 30): the MAC runs several chunks, and so does the
+        # inexact gadget's 7-digit recomposition.
+        (31, 1, 3, 7), (30, 1, 2, 15)],
+        ids=["fast-L3", "wide-L1", "wide-L2", "chunked-inexact-q31",
+             "chunked-exact-q30"])
+    def test_multi_limb_and_wide_moduli(self, bits, limbs, base_bits, digits):
+        """Every dtype path: int64 fast, object wide, CRT-composed RNS, and
+        a MAC of several lane chunks."""
         n = 16
         basis = RnsBasis(find_ntt_primes(bits, n, limbs))
         big_q = basis.product
-        gadget = GadgetVector(q=big_q, base_bits=8, digits=3)
+        gadget = GadgetVector(q=big_q, base_bits=base_bits, digits=digits)
         s = Sampler(7)
         lwe_sk = LweSecretKey.generate(8, s)
         glwe_sk = GlweSecretKey.generate(n, 1, s)

@@ -337,6 +337,23 @@ def test_one_ntt_kernel():
             assert not gone & names, path
 
 
+def test_one_lazy_mac():
+    """The MAC's lane bound lives in ``math.modular`` alone: no engine
+    keeps a per-limb lazy flag or a second, reduce-per-product path."""
+    from repro.math.modular import ModulusEngine
+
+    assert not {"lazy_mac_sum", "lazy_sum"} & set(vars(ModulusEngine))
+    root = pathlib.Path(repro.__file__).parent
+    for path in root.rglob("*.py"):
+        names = {n.id if isinstance(n, ast.Name) else n.attr
+                 for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        assert not {"_lazy", "mac_lazy", "lazy_mac_sum", "lazy_sum"} & names, path
+    for rel in ("tfhe/batch_engine.py", "tfhe/repack_engine.py",
+                "ckks/keyswitch_engine.py"):
+        assert "_U64_MAX" not in (root / rel).read_text(), rel
+
+
 OPSTATS_FIELDS = {
     "ntt_calls", "ntt_points", "pointwise_mults", "external_products",
     "by_size", "ntt_batch_hist", "ep_batch_hist",

@@ -71,8 +71,8 @@ class TestHl002LazyBound:
         assert codes(analyze_source(self.FLAG, COLD_PATH)) == ["HL002"]
 
     def test_flags_lazy_helper_without_proof(self):
-        src = ("def drain(eng, a, b):\n"
-               "    return eng.lazy_mac_sum(a, b, axis=1)\n")
+        src = ("def drain(a, b, q):\n"
+               "    return matmul_mod(a, b, q)\n")
         assert codes(analyze_source(src, COLD_PATH)) == ["HL002"]
 
     def test_one_finding_per_function(self):

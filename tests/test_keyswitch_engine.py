@@ -243,6 +243,22 @@ class TestSwitchBitIdentity:
             b0, b1 = sw.switch(d, keys.relin)
             assert r0 == b0 and r1 == b1
 
+    def test_multi_chunk_inner_product(self):
+        """31-bit primes with one limb per digit group: five digits at
+        the top level exceed the four products a uint64 lane sums
+        unreduced, so the inner product runs two chunks."""
+        p = make_toy_params(n=16, limbs=5, limb_bits=31, special_limbs=2)
+        ctx = CkksContext(p.ckks, dnum=5)
+        gen = CkksKeyGenerator(ctx, Sampler(seed=4))
+        keys = gen.keyset(gen.secret_key())
+        sw = KeySwitcher(ctx)
+        top = sw.engine._plan(ctx.basis_at_level(ctx.max_level))
+        assert top.dnum_active > top.mac_rows
+        for level in range(ctx.max_level + 1):
+            d = _rand_poly(level + 50, ctx.n, ctx.basis_at_level(level))
+            assert sw.switch(d, keys.relin) == \
+                sw.switch_reference(d, keys.relin)
+
     def test_mod_down_dispatch_identity(self):
         ctx, sk, keys = _setup()
         sw = KeySwitcher(ctx)

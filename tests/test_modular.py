@@ -12,7 +12,10 @@ from repro.math.modular import (
     crt_decompose,
     find_ntt_primes,
     is_prime,
+    mac_rows,
+    matmul_mod,
     primitive_root,
+    reduce_mod,
     root_of_unity,
 )
 
@@ -170,17 +173,73 @@ class TestCrt:
         assert list(crt_compose(residues, moduli)) == [5, 96]
 
 
+#: The kernel's lanes: 28-bit (one chunk up to 256 rows), 30-bit (16),
+#: the largest NTT prime below 2^31 (4, so most row counts take several
+#: chunks) and a 36-bit object lane.
+MAC_MODULI = [find_ntt_primes(28, 16, 1)[0], find_ntt_primes(30, 16, 1)[0],
+              find_ntt_primes(31, 16, 1)[0], 68719474049]
+
+
+def _matmul_reference(a, b, q):
+    """Python-int ``(a @ b) mod q`` over the last two axes."""
+    out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=object)
+    for idx in np.ndindex(*a.shape[:-2]):
+        for m in range(a.shape[-2]):
+            for p in range(b.shape[-1]):
+                out[idx + (m, p)] = sum(
+                    int(a[idx + (m, k)]) * int(b[(k, p)] if b.ndim == 2
+                                               else b[idx + (k, p)])
+                    for k in range(a.shape[-1])) % q
+    return out
+
+
 class TestLazyReduction:
-    """The batched external-product MAC helpers: one reduction per drain."""
+    """The one external-product MAC: ``matmul_mod`` reduces once per chunk
+    of ``mac_rows(q)`` rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.sampled_from(MAC_MODULI), rows=st.integers(1, 64),
+           batch=st.sampled_from([(), (2,)]), shared_b=st.booleans(),
+           fill=st.sampled_from(["random", "zero", "max", "mixed"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matmul_mod_matches_python_ints(self, q, rows, batch, shared_b,
+                                            fill, seed):
+        # lazy-bound: matmul_mod sizes its chunks with mac_rows(q).
+        eng = ModulusEngine(q)
+        rng = np.random.default_rng(seed)
+
+        def operand(shape):
+            vals = rng.integers(0, min(q, 1 << 62), size=shape, dtype=np.int64)
+            if fill == "zero":
+                vals[...] = 0
+            elif fill == "max":
+                vals[...] = q - 1 if q < (1 << 62) else 0
+            elif fill == "mixed":
+                pick = rng.integers(0, 3, size=shape)
+                vals = np.where(pick == 0, 0, vals)
+                vals = np.where(pick == 1, q - 1, vals)
+            return eng.asarray(vals)
+
+        a = operand(batch + (3, rows))
+        b = operand((rows, 2) if shared_b else batch + (rows, 2))
+        got = matmul_mod(a, b, q)
+        assert got.dtype == eng.dtype
+        assert got.shape == batch + (3, 2)
+        assert np.array_equal(np.asarray(got, dtype=object),
+                              _matmul_reference(a, b, q))
 
     @pytest.mark.parametrize("q", [97, 1073741441, 68719474049])
     def test_lazy_mac_sum_matches_naive(self, q):
-        # lazy-bound: 5 contraction terms, far below the 2^32-term capacity.
+        """The per-coefficient MAC of the external product (5 rows summed
+        per output coefficient) as a batched ``matmul_mod``."""
+        # lazy-bound: 5 contraction terms, within mac_rows(q) on fast lanes.
         eng = ModulusEngine(q)
         rng = np.random.default_rng(0)
         a = eng.asarray(rng.integers(0, min(q, 1 << 62), size=(3, 5, 4), dtype=np.int64))
         b = eng.asarray(rng.integers(0, min(q, 1 << 62), size=(3, 5, 4), dtype=np.int64))
-        got = eng.lazy_mac_sum(a, b, axis=1)
+        # (3, 4, 1, 5) @ (3, 4, 5, 1): contract the row axis per coefficient.
+        got = matmul_mod(a.transpose(0, 2, 1)[:, :, None, :],
+                         b.transpose(0, 2, 1)[..., None], q)[..., 0, 0]
         want = np.zeros((3, 4), dtype=object)
         for i in range(3):
             for r in range(5):
@@ -189,37 +248,55 @@ class TestLazyReduction:
         assert np.array_equal(got.astype(object), want)
 
     def test_lazy_mac_sum_broadcasts(self):
-        # lazy-bound: 3 contraction terms, far below the 2^32-term capacity.
+        """A batch of digit vectors against one shared key: the key
+        operand broadcasts over the batch axis."""
+        # lazy-bound: 3 contraction terms, within mac_rows(q).
         q = 97
         eng = ModulusEngine(q)
         rng = np.random.default_rng(1)
         digits = eng.asarray(rng.integers(0, q, size=(2, 3, 1, 4)))
         key = eng.asarray(rng.integers(0, q, size=(3, 2, 4)))
-        got = eng.lazy_mac_sum(digits, key, axis=1)
-        assert got.shape == (2, 2, 4)
+        # (2, 4, 1, 3) @ (4, 3, 2) -> (2, 4, 1, 2)
+        got = matmul_mod(digits[:, :, 0, :].transpose(0, 2, 1)[:, :, None, :],
+                         key.transpose(2, 0, 1), q)
+        assert got.shape == (2, 4, 1, 2)
         for bi in range(2):
             for c in range(2):
                 for j in range(4):
                     want = sum(int(digits[bi, r, 0, j]) * int(key[r, c, j])
                                for r in range(3)) % q
-                    assert int(got[bi, c, j]) == want
+                    assert int(got[bi, j, 0, c]) == want
 
-    def test_lazy_sum_matches_mod_sum(self):
-        # lazy-bound: 64 summands of residues < 2^31 fit a uint64 lane.
-        eng = ModulusEngine(1073741441)
-        rng = np.random.default_rng(2)
-        terms = eng.asarray(rng.integers(0, eng.q, size=(64, 8), dtype=np.int64))
-        got = eng.lazy_sum(terms, axis=0)
-        want = np.array([sum(int(terms[r, j]) for r in range(64)) % eng.q
-                         for j in range(8)], dtype=np.int64)
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("q", MAC_MODULI[:3])
+    def test_chunk_rows_are_the_largest_that_fit(self, q):
+        r = mac_rows(q)
+        assert r * (q - 1) ** 2 + (q - 1) <= (1 << 64) - 1
+        assert (r + 1) * (q - 1) ** 2 + (q - 1) > (1 << 64) - 1
+        assert r >= 4
+
+    def test_workspace_contents_do_not_leak(self):
+        """A dirty caller-owned workspace gives the same residues as none."""
+        # lazy-bound: matmul_mod sizes its chunks with mac_rows(q).
+        q = MAC_MODULI[2]
+        eng = ModulusEngine(q)
+        rng = np.random.default_rng(3)
+        a = eng.asarray(rng.integers(0, q, size=(4, 2, 9), dtype=np.int64))
+        b = eng.asarray(rng.integers(0, q, size=(4, 9, 5), dtype=np.int64))
+        div = np.full((4, 2, 5), (1 << 64) - 1, dtype=np.uint64)
+        assert np.array_equal(matmul_mod(a, b, q, div), matmul_mod(a, b, q))
+
+    def test_reduce_mod_both_lanes(self):
+        for q in MAC_MODULI:
+            eng = ModulusEngine(q)
+            x = eng.asarray([0, 1, q - 1])
+            x = x + x * (q - 1) + q  # non-negative, below 2^64 on both lanes
+            want = [int(v) % q for v in x]
+            assert [int(v) for v in reduce_mod(x, q)] == want
 
     def test_fast_path_no_overflow_at_31_bit_bound(self):
-        """Accumulating many near-2^31 residues must stay exact in int64."""
-        # lazy-bound: 4096 * (q-1)^2 < 2^74 is held as reduced products, so
-        # the deferred sum of 4096 residues stays within the uint64 lane.
-        eng = ModulusEngine(1073741441)
-        big = eng.asarray(np.full((4096, 2), eng.q - 1, dtype=np.int64))
-        got = eng.lazy_mac_sum(big, big, axis=0)
-        want = (4096 * pow(eng.q - 1, 2, eng.q)) % eng.q
-        assert np.array_equal(got, np.full(2, want, dtype=np.int64))
+        """Accumulating many products of q - 1 must stay exact."""
+        # lazy-bound: 4096 rows of (q - 1)^2 take 256 and 1024 chunks.
+        for q in MAC_MODULI[1:3]:
+            big = np.full((1, 4096), q - 1, dtype=np.int64)
+            got = matmul_mod(big, big.T.copy(), q)
+            assert got.tolist() == [[4096 * pow(q - 1, 2, q) % q]]

@@ -11,7 +11,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.math.automorphism import get_automorphism_perm
 from repro.math.gadget import GadgetVector
-from repro.math.modular import find_ntt_primes
+from repro.math.modular import find_ntt_primes, mac_rows
 from repro.math.rns import RnsBasis, RnsPoly
 from repro.math.sampling import Sampler
 from repro.profiling import count_ops
@@ -78,6 +78,17 @@ def test_bit_identity_multi_limb(n_cts):
     basis, sk, auto, s = _stack(n, limbs=3, limb_bits=30, base_bits=6,
                                 digits=15, seed=n_cts)
     cts = _encrypt_batch(n, basis, sk, s, n_cts)
+    _assert_identical(repack(cts, auto), repack_reference(cts, auto))
+
+
+def test_bit_identity_multi_chunk_mac():
+    """Five 31-bit-prime digit rows exceed the four a uint64 lane sums
+    unreduced, so the digit MAC runs two chunks."""
+    n = 16
+    basis, sk, auto, s = _stack(n, limb_bits=31, base_bits=6, digits=5,
+                                seed=17)
+    assert 5 > mac_rows(basis.product)
+    cts = _encrypt_batch(n, basis, sk, s, 8)
     _assert_identical(repack(cts, auto), repack_reference(cts, auto))
 
 

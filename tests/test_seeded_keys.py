@@ -12,7 +12,7 @@ fixed-size comparisons stay exact (``tolist()`` equality, never
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ckks import CkksContext, CkksKeyGenerator
@@ -302,6 +302,8 @@ class TestLruKeyCacheAccounting:
                               st.integers(0, 300), st.integers(0, 700)),
                     min_size=1, max_size=30),
            st.integers(500, 3000))
+    # A demotion pass that frees nothing but re-measures a shrunken entry.
+    @example(accesses=[(1, 100, 0), (1, 300, 0), (0, 0, 0)], capacity=500)
     @settings(max_examples=30, deadline=None)
     def test_running_total_matches_recount(self, accesses, capacity):
         """The satellite fix: the running byte total must equal a full

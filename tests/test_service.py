@@ -5,6 +5,7 @@ eviction order and byte accounting, backpressure, graceful drain, and
 the shared ``run_batch`` loop's trace accounting."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -632,6 +633,43 @@ class TestBackpressureAndLifecycle:
             trace.requests_completed + trace.requests_failed
             + trace.requests_cancelled)
         assert_glwe_equal(solo_results(lwe_stack, lwes[:1])[0], survivor)
+
+    def test_backlog_behind_a_running_batch_merges(self, lwe_stack):
+        """Requests that pass their deadline while their key's previous
+        batch still runs wait for it and then dispatch together as one
+        batch, instead of each forming a batch of one."""
+        _, _, _, brk, tv = lwe_stack
+        uk = UserKeys(_KeyBox(brk), tv)
+        k = 3
+        lwes = make_lwes(lwe_stack, k + 1)
+        entered, gate = threading.Event(), threading.Event()
+
+        class GatedExecutor(LocalExecutor):
+            def fanout(self, lwes, trace, lut=None):
+                entered.set()
+                gate.wait(timeout=30)
+                return super().fanout(lwes, trace, lut)
+
+        async def main():
+            svc = BootstrapService(
+                lambda uid: uk, max_batch=8, max_delay_s=0.01,
+                executor_factory=lambda u: GatedExecutor(u.keys,
+                                                         u.test_vector))
+            async with svc:
+                first = asyncio.ensure_future(svc.submit("u", lwes[0]))
+                assert await asyncio.to_thread(entered.wait, 30)
+                rest = []
+                for lw in lwes[1:]:
+                    rest.append(asyncio.ensure_future(svc.submit("u", lw)))
+                    await asyncio.sleep(0.03)  # > max_delay_s apart
+                gate.set()
+                results = await asyncio.gather(first, *rest)
+            return results, svc.trace
+
+        results, trace = asyncio.run(main())
+        assert trace.batch_fill == {1: 1, k: 1}
+        for ref, out in zip(solo_results(lwe_stack, lwes), results):
+            assert_glwe_equal(ref, out)
 
     def test_all_cancelled_dispatches_nothing(self, lwe_stack):
         _, _, _, brk, tv = lwe_stack
