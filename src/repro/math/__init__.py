@@ -1,6 +1,6 @@
 """Mathematical substrate: modular arithmetic, NTT, rings, RNS, sampling."""
 
-from .gadget import GadgetVector, exact_digits
+from .gadget import GadgetVector
 from .modular import (
     BarrettConstant,
     ModulusEngine,
@@ -35,7 +35,6 @@ __all__ = [
     "basis_convert",
     "concat_bases",
     "GadgetVector",
-    "exact_digits",
     "Sampler",
     "DEFAULT_ERROR_STD",
 ]

@@ -24,15 +24,11 @@ import numpy as np
 from ..errors import ParameterError
 from ..profiling import record_bconv_plan, record_mul
 from .automorphism import get_automorphism_perm
-from .modular import ModulusEngine, crt_compose
+from .modular import ModulusEngine, crt_compose, mac_rows
 from .ntt import get_ntt_engine
 
 COEFF = "coeff"
 EVAL = "eval"
-
-#: Exclusive bound for a uint64 lane; BConv plans check their deferred
-#: accumulation bounds exactly against this at plan-build time.
-_U64_MAX = (1 << 64) - 1
 
 
 class RnsBasis:
@@ -269,9 +265,10 @@ class BconvPlan:
     matrix-MAC — the fused-MAC workload of paper Section IV-A.
 
     When every modulus on both sides is a fast prime (``q < 2^31``) the
-    conversion runs as one uint64 matmul with lazy reduction; otherwise it
-    falls back to exact object-dtype accumulation (bit-identical either
-    way, since all arithmetic is exact mod ``p_j``).
+    conversion runs as uint64 matmuls over chunks of source limbs with
+    lazy reduction; otherwise it falls back to exact object-dtype
+    accumulation (bit-identical either way, since all arithmetic is exact
+    mod ``p_j``).
     """
 
     def __init__(self, src_moduli: Sequence[int], dst_moduli: Sequence[int]):
@@ -300,13 +297,10 @@ class BconvPlan:
             self._src_q_u = np.asarray(self.src_moduli, dtype=np.uint64).reshape(-1, 1)
             self._dst_q_u = np.asarray(self.dst_moduli, dtype=np.uint64).reshape(-1, 1)
             self._factors_u = np.asarray(self.factors, dtype=np.uint64)
-            # Exact (python-int) worst case of one output row of the
-            # deferred matmul: every scaled residue at its maximum q_i - 1.
-            worst = max(
-                sum((q - 1) * f for q, f in zip(self.src_moduli, row))
-                for row in self.factors
-            )
-            self._matmul_ok = worst <= _U64_MAX
+            # Source limbs one uint64 lane sums per chunk: the scaled
+            # residues are canonical mod q_i, not mod p_j, so the bound is
+            # that of the largest modulus on either side.
+            self._chunk = mac_rows(max(self.src_moduli + self.dst_moduli))
 
     def convert_stack(self, stack: np.ndarray) -> np.ndarray:
         """Fast-path conversion of an ``(L_in, ..., N)`` canonical stack.
@@ -322,20 +316,20 @@ class BconvPlan:
         # lazy-bound: canonical residue (< q_i < 2^31) times q~_i (< q_i)
         # stays below 2^62; reduced immediately, row-wise.
         scaled = (a * self._q_tilde_u) % self._src_q_u
-        if self._matmul_ok:
-            # lazy-bound: output row j accumulates sum_i (q_i - 1) * F[j, i];
-            # the exact worst case was checked against 2^64 - 1 at plan
-            # build (self._matmul_ok), so the uint64 matmul cannot wrap.
-            acc = self._factors_u @ scaled
-            acc %= self._dst_q_u
-        else:
-            acc = np.empty((self.rows_out, scaled.shape[1]), dtype=np.uint64)
-            for j in range(self.rows_out):
-                pj = self._dst_q_u[j]
-                prods = (scaled * self._factors_u[j][:, None]) % pj
-                # lazy-bound: L_in canonical summands each < p_j < 2^31, so
-                # the deferred sum stays below L_in * 2^31 << 2^64.
-                acc[j] = prods.sum(axis=0) % pj
+        # lazy-bound: with m the largest modulus of both bases, every
+        # scaled residue and every factor F[j, i] is at most m - 1 and the
+        # running sum is reduced below p_j <= m, so a chunk of
+        # mac_rows(m) products plus it stays within 2^64 - 1.
+        r = self._chunk
+        acc = self._factors_u[:, :r] @ scaled[:r]
+        acc %= self._dst_q_u
+        if self.rows_in > r:
+            part = np.empty_like(acc)
+            for lo in range(r, self.rows_in, r):
+                np.matmul(self._factors_u[:, lo:lo + r], scaled[lo:lo + r],
+                          out=part)
+                part += acc
+                np.remainder(part, self._dst_q_u, out=acc)
         return acc.view(np.int64).reshape((self.rows_out,) + trailing)
 
     def convert_limbs_wide(self, limbs: List[np.ndarray],

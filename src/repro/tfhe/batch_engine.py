@@ -20,10 +20,11 @@ This module executes the same schedule on dense tensors instead:
   and ``s-`` key halves stacked along the column axis so one contraction
   serves both.
 * **Gadget decomposition + external-product MAC** are fused: the whole
-  selected sub-batch is inverse-transformed in one stacked NTT call per
-  limb, decomposed with dtype-preserving tensor ops
-  (:meth:`GadgetVector.decompose_tensor`), forward-transformed again, and
-  contracted against the key tensor.  The Algorithm-1 update
+  selected sub-batch is inverse-transformed in one NTT call per limb,
+  decomposed straight from those residues in word-size arithmetic
+  (:class:`~repro.math.gadget.ResidueDecomposer`; no big integer is
+  built), forward-transformed again, and contracted against the key
+  tensor.  The Algorithm-1 update
   ``ACC x (RGSW(1) + (X^a-1) brk+ + (X^-a-1) brk-)`` is *distributed*:
   ``RGSW(1)``'s rows are the constant gadget factors in the evaluation
   domain, so its term is just the digit recomposition, and the monomial
@@ -53,7 +54,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ParameterError
-from ..math.modular import crt_compose, matmul_mod, reduce_mod
+from ..math.gadget import ResidueDecomposer
+from ..math.modular import matmul_mod, reduce_mod
 from ..math.ntt import get_ntt_engine
 from ..math.rns import RnsBasis, RnsPoly
 from ..profiling import record_external_product
@@ -103,6 +105,7 @@ class BatchBlindRotateEngine:
                 raise ParameterError("blind-rotate key does not match the requested ring")
             self.key_pm = self._lift(brk.plus, brk.minus)
         self.n_t = self.key_pm[0].shape[0]
+        self._digits = ResidueDecomposer(self.gadget, basis.moduli)
         # RGSW(1) never needs a tensor: its rows are the gadget factors as
         # constants, so its MAC term is the digit recomposition below (one
         # (d, 1) column per limb, the right operand of a matmul).
@@ -282,14 +285,9 @@ class BatchBlindRotateEngine:
         """
         coeff = [eng.inverse_axis0(acc[li][:, idx, :])
                  for li, eng in enumerate(self.ntts)]  # (N, bsel, h+1) each
-        if len(self.basis) == 1:
-            big = coeff[0]  # residues mod q ARE the [0, Q) integers
-        else:
-            stack = np.stack([np.asarray(c, dtype=object) for c in coeff])  # heaplint: disable=HL001 CRT compose needs exact big ints on the wide-modulus path
-            big = crt_compose(stack, self.basis.moduli)
         # (N, bsel, h+1, d): component-major, digit k matching factors()[k],
         # so flattening the last two axes gives the r = c*d + k row order.
-        digit_stack = np.stack(self.gadget.decompose_tensor(big), axis=3)
+        digit_stack = self._digits(coeff)
         out = []
         for e, eng in zip(self.engines, self.ntts):
             if e.fast and digit_stack.dtype == np.int64:

@@ -44,7 +44,8 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..math.automorphism import get_automorphism_perm
-from ..math.modular import crt_compose, matmul_mod, reduce_mod
+from ..math.gadget import ResidueDecomposer
+from ..math.modular import matmul_mod, reduce_mod
 from ..math.ntt import get_ntt_engine
 from ..profiling import record_mul, record_repack_level
 from .blind_rotate import get_monomial_cache
@@ -77,6 +78,7 @@ class RepackEngine:
         self.mono = get_monomial_cache(self.n, self.basis)
         self.gadget = sample.gadget
         self.d = self.gadget.digits
+        self._digits = ResidueDecomposer(self.gadget, self.basis.moduli)
         self._keys_lifted = {}
         #: Counters of the most recent :meth:`pack` call.
         self.last_counters: Optional[RepackCounters] = None
@@ -217,9 +219,8 @@ class RepackEngine:
         key_t = self._key_tensor(t)
         # The body needs no keyswitch: permute its eval slots (sign-free).
         body_perm = [b[perm.eval_src] for b in body_eval]
-        big = self._compose([eng.inverse_axis0(m[perm.eval_src])
-                             for eng, m in zip(self.ntts, mask_eval)])
-        digit_stack = np.stack(self.gadget.decompose_tensor(big), axis=2)
+        digit_stack = self._digits([eng.inverse_axis0(m[perm.eval_src])
+                                    for eng, m in zip(self.ntts, mask_eval)])
         out = []
         for li, (e, eng) in enumerate(zip(self.engines, self.ntts)):
             if e.fast and digit_stack.dtype == np.int64:
@@ -238,14 +239,6 @@ class RepackEngine:
             acc[:, :, 1] += body_perm[li]
             out.append(reduce_mod(acc, e.q))
         return out
-
-    def _compose(self, coeff: List[np.ndarray]) -> np.ndarray:
-        """Big-int ``[0, Q)`` view of per-limb coefficient tensors (the
-        single-limb residues already *are* those integers)."""
-        if len(self.basis) == 1:
-            return coeff[0]
-        stack = np.stack([np.asarray(c, dtype=object) for c in coeff])  # heaplint: disable=HL001 CRT compose needs exact big ints on the wide-modulus path
-        return crt_compose(stack, self.basis.moduli)
 
     def _ntt_calls_saved(self, p: int, n_limbs: int) -> int:
         """NTT *invocations* avoided at one level versus the reference.

@@ -3,7 +3,8 @@ composed from scalar oracles only.
 
 ``blind_rotate_batch_reference``, ``repack_reference`` and
 ``naive_negacyclic_mul`` are the bit-identity references of the batched
-blind-rotate engine, the level-batched repack engine and the NTT.
+blind-rotate engine, the level-batched repack engine and the NTT;
+``exact_digits`` is the unsigned reference of the gadget decomposition.
 ``oracle_*`` chain them — with ``pbs_extract_reference``,
 ``lwe_keyswitch`` and ``glwe_keyswitch`` from ``src`` — through the
 pipeline's own (engine-free) ModSwitch / Extract / Finish stages.  No
@@ -53,6 +54,18 @@ def naive_negacyclic_mul(a, b, q):
             else:
                 out[k] += term
     return np.mod(out, q)
+
+
+def exact_digits(value_arr, base, count):
+    """Exact unsigned base-``base`` digits (LSB first) of non-negative
+    ints: the reference the signed gadget decomposition is tested
+    against."""
+    arr = np.asarray(value_arr, dtype=object)
+    out = []
+    for _ in range(count):
+        out.append(np.mod(arr, base))
+        arr = arr // base
+    return out
 
 
 def blind_rotate_batch_reference(test_vector, cts, brk):

@@ -354,6 +354,27 @@ def test_one_lazy_mac():
         assert "_U64_MAX" not in (root / rel).read_text(), rel
 
 
+def test_one_decomposer():
+    """Both TFHE engines take their gadget digits straight from the RNS
+    residues: neither composes big integers (no ``crt_compose``, no
+    ``_compose`` of its own) or holds an object lane."""
+    root = pathlib.Path(repro.__file__).parent
+    for rel in ("tfhe/batch_engine.py", "tfhe/repack_engine.py"):
+        text = (root / rel).read_text()
+        tree = ast.parse(text)
+        names = {n.id if isinstance(n, ast.Name) else n.attr
+                 for n in ast.walk(tree)
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        names |= {alias.name for n in ast.walk(tree)
+                  if isinstance(n, (ast.Import, ast.ImportFrom))
+                  for alias in n.names}
+        names |= {n.name for n in ast.walk(tree)
+                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        assert not {"crt_compose", "_compose"} & names, rel
+        assert "dtype=object" not in text, rel
+        assert "ResidueDecomposer" in names, rel
+
+
 OPSTATS_FIELDS = {
     "ntt_calls", "ntt_points", "pointwise_mults", "external_products",
     "by_size", "ntt_batch_hist", "ep_batch_hist",

@@ -15,15 +15,17 @@ from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.errors import ClusterExecutionError, SharedBufferError
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
-from repro.switching import SwitchingKeySet
+from repro.switching import SwitchingKeySet, luts
 from repro.switching.cluster_sim import ClusterExecutor
 from repro.switching.fanout import PRIMARY, Fault, FaultInjector
 from repro.switching.keys import brk_bytes
 from repro.switching.mp_executor import ProcessPoolFanoutExecutor
-from repro.switching.pipeline import BootstrapPipeline, BootstrapTrace
+from repro.switching.pipeline import BootstrapPipeline, BootstrapTrace, LocalExecutor
 from repro.tfhe.blind_rotate import BlindRotateKey
+from repro.tfhe.lwe import LweCiphertext
 
 from .oracle import assert_ct_equal as assert_bit_identical
+from .oracle import assert_glwe_equal
 
 PARAMS = make_toy_params(n=16, limbs=3, limb_bits=30, scale_bits=23,
                          special_limbs=2)
@@ -388,3 +390,63 @@ class TestSeededKeyStreaming:
         out = pool_bootstrap(ctx, seeded_swk, level0_ct,
                              start_method="spawn")
         assert_bit_identical(reference, out)
+
+
+def _zero_rotations(lwes):
+    """The batch with rotation amount 0 at iteration 0 for every LWE and
+    at every odd iteration for the even-indexed ones: the engine skips
+    the first iteration and runs the others on a fancy-indexed
+    sub-batch."""
+    out = []
+    for j, ct in enumerate(lwes):
+        a = np.array(ct.a, copy=True)
+        a[0] = 0
+        if j % 2 == 0:
+            a[1::2] = 0
+        out.append(LweCiphertext(a, ct.b, ct.q))
+    return out
+
+
+class TestPbsOnTheRaisedBasis:
+    """Threshold-LUT PBS on seeded keys: the blind rotate runs over the
+    multi-limb raised basis, so every digit comes from the fixed-width
+    residue decomposer each worker's engine builds in its constructor."""
+
+    @pytest.fixture(scope="class")
+    def pbs_batches(self, stack):
+        ctx, sk, ev, _ = stack
+        swk = SwitchingKeySet.generate(ctx, sk, base_bits=4, error_std=0.8,
+                                       key_seed=20240604)
+        assert len(swk.brk.plus[0].basis) > 1
+        pipe = BootstrapPipeline(ctx, swk)
+        values = np.random.default_rng(11).uniform(-0.2, 0.2, ctx.n // 2)
+        ct = ev.drop_to_level(ev.encrypt_coeffs(values), 0)
+        lut = pipe.resolve_lut(luts.threshold(0.0), ct.scale)
+        lwes = pipe.prepare_pbs(ct).lwes
+        batches = [lwes, _zero_rotations(lwes), lwes]
+        local = LocalExecutor(swk, swk.test_vector(ctx.n,
+                                                   ctx.full_basis.moduli[0]))
+        expected = [local.fanout(b, BootstrapTrace(), lut=lut)
+                    for b in batches]
+        return swk, lut, batches, expected
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_byte_equal_to_local_across_a_respawn(self, stack, pbs_batches,
+                                                  start_method):
+        """Worker 1 is SIGKILLed inside the first batch and respawned; the
+        zero-rotation batch and a repeat run on the respawned worker."""
+        ctx = stack[0]
+        swk, lut, batches, expected = pbs_batches
+        with ProcessPoolFanoutExecutor.for_keys(
+                ctx, swk, num_workers=2, start_method=start_method,
+                fault_injector=FaultInjector([Fault.crash(1, after=2)])
+        ) as pool:
+            trace = BootstrapTrace()
+            got = [pool.fanout(batches[0], trace, lut=lut)]
+            assert trace.worker_respawns == 1
+            got += [pool.fanout(b, BootstrapTrace(), lut=lut)
+                    for b in batches[1:]]
+        for accs, want in zip(got, expected):
+            assert len(accs) == len(want)
+            for a, b in zip(accs, want):
+                assert_glwe_equal(a, b)

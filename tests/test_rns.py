@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.math.modular import find_ntt_primes
-from repro.math.rns import RnsBasis, RnsPoly, basis_convert, concat_bases
+from repro.math.modular import find_ntt_primes, mac_rows
+from repro.math.rns import (
+    RnsBasis,
+    RnsPoly,
+    basis_convert,
+    basis_convert_reference,
+    concat_bases,
+    get_bconv_plan,
+)
 
 from .oracle import naive_negacyclic_mul
 
@@ -158,6 +165,23 @@ class TestBasisConvert:
         a = RnsPoly.zero(N, BASIS)
         got = basis_convert(a, AUX).to_int_coeffs()
         assert all(int(v) == 0 for v in got)
+
+    def test_chunked_mac_bit_identical_over_many_wide_limbs(self):
+        """Nine 31-bit source limbs overflow one uint64 lane (mac_rows is
+        4 there), so the conversion runs in several chunks; every chunk
+        drains mod its own 28-bit p_j and the result equals the exact
+        object-lane oracle, including at every residue's maximum."""
+        src = RnsBasis(find_ntt_primes(31, N, 9))
+        dst = RnsBasis(find_ntt_primes(28, N, 3))
+        assert get_bconv_plan(src.moduli, dst.moduli).fast
+        assert len(src) > 2 * mac_rows(max(src.moduli))
+        top = RnsPoly(N, src, [np.full(N, q - 1, dtype=np.int64)
+                               for q in src.moduli])
+        for a in (rand_rns(23, src), top):
+            got = basis_convert(a, dst)
+            want = basis_convert_reference(a, dst)
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(got.limbs, want.limbs))
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=20, deadline=None)
