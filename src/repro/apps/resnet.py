@@ -156,14 +156,6 @@ class TinyEncryptedCnn:
             shift *= 2
         return out
 
-    def pool_rotations(self) -> List[int]:
-        rots = []
-        shift = 1
-        while shift < self.ctx.slots:
-            rots.append(shift)
-            shift *= 2
-        return rots
-
     @staticmethod
     def reference(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         """Plaintext conv + square for verification."""

@@ -283,10 +283,6 @@ class CkksEvaluator:
             c1 = c1.drop_last_limb()
         return CkksCiphertext(c0, c1, ct.scale)
 
-    def rescale_to_match(self, ct: CkksCiphertext, target: CkksCiphertext) -> CkksCiphertext:
-        """Bring ``ct`` to the level of ``target`` by dropping limbs."""
-        return self.drop_to_level(ct, target.level)
-
     # -- internals ------------------------------------------------------------------------------
 
     def _align(self, a: CkksCiphertext, b: CkksCiphertext):

@@ -159,15 +159,3 @@ class KeySwitcher:
             diff = e.sub(u_coeff.limbs[idx], correction.limbs[idx])
             limbs.append(e.mul(diff, e.inv(p_prod % q)))
         return RnsPoly(u.n, target, limbs, "coeff").to_eval()
-
-    # -- helpers ------------------------------------------------------------------
-
-    @staticmethod
-    def _restrict_key(poly: RnsPoly, ext: RnsBasis) -> RnsPoly:
-        """Drop key limbs whose primes are not in the current extended basis."""
-        keep = {q: i for i, q in enumerate(poly.basis.moduli)}
-        try:
-            limbs = [poly.limbs[keep[q]] for q in ext.moduli]
-        except KeyError as exc:  # pragma: no cover - config error
-            raise ParameterError(f"key lacks limb for modulus {exc}") from exc
-        return RnsPoly(poly.n, ext, limbs, poly.domain)

@@ -34,6 +34,16 @@ class NoiseBudgetExceeded(ReproError):
     """Decryption noise exceeded the correctness bound."""
 
 
+class FourierRoundingError(ReproError, ArithmeticError):
+    """A float64 FFT product left a rounding residual too large to round
+    to the exact integers: its result would be a wrong ciphertext, so it
+    is refused instead (``residual`` is the max ``|x - rint(x)|`` seen)."""
+
+    def __init__(self, message: str, residual: float) -> None:
+        super().__init__(message)
+        self.residual: float = residual
+
+
 class WireFormatError(ReproError):
     """A framed wire blob failed its integrity check (bad CRC, truncated
     payload, or a header that does not match the payload length)."""

@@ -80,15 +80,8 @@ class HeapHwConfig:
         """HBM throughput normalised to kernel cycles."""
         return self.hbm_bandwidth_bytes_per_s / self.kernel_freq_hz
 
-    @property
-    def cmac_bytes_per_cycle(self) -> float:
-        return (self.cmac_gbps * 1e9 / 8.0) / self.kernel_freq_hz
-
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / self.kernel_freq_hz
-
-    def seconds_to_cycles(self, seconds: float) -> float:
-        return seconds * self.kernel_freq_hz
 
 
 @dataclass(frozen=True)

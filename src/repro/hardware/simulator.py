@@ -37,10 +37,6 @@ class TimelineEvent:
     start_s: float
     end_s: float
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
 
 @dataclass
 class SimulationResult:

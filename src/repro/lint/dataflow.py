@@ -387,9 +387,6 @@ class ProjectIndex:
 
     # -- queries for rules ----------------------------------------------------
 
-    def functions_in(self, ctx: FileContext) -> List[FunctionInfo]:
-        return [f for f in self.functions.values() if f.ctx is ctx]
-
     def concurrent_reach(self, qualname: str) -> Optional[Tuple[str, str]]:
         """``(kind, chain)`` when ``qualname`` can run on a thread or the
         event loop (``process`` entries have private memory and do not

@@ -111,7 +111,10 @@ class LazyBoundProofRule(Rule):
     Any function doing reduction-deferred uint64 arithmetic must contain
     either a statically checkable bound guard (a comparison involving a
     2^64 constant such as ``_U64_MAX``) or a ``# lazy-bound:`` proof
-    annotation stating where the bound is established.
+    annotation stating where the bound is established.  Calls of the
+    lazy helpers (``matmul_mod``; the float64 FFT's
+    ``round_to_residues``, exact only inside ``split_plan``'s bound)
+    carry the same obligation at each call site.
     """
 
     code = "HL002"
@@ -121,7 +124,7 @@ class LazyBoundProofRule(Rule):
 
     _ARITH_CALLS = frozenset(
         {"matmul", "multiply", "add", "subtract", "sum", "dot", "einsum"})
-    _LAZY_HELPERS = frozenset({"matmul_mod"})
+    _LAZY_HELPERS = frozenset({"matmul_mod", "round_to_residues"})
 
     # -- detection helpers --------------------------------------------------
 

@@ -327,18 +327,16 @@ def mac_rows(q: int) -> int:
     return (_U64_MAX - (q - 1)) // (q - 1) ** 2
 
 
-def reduce_mod(x: np.ndarray, q: int,
-               div: Optional[np.ndarray] = None) -> np.ndarray:
+def reduce_mod(x: np.ndarray, q: int) -> np.ndarray:
     """``x mod q`` for non-negative ``x`` below ``2**64``.
 
-    An int64 lane is reduced in place through :func:`fast_mod_u64`
-    (``div`` is its uint64 quotient workspace, allocated when omitted);
-    an object lane takes one ``np.mod``.
+    An int64 lane is reduced in place through :func:`fast_mod_u64`; an
+    object lane takes one ``np.mod``.
     """
     if x.dtype == object:
         return np.mod(x, q)
     xu = x.view(np.uint64)
-    fast_mod_u64(xu, np.uint64(q), xu, np.empty_like(xu) if div is None else div)
+    fast_mod_u64(xu, np.uint64(q), xu, np.empty_like(xu))
     return x
 
 

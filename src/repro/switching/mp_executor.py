@@ -21,10 +21,11 @@ Design points, in the order they matter:
   generated key has — the body polynomials (one
   ``(n_t, 2, (h+1)d, N)`` stack per limb) plus the Algorithm-2 test
   vector, with the mask seeds in the manifest: each worker replays the
-  uniform mask halves into its own lifted
-  :class:`~repro.tfhe.batch_engine.BatchBlindRotateEngine` tensors
-  (``key_pm=`` constructor injection), so no RGSW-form key is ever
-  rebuilt and the shared block is half the lifted size at ``h = 1``.
+  uniform mask halves into an evaluation-domain key stack and hands it
+  to its own :class:`~repro.tfhe.batch_engine.BatchBlindRotateEngine`
+  (``key_pm=`` constructor injection), which keeps only the stack's
+  FFT spectrum — so no RGSW-form key is ever rebuilt and the shared
+  block is half the int64 stack's size at ``h = 1``.
   Wide-modulus (``object``-dtype) keys cannot be memory-mapped, and a
   hand-assembled key without mask seeds has no seed+``b`` form;
   publishing either raises :class:`~repro.errors.SharedBufferError` and
@@ -136,16 +137,17 @@ def _pack_key_material(brk: BlindRotateKey,
 def _expand_key_pm(views: Dict[str, np.ndarray], meta: Dict[str, object],
                           n: int, n_t: int, h: int, d: int,
                           basis: RnsBasis) -> List[np.ndarray]:
-    """Worker-side runtime key expansion (ARK): rebuild the full lifted
-    tensor stack from shared bodies plus mask seeds.
+    """Worker-side runtime key expansion (ARK): rebuild the full
+    evaluation-domain key stack from shared bodies plus mask seeds.
 
     Bodies are copied out of the shared block into the worker-local
     tensor; the mask columns are pure PRNG replay of the exact draw
     order :func:`~repro.tfhe.rgsw.rgsw_encrypt` used (entry seed
     → rows ``c`` outer / ``k`` inner → mask components → limbs in basis
-    order), written directly as evaluation-domain residues — no NTTs.
-    The expanded stack is bit-identical to the primary's in-process
-    lift of the same key.
+    order), each draw already an evaluation-domain residue.  The stack
+    is bit-identical to the primary's in-process lift of the same key;
+    the engine keeps only its FFT spectrum (one inverse NTT per entry
+    and limb).
     """
     from ..math.sampling import mask_stream
 
@@ -173,9 +175,9 @@ def _rebuild_key_material(manifest: SharedBufferManifest):
     and rebuild ``(block, engine, test_vector)`` as zero-copy views.
 
     The :class:`~repro.tfhe.batch_engine.BatchBlindRotateEngine` gets
-    the worker-expanded lifted tensors injected directly (columns
-    ``[0, h+1)`` = brk+, ``[h+1, 2(h+1))`` = brk−); the key object
-    handed to it is a header carrying only ``gadget`` and ``h``.
+    the worker-expanded stack injected directly (columns ``[0, h+1)`` =
+    brk+, ``[h+1, 2(h+1))`` = brk−) and keeps its spectrum; the key
+    object handed to it is a header carrying only ``gadget`` and ``h``.
     """
     block, views = attach_shared_arrays(manifest)
     meta = manifest.meta

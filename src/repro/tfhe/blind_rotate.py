@@ -93,10 +93,6 @@ class MonomialCache:
     """Evaluation-domain monomials ``X^a`` per limb, built by repeated
     squaring from the transform of ``X`` (no NTT per rotation step)."""
 
-    #: Largest ``2N * N`` dense-table size (elements, per limb) we are
-    #: willing to hold; 2^21 is 16 MiB of int64 at N = 1024.
-    _DENSE_LIMIT = 1 << 21
-
     def __init__(self, n: int, basis: RnsBasis):
         self.n = n
         self.basis = basis
@@ -106,14 +102,11 @@ class MonomialCache:
             x = eng.mod.zeros(n)
             x[1] = 1
             self._x_eval.append(eng.forward(x))
-        self._cache: Dict[int, List[np.ndarray]] = {}
-        self._plain_cache: Dict[int, List[np.ndarray]] = {}
-        self._dense: Optional[List[np.ndarray]] = None
         # The instance is shared process-wide via get_monomial_cache; the
         # per-entry caches are race-benign (idempotent build, atomic dict
-        # store), but the dense table is expensive enough that concurrent
-        # tenants should build it once, not once each.
-        self._dense_lock = threading.Lock()
+        # store).
+        self._cache: Dict[int, List[np.ndarray]] = {}
+        self._plain_cache: Dict[int, List[np.ndarray]] = {}
 
     def monomial(self, a: int) -> List[np.ndarray]:
         """Per-limb eval vectors of ``X^a`` with ``a`` taken mod 2N.
@@ -145,37 +138,6 @@ class MonomialCache:
             self._cache[a] = vecs
         return vecs
 
-    def minus_one_matrix(self, a_vals: np.ndarray) -> Optional[List[np.ndarray]]:
-        """Per-limb ``(N, len(a_vals))`` matrices of ``X^a - 1`` columns.
-
-        Backed by a dense ``(N, 2N)`` table per limb so a whole batch of
-        rotation amounts is one column gather; the table is filled once by
-        running products ``X^(a+1) = X^a * X`` in the evaluation domain —
-        the same modular arithmetic as :meth:`monomial_minus_one`, so the
-        two paths agree bit-for-bit.  Returns ``None`` (callers fall back
-        to stacking :meth:`monomial_minus_one` vectors) when the table
-        would outgrow ``_DENSE_LIMIT``.
-        """
-        two_n = 2 * self.n
-        if two_n * self.n > self._DENSE_LIMIT:
-            return None
-        if self._dense is None:
-            with self._dense_lock:
-                if self._dense is None:
-                    dense = []
-                    for q, x_eval in zip(self.basis.moduli, self._x_eval):
-                        eng = get_ntt_engine(self.n, q)
-                        rows = eng.mod.zeros((two_n, self.n))
-                        rows[0] = 1  # X^0
-                        for a in range(1, two_n):
-                            rows[a] = eng.mod.mul(rows[a - 1], x_eval)
-                        rows = eng.mod.sub(rows, eng.mod.zeros(self.n) + 1)
-                        # Column-major gathers want (N, 2N) contiguous
-                        # columns.
-                        dense.append(np.ascontiguousarray(rows.T))
-                    self._dense = dense
-        return [d[:, a_vals] for d in self._dense]
-
 
 #: Process-wide caches: twiddle-style state that every BlindRotate over the
 #: same ``(N, moduli)`` ring can share.  Building a MonomialCache costs one
@@ -190,8 +152,7 @@ def get_monomial_cache(n: int, basis: RnsBasis) -> MonomialCache:
     """Shared :class:`MonomialCache` for ``(n, basis.moduli)``.
 
     Lock-free hit, double-checked miss: two tenants racing on a cold
-    ring must share one cache (its expensive lazy ``_dense`` table is
-    guarded by a per-instance lock).
+    ring share one cache.
     """
     key = (n, tuple(basis.moduli))
     cache = _MONO_CACHE.get(key)

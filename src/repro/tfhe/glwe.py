@@ -89,9 +89,6 @@ class GlweCiphertext:
         """Multiply every component by a (public) ring element."""
         return GlweCiphertext(mask=[x * p for x in self.mask], body=self.body * p)
 
-    def mul_scalar(self, k: int) -> "GlweCiphertext":
-        return GlweCiphertext(mask=[x * k for x in self.mask], body=self.body * k)
-
     def negacyclic_shift(self, k: int) -> "GlweCiphertext":
         """Multiply by the monomial ``X^k`` (the paper's rotation unit)."""
         return GlweCiphertext(

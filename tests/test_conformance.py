@@ -375,6 +375,48 @@ def test_one_decomposer():
         assert "ResidueDecomposer" in names, rel
 
 
+@pytest.mark.parametrize("digits", [8, 3], ids=["exact", "inexact"])
+def test_one_external_product(monkeypatch, digits):
+    """The blind rotate's external product is the float64 FFT kernel:
+    no ``matmul_mod`` contracts the key (only an inexact gadget's
+    ``(d, 1)`` recomposition column), no NTT runs inside the iteration
+    loop (one forward transform per limb, at export), and the
+    eval-domain monomial matrices stay gone."""
+    from repro.math.gadget import GadgetVector
+    from repro.math.modular import find_ntt_primes
+    from repro.math.ntt import NttEngine
+    from repro.math.rns import RnsBasis
+    from repro.tfhe import batch_engine
+    from repro.tfhe.blind_rotate import (BlindRotateKey, MonomialCache,
+                                         build_test_vector)
+    from repro.tfhe.glwe import GlweSecretKey
+    from repro.tfhe.lwe import LweSecretKey, lwe_encrypt
+
+    assert not {"minus_one_matrix", "_dense", "_dense_lock",
+                "_DENSE_LIMIT"} & set(vars(MonomialCache))
+    n, n_t = 16, 6
+    basis = RnsBasis(find_ntt_primes(28, n, 2))
+    gadget = GadgetVector(q=basis.product, base_bits=7, digits=digits)
+    s = Sampler(17)
+    lwe_sk = LweSecretKey.generate(n_t, s)
+    brk = BlindRotateKey.generate(lwe_sk, GlweSecretKey.generate(n, 1, s),
+                                  basis, gadget, s)
+    f = build_test_vector(lambda t: 0, n, basis)
+    cts = [lwe_encrypt(i, lwe_sk, 2 * n, s, error_std=0.5) for i in range(3)]
+    engine = batch_engine.BatchBlindRotateEngine(brk, n, basis)
+    transforms, macs = [], []
+    transform, matmul_mod = NttEngine._transform, batch_engine.matmul_mod
+    monkeypatch.setattr(NttEngine, "_transform", lambda self, *a, **k: (
+        transforms.append(self.moduli), transform(self, *a, **k))[1])
+    # lazy-bound: the spy forwards to matmul_mod unchanged.
+    monkeypatch.setattr(batch_engine, "matmul_mod", lambda a, b, q, *r: (
+        macs.append(b.shape), matmul_mod(a, b, q, *r))[1])
+    engine.rotate_batch(f, cts)
+    assert len(transforms) == len(basis)
+    assert bool(macs) == (digits * 7 < basis.product.bit_length())
+    assert set(macs) <= {(digits, 1)}
+
+
 OPSTATS_FIELDS = {
     "ntt_calls", "ntt_points", "pointwise_mults", "external_products",
     "by_size", "ntt_batch_hist", "ep_batch_hist",

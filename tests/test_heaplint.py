@@ -75,6 +75,16 @@ class TestHl002LazyBound:
                "    return matmul_mod(a, b, q)\n")
         assert codes(analyze_source(src, COLD_PATH)) == ["HL002"]
 
+    def test_flags_fourier_rounding_without_proof(self):
+        src = ("def product(fft, spectrum, moduli, width, addends):\n"
+               "    return fft.round_to_residues(spectrum, moduli, width,\n"
+               "                                 addends)\n")
+        assert codes(analyze_source(src, COLD_PATH)) == ["HL002"]
+        proven = src.replace(
+            "    return", "    # lazy-bound: split_plan covers this product\n"
+            "    return")
+        assert analyze_source(proven, COLD_PATH) == []
+
     def test_one_finding_per_function(self):
         src = ("import numpy as np\n\n"
                "def drain(acc, g):\n"

@@ -4,6 +4,7 @@ genuine worker death (SIGKILL, nonzero exit, reply timeout), worker-side
 fault realisation, accounting, and the cross-executor determinism of the
 fault-injection schedule."""
 
+import multiprocessing
 import pickle
 import time
 from types import SimpleNamespace
@@ -13,14 +14,20 @@ import pytest
 
 from repro.ckks import CkksContext, CkksEvaluator, CkksKeyGenerator
 from repro.errors import ClusterExecutionError, SharedBufferError
+from repro.io import publish_shared_arrays
 from repro.math.sampling import Sampler
 from repro.params import make_toy_params
 from repro.switching import SwitchingKeySet, luts
 from repro.switching.cluster_sim import ClusterExecutor
 from repro.switching.fanout import PRIMARY, Fault, FaultInjector
 from repro.switching.keys import brk_bytes
-from repro.switching.mp_executor import ProcessPoolFanoutExecutor
+from repro.switching.mp_executor import (
+    ProcessPoolFanoutExecutor,
+    _pack_key_material,
+    _rebuild_key_material,
+)
 from repro.switching.pipeline import BootstrapPipeline, BootstrapTrace, LocalExecutor
+from repro.tfhe.batch_engine import BatchBlindRotateEngine
 from repro.tfhe.blind_rotate import BlindRotateKey
 from repro.tfhe.lwe import LweCiphertext
 
@@ -345,6 +352,15 @@ def test_cluster_and_pool_tell_the_same_story(stack, level0_ct, reference,
         assert cluster_story[0] == "error"
 
 
+def _worker_key_spectrum(manifest, conn):
+    """Child-process body: the key spectrum a pool worker's engine holds
+    (module level, so ``spawn`` can locate it by import)."""
+    block, engine, _ = _rebuild_key_material(manifest)
+    conn.send(engine.key_spectrum)
+    conn.close()
+    block.close()
+
+
 class TestSeededKeyStreaming:
     """ARK-style seeded publish: the pool ships seeds + b-halves and the
     workers replay the mask streams locally."""
@@ -380,6 +396,30 @@ class TestSeededKeyStreaming:
         with pytest.raises(SharedBufferError, match="no mask seeds"):
             ProcessPoolFanoutExecutor(SimpleNamespace(brk=bare), tv,
                                       num_workers=1)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_worker_spectrum_byte_equal(self, stack, seeded_swk, start_method):
+        """A worker's engine, built from shared bodies and replayed mask
+        seeds, holds the in-process engine's key spectrum byte for byte."""
+        ctx, _, _, _ = stack
+        brk = seeded_swk.brk
+        tv = seeded_swk.test_vector(ctx.n, ctx.full_basis.moduli[0])
+        local = BatchBlindRotateEngine.for_key(brk, tv.n, tv.basis).key_spectrum
+        block, manifest = publish_shared_arrays(*_pack_key_material(brk, tv))
+        try:
+            mp = multiprocessing.get_context(start_method)
+            recv, send = mp.Pipe(duplex=False)
+            proc = mp.Process(target=_worker_key_spectrum, args=(manifest, send))
+            proc.start()
+            send.close()
+            remote = recv.recv()
+            proc.join(60)
+        finally:
+            block.close()
+            block.unlink()
+        assert proc.exitcode == 0
+        assert (remote.dtype, remote.shape) == (local.dtype, local.shape)
+        assert remote.tobytes() == local.tobytes()
 
     def test_seeded_pool_spawn_start_method(self, stack, level0_ct,
                                             seeded_swk):
